@@ -72,10 +72,6 @@ class ChannelSet:
     n_users: int
     n_subcarriers: int
 
-    def user_view(self, k: int) -> np.ndarray:
-        s = self.n_subcarriers
-        return self.h[:, k * s:(k + 1) * s]
-
 
 @dataclass(frozen=True)
 class LinkBudget:

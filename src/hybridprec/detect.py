@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .alphabets import Alphabet
 
@@ -22,6 +22,10 @@ BRUTE_FORCE_GUARD = 2**24
 LAMBDA_FLOOR = 1e-8      # moment-matched precisions are clamped here
 OMEGA_FLOOR = 1e-12      # tilted variances are floored to avoid blow-up
 SIGMA2_FLOOR = 1e-12     # error-variance estimate kept away from zero
+
+# Sphere-decoder nodes expanded together. A search holds at most SD_BLOCK
+# children per expansion and (labels - 1) pending blocks per level.
+SD_BLOCK = 1024
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -168,72 +172,142 @@ def brute_force_ml(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     )
 
 
-def _round_to_labels(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    idx = np.argmin(np.abs(values[:, None] - labels[None, :]), axis=1)
-    return labels[idx]
-
-
 def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
-               warm_starts: Sequence[np.ndarray] = ()) -> SolveResult:
-    """Schnorr-Euchner sphere decoder: exact minimizer of ||d - R z||^2.
+               warm_starts: Optional[np.ndarray] = None) -> SolveResult:
+    """Schnorr-Euchner sphere decoder: exact minimizers of ||d_p - R z||^2.
 
-    Depth-first search over the label tree; at each level candidates are
-    visited in order of increasing partial-residual increment, branches whose
-    partial cost reaches the incumbent radius are pruned, and the radius
-    tightens on every full-depth improvement. The incumbent is seeded from
-    nearest-label rounding of the unconstrained triangular solve plus any
-    ``warm_starts`` (which must be alphabet-member vectors); incumbents
-    affect speed only, never optimality.
+    ``system.d`` is one target ``(m,)`` or ``P`` targets stacked as columns
+    ``(m, P)``, all sharing the factor R; ``constant_offset`` is a scalar or
+    one value per target, and ``warm_starts`` an optional ``(m,)`` or
+    ``(P, m)`` array of alphabet-member vectors. Each problem's incumbent is
+    the nearest-label rounding of its unconstrained triangular solve, then its
+    warm start and its Babai point (first child at every level), each only if
+    strictly better.
+
+    The search runs breadth-first within blocks of at most ``SD_BLOCK`` nodes
+    and depth-first across blocks. A block is expanded one level at once;
+    each node's children are taken in stable Schnorr-Euchner order (increasing
+    increment), a child survives only if its partial cost is strictly below
+    its own problem's incumbent, and the survivors are split into blocks
+    pushed so the earliest is expanded first. Leaves therefore appear in
+    depth-first visit order, and the first leaf strictly below a problem's
+    incumbent replaces it: ties go to the incumbent, then to the first
+    minimum-cost leaf. Incumbents affect speed only, never optimality.
+
+    Returns ``z`` of shape ``(m,)`` or ``(P, m)``, the objective (scalar or
+    per target), ``nodes_visited`` summed over the batch (search nodes kept;
+    the Babai pass is not counted), and in ``diagnostics`` the largest number
+    of children one block expansion kept (``peak_frontier``).
     """
     t0 = time.perf_counter()
-    r = system.r
-    d = system.d
     labels = alphabet.labels
-    m = len(d)
+    d = np.asarray(system.d)
+    single = d.ndim == 1
+    targets = d[:, None] if single else d
+    m, n_prob = targets.shape
     if m == 0:
         raise ValueError("empty system")
-    dtype = np.result_type(r.dtype, d.dtype, labels.dtype)
-    r = r.astype(dtype, copy=False)
-    d = d.astype(dtype, copy=False)
+    dtype = np.result_type(system.r.dtype, d.dtype, labels.dtype)
+    r = system.r.astype(dtype, copy=False)
+    targets = targets.astype(dtype, copy=False)
     labels = labels.astype(dtype, copy=False)
+    warm = None if warm_starts is None else np.array(warm_starts, dtype=dtype).reshape(n_prob, m)
+    if not (np.isfinite(r).all() and np.isfinite(targets).all()):
+        raise ValueError("triangular system has non-finite entries")
 
-    unconstrained = solve_triangular(r, d, lower=False)
-    z_best = _round_to_labels(unconstrained, labels)
-    best = residual_norm_sq(d, r, z_best)
-    for cand in warm_starts:
-        cand = np.asarray(cand, dtype=dtype)
-        obj = residual_norm_sq(d, r, cand)
-        if obj < best:
-            best = obj
-            z_best = cand.copy()
+    # Per-target incumbents, with the arithmetic of a single-target solve: a
+    # many-column triangular solve or residual rounds differently, and the
+    # incumbent decides near-ties. This is the LAPACK call solve_triangular
+    # makes, without its per-call validation.
+    trtrs, = get_lapack_funcs(("trtrs",), (r,))
+    a, lower, trans = (r, False, 0) if r.flags.f_contiguous else (r.T, True, 1)
+    unconstrained = np.empty((n_prob, m), dtype=dtype)
+    for j in range(n_prob):
+        unconstrained[j], info = trtrs(a, targets[:, j], lower=lower, trans=trans)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
+    z_best = labels[np.argmin(np.abs(unconstrained[:, :, None] - labels), axis=2)]
+    best = _residuals(targets, r, z_best)
 
-    diag = np.real(np.diag(r)).copy()
+    def offer(cost: np.ndarray, z: np.ndarray) -> None:
+        better = cost < best
+        best[better] = cost[better]
+        z_best[better] = z[better]
+
+    if warm is not None:
+        offer(_residuals(targets, r, warm), warm)
+    scaled = np.real(np.diag(r))[:, None] * labels  # R_ii times every label
     cols = [r[:i, i].copy() for i in range(m)]
-    z = np.zeros(m, dtype=dtype)
+    roots = np.ascontiguousarray(targets.T)
+    index_type = np.min_scalar_type(len(labels) - 1)
+    # the Babai point is the first leaf a depth-first search reaches, so
+    # taking it first keeps the tie rule and tightens every incumbent early
+    y, cost, every = roots, np.zeros(n_prob), np.arange(n_prob)
+    path = np.empty((n_prob, m), dtype=index_type)
+    for level in range(m - 1, -1, -1):
+        increments = np.abs(y[:, level, None] - scaled[level]) ** 2
+        k = increments.argmin(axis=1)
+        cost = cost + increments[every, k]
+        path[:, level] = k
+        y = y[:, :level] - cols[level] * labels[k][:, None]
+    offer(cost, labels[path])
+    # a block: (level to assign, problem ids, residual prefixes, partial costs, label-index paths)
+    stack: list = []
+    _push_blocks(stack, m - 1, every, roots, np.zeros(n_prob),
+                 np.zeros((n_prob, m), dtype=index_type))
     nodes = 0
+    peak = 0
+    while stack:
+        level, prob, y, cost, path = stack.pop()
+        increments = np.abs(y[:, level, None] - scaled[level]) ** 2
+        order = increments.argsort(axis=1, kind="stable")
+        child = cost[:, None] + increments
+        child.sort(axis=1)  # the same values as cost + sorted increments
+        rows, ranks = (child < best[prob][:, None]).nonzero()
+        if len(rows) == 0:
+            continue
+        nodes += len(rows)
+        peak = max(peak, len(rows))
+        k = order[rows, ranks]
+        cost, prob, path = child[rows, ranks], prob[rows], path[rows]
+        path[:, level] = k
+        if level == 0:
+            # first minimum-cost leaf of each problem in visit order (lexsort is stable)
+            first = np.lexsort((cost, prob))
+            ordered = prob[first]
+            head = first[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            best[prob[head]] = cost[head]
+            z_best[prob[head]] = labels[path[head]]
+        else:
+            y = y[rows, :level] - cols[level] * labels[k][:, None]
+            _push_blocks(stack, level - 1, prob, y, cost, path)
 
-    def descend(level: int, y: np.ndarray, cost: float) -> None:
-        nonlocal best, z_best, nodes
-        increments = np.abs(y[level] - diag[level] * labels) ** 2
-        for k in np.argsort(increments, kind="stable"):
-            child = cost + increments[k]
-            if child >= best:
-                return  # sorted ascending: the rest only get worse
-            nodes += 1
-            z[level] = labels[k]
-            if level == 0:
-                best = child
-                z_best = z.copy()
-            else:
-                descend(level - 1, y[:level] - cols[level] * labels[k], child)
-
-    descend(m - 1, d.copy(), 0.0)
+    objective = best + system.constant_offset
     return SolveResult(
-        z=z_best,
-        objective=best + system.constant_offset,
+        z=z_best[0] if single else z_best,
+        objective=float(objective[0]) if single else objective,
         nodes_visited=nodes,
         wall_time_s=time.perf_counter() - t0,
+        diagnostics={"peak_frontier": peak},
     )
+
+
+def _residuals(targets: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||d_p - R z_p||^2 for each target column d_p and row z_p, rounded as
+    residual_norm_sq rounds it: one matrix-vector product and one vdot each."""
+    diff = targets.T - (r @ z[:, :, None])[:, :, 0]
+    return np.array([np.vdot(row, row).real for row in diff])
+
+
+def _push_blocks(stack: list, level: int, prob: np.ndarray, y: np.ndarray,
+                 cost: np.ndarray, path: np.ndarray) -> None:
+    """Push nodes in blocks of at most SD_BLOCK, the earliest block on top."""
+    if len(prob) <= SD_BLOCK:
+        stack.append((level, prob, y, cost, path))
+        return
+    for start in reversed(range(0, len(prob), SD_BLOCK)):
+        part = slice(start, start + SD_BLOCK)
+        stack.append((level, prob[part], y[part], cost[part], path[part]))
 
 
 def _robust_inverse(a: np.ndarray, iteration: int) -> np.ndarray:

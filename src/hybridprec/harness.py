@@ -601,12 +601,14 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    # LinAlgError subclasses ValueError, so numerical failures are caught first
+    except (np.linalg.LinAlgError, EPNumericalError, hybrid.InfeasiblePowerError,
+            hybrid.AnalogSolveError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (SpecError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except EPNumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

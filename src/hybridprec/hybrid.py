@@ -38,6 +38,10 @@ class InfeasiblePowerError(RuntimeError):
     """No discrete digital precoder meets the power budget at the current step."""
 
 
+class AnalogSolveError(RuntimeError):
+    """A solver failed inside the analog subproblem."""
+
+
 @dataclass
 class HybridPrecoder:
     f_rf: np.ndarray
@@ -48,10 +52,6 @@ class HybridPrecoder:
     phase_diag: Optional[np.ndarray] = None
     n_users: int = 1
     n_subcarriers: int = 1
-
-    def user_view(self, k: int) -> np.ndarray:
-        s = self.n_subcarriers
-        return self.f_bb[:, k * s:(k + 1) * s]
 
     def effective(self) -> np.ndarray:
         return self.f_rf @ self.f_bb
@@ -64,7 +64,7 @@ class SolverStats:
     iterations: int = 0
 
     def absorb(self, result: SolveResult) -> None:
-        self.solves += 1
+        self.solves += len(result.z) if result.z.ndim == 2 else 1
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
 
@@ -143,27 +143,33 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
         return f_rf, stats
 
     if solver == "sesd":
-        r, ridge = _chol_with_retry(b.conj().T @ b)
-        targets = solve_triangular(r.conj().T, b.conj().T @ a, lower=True)  # d_n columns
-    elif solver != "ep":
+        try:
+            res = sesd_solve(_antenna_system(b, a), alphabet, warm_starts=warm)
+        except Exception as exc:
+            raise AnalogSolveError("analog subproblem failed") from exc
+        stats.absorb(res)
+        return res.z, stats
+    if solver != "ep":
         raise ValueError(f"unknown analog solver {solver!r}")
+    cfg = config or SystemConfig()
     rows = np.empty((n_t, m_rf), dtype=complex)
     for n in range(n_t):
         try:
-            if solver == "sesd":
-                offset = float(np.real(np.vdot(a[:, n], a[:, n]) - np.vdot(targets[:, n], targets[:, n])))
-                system = TriangularSystem(r=r, d=targets[:, n], constant_offset=offset, ridge=ridge)
-                warm_starts = (warm[n],) if warm is not None else ()
-                res = sesd_solve(system, alphabet, warm_starts=warm_starts)
-            else:
-                cfg = config or SystemConfig()
-                res = ep_solve(a[:, n], b, alphabet, damping=cfg.ep_damping,
-                               max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+            res = ep_solve(a[:, n], b, alphabet, damping=cfg.ep_damping,
+                           max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
         except Exception as exc:
-            raise RuntimeError(f"analog subproblem failed at antenna {n}") from exc
+            raise AnalogSolveError(f"analog subproblem failed at antenna {n}") from exc
         rows[n] = res.z
         stats.absorb(res)
     return rows, stats
+
+
+def _antenna_system(b: np.ndarray, a: np.ndarray) -> TriangularSystem:
+    """All per-antenna problems min ||a_n - B x||^2 over one shared factor of B."""
+    r, ridge = _chol_with_retry(b.conj().T @ b)
+    targets = solve_triangular(r.conj().T, b.conj().T @ a, lower=True)  # d_n columns
+    offsets = np.sum(np.abs(a) ** 2, axis=0) - np.sum(np.abs(targets) ** 2, axis=0)
+    return TriangularSystem(r=r, d=targets, constant_offset=offsets, ridge=ridge)
 
 
 def _power_per_subcarrier(f_rf: np.ndarray, f_bb: np.ndarray, n_users: int) -> np.ndarray:
@@ -313,37 +319,43 @@ def _solve_all_subcarriers(target, f_rf, r20, d2, f_rf_r, alphabet, solver, p_s,
     mu_out = np.zeros(s_count)
     iters_out = np.zeros(s_count, dtype=int)
 
-    def solve_user(col: int, mu: float, warm: Optional[np.ndarray]) -> np.ndarray:
+    def solve_columns(cols, mu: float, warm: Optional[np.ndarray]) -> np.ndarray:
+        """Stacked real solutions (one row per column) at multiplier mu."""
         scale = math.sqrt(mu + 1.0)
         if solver == "sesd":
-            system = TriangularSystem(r=scale * r20, d=d2[:, col] / scale, constant_offset=0.0)
-            res = sesd_solve(system, alphabet, warm_starts=(warm,) if warm is not None else ())
-        elif solver == "ep":
+            system = TriangularSystem(r=scale * r20, d=d2[:, cols] / scale, constant_offset=0.0)
+            res = sesd_solve(system, alphabet, warm_starts=warm)
+            stats.absorb(res)
+            return res.z
+        if solver != "ep":
+            raise ValueError(f"unknown digital solver {solver!r}")
+        sols = []
+        for col in cols:
             a_col = target[:, col]
             c = np.concatenate([a_col.real, a_col.imag]) / scale
             res = ep_solve(c, scale * f_rf_r, alphabet, damping=cfg.ep_damping,
                            max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
-        else:
-            raise ValueError(f"unknown digital solver {solver!r}")
-        stats.absorb(res)
-        return res.z
+            stats.absorb(res)
+            sols.append(res.z)
+        return np.array(sols)
 
+    def realized(sols: np.ndarray) -> tuple[list, float]:
+        cplx = [z[:m_rf] + 1j * z[m_rf:] for z in sols]
+        return cplx, float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b)) for b in cplx))
+
+    warm_all = None if prev_bb is None else np.concatenate([prev_bb.real, prev_bb.imag]).T
+    at_zero = solve_columns(np.arange(ks), 0.0, warm_all)
     for s in range(s_count):
         cols = [k * s_count + s for k in range(n_users)]
-        warm_real = [None] * n_users
-        if prev_bb is not None:
-            warm_real = [np.concatenate([prev_bb[:, c].real, prev_bb[:, c].imag]) for c in cols]
+        warm = at_zero[cols]
 
         def attempt(mu: float) -> tuple[list, float]:
-            sols = [solve_user(c, mu, warm_real[i]) for i, c in enumerate(cols)]
-            for i, z in enumerate(sols):
-                warm_real[i] = z  # warm-start the next multiplier candidate
-            cplx = [z[:m_rf] + 1j * z[m_rf:] for z in sols]
-            power = float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b)) for b in cplx))
-            return cplx, power
+            nonlocal warm
+            warm = solve_columns(cols, mu, warm)  # warm-starts the next multiplier candidate
+            return realized(warm)
 
         n_evals = 1
-        sols, power = attempt(0.0)
+        sols, power = realized(warm)
         mu_s = 0.0
         if power > p_s and abs(power - p_s) > bisection_tol * p_s:
             lo, hi = 0.0, 1.0
@@ -399,25 +411,14 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     are distinct and nonzero (entry flips with least residual increase).
     """
     target = _as_matrix(f_fd)
-    n_t = target.shape[0]
-    m_rf = f_bb.shape[0]
     if not np.allclose(np.abs(phase_diag), 1.0, atol=1e-9):
         raise ValueError("phase_diag entries must be unit modulus")
     rotated = (np.conj(phase_diag)[:, None] * target)  # diag(phase)^H F_FD
     b = f_bb.T
-    alphabet = make_switch_alphabet()
     stats = SolverStats()
-    r, ridge = _chol_with_retry(b.conj().T @ b)
-    targets = solve_triangular(r.conj().T, b.conj().T @ rotated.T, lower=True)
-    switch = np.zeros((n_t, m_rf))
-    for n in range(n_t):
-        a_n = rotated.T[:, n]
-        offset = float(np.real(np.vdot(a_n, a_n) - np.vdot(targets[:, n], targets[:, n])))
-        system = TriangularSystem(r=r, d=targets[:, n], constant_offset=offset, ridge=ridge)
-        res = sesd_solve(system, alphabet)
-        switch[n] = np.real(res.z)
-        stats.absorb(res)
-    switch = _repair_switch(switch, rotated.T, b)
+    res = sesd_solve(_antenna_system(b, rotated.T), make_switch_alphabet())
+    stats.absorb(res)
+    switch = _repair_switch(res.z.real.copy(), rotated.T, b)
     return switch, stats
 
 

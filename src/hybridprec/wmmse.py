@@ -25,10 +25,6 @@ class FullyDigitalPrecoder:
     n_users: int
     n_subcarriers: int
 
-    def user_view(self, k: int) -> np.ndarray:
-        s = self.n_subcarriers
-        return self.f_fd[:, k * s:(k + 1) * s]
-
 
 @dataclass
 class RateReport:

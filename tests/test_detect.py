@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from hybridprec.alphabets import make_analog_alphabet, make_digital_alphabet
+from hybridprec import detect
+from hybridprec.alphabets import (
+    make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
+)
 from hybridprec.detect import (
     EPNumericalError, SearchSpaceError, SingularGramError, TriangularSystem,
     brute_force_ml, ep_solve, prepare_triangular, realify, residual_norm_sq,
@@ -203,6 +207,165 @@ class TestSphereDecoder:
         c, g, alphabet = random_instance(rng, 3, 6, levels=4)
         res = sesd_solve(prepare_triangular(g, c), alphabet)
         assert res.objective == pytest.approx(residual_norm_sq(c, g, res.z), abs=1e-10)
+
+
+ALPHABETS = {
+    "phase-1bit": (lambda: make_analog_alphabet(1), True),
+    "phase-2bit": (lambda: make_analog_alphabet(2), True),
+    "real-2level": (lambda: make_digital_alphabet(2, 0.8, kind="digital-real"), False),
+    "real-8level": (lambda: make_digital_alphabet(8, 0.4, kind="digital-real"), False),
+    "switch": (make_switch_alphabet, True),
+}
+
+
+def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_targets):
+    """P targets over one shared G: (C, G, alphabet, ridge)."""
+    make, complex_valued = ALPHABETS[kind]
+    n = m + extra_rows
+    shape_g, shape_c = (n, m), (n, n_targets)
+    g = rng.standard_normal(shape_g)
+    c = rng.standard_normal(shape_c)
+    if complex_valued:
+        g = g + 1j * rng.standard_normal(shape_g)
+        c = c + 1j * rng.standard_normal(shape_c)
+    if rank_deficient and m > 1:
+        g[:, -1] = g[:, 0]
+    if zero_targets:
+        c[:] = 0.0
+    ridge = 0.0
+    try:
+        prepare_triangular(g, c[:, 0])
+    except SingularGramError as exc:
+        ridge = exc.suggested_ridge
+    return c, g, make(), ridge
+
+
+def batch_system(g, c, ridge):
+    """The columns of c as targets of one shared triangular factor."""
+    parts = [prepare_triangular(g, col, ridge) for col in c.T]
+    return TriangularSystem(
+        r=parts[0].r, d=np.stack([p.d for p in parts], axis=1),
+        constant_offset=np.array([p.constant_offset for p in parts]), ridge=ridge)
+
+
+def depth_first_sd(system, alphabet, warm=None):
+    """Reference single-target Schnorr-Euchner search, recursive and depth-first:
+    the incumbent is replaced only by a strictly cheaper leaf."""
+    labels = alphabet.labels.astype(np.result_type(system.r, system.d, alphabet.labels))
+    r, d = system.r.astype(labels.dtype), system.d.astype(labels.dtype)
+    unconstrained = solve_triangular(r, d, lower=False)
+    z = labels[np.argmin(np.abs(unconstrained[:, None] - labels), axis=1)]
+    best = {"cost": residual_norm_sq(d, r, z), "z": z}
+    if warm is not None and residual_norm_sq(d, r, warm) < best["cost"]:
+        best = {"cost": residual_norm_sq(d, r, warm), "z": warm.astype(labels.dtype)}
+    path = np.zeros(len(d), dtype=labels.dtype)
+
+    def descend(level, y, cost):
+        increments = np.abs(y[level] - np.real(r[level, level]) * labels) ** 2
+        for k in np.argsort(increments, kind="stable"):
+            child = cost + increments[k]
+            if child >= best["cost"]:
+                return
+            path[level] = labels[k]
+            if level == 0:
+                best.update(cost=child, z=path.copy())
+            else:
+                descend(level - 1, y[:level] - r[:level, level] * labels[k], child)
+
+    descend(len(d) - 1, d.copy(), 0.0)
+    return best["z"]
+
+
+batch_cases = st.tuples(
+    st.integers(0, 2**31 - 1), st.sampled_from(sorted(ALPHABETS)),
+    st.integers(1, 4), st.integers(0, 2), st.integers(1, 6),
+    st.booleans(), st.booleans(),
+)
+
+
+class TestBatchedSphereDecoder:
+    @given(batch_cases)
+    @settings(max_examples=150, deadline=None)
+    def test_every_target_matches_enumeration(self, case):
+        """Each target's objective equals exhaustive enumeration's, ridge included."""
+        seed, kind, m, extra, n_targets, deficient, zeros = case
+        rng = np.random.default_rng(seed)
+        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        res = sesd_solve(batch_system(g, c, ridge), alphabet)
+        assert res.z.shape == (n_targets, m)
+        assert res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
+        # a ridge adds ridge*||z||^2: enumerate over G stacked on sqrt(ridge) I
+        g_aug = np.vstack([g, np.sqrt(ridge) * np.eye(m)])
+        for j in range(n_targets):
+            c_aug = np.concatenate([c[:, j], np.zeros(m)])
+            exact = brute_force_ml(c_aug, g_aug, alphabet)
+            assert all(z in alphabet.labels for z in res.z[j])
+            assert residual_norm_sq(c_aug, g_aug, res.z[j]) == pytest.approx(
+                exact.objective, abs=1e-10)
+            assert res.objective[j] == pytest.approx(exact.objective, abs=1e-10)
+
+    @given(batch_cases, st.integers(1, 5), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_single_solves(self, case, block, warm):
+        """A batch returns byte-identical labels to its targets solved one at a
+        time, also when a tiny block splits the frontier into many blocks."""
+        seed, kind, m, extra, n_targets, deficient, zeros = case
+        rng = np.random.default_rng(seed)
+        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = batch_system(g, c, ridge)
+        warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "SD_BLOCK", block)
+            res = sesd_solve(system, alphabet, warm_starts=warm_starts)
+            assert res.diagnostics["peak_frontier"] <= block * len(alphabet)
+        for j in range(n_targets):
+            single = sesd_solve(
+                TriangularSystem(r=system.r, d=system.d[:, j],
+                                 constant_offset=float(system.constant_offset[j]), ridge=ridge),
+                alphabet, warm_starts=None if warm_starts is None else warm_starts[j])
+            np.testing.assert_array_equal(res.z[j], single.z)
+            assert res.objective[j] == single.objective
+
+    @given(batch_cases, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_depth_first_reference(self, case, warm):
+        """Ties resolve as in a depth-first search: incumbents keep their place,
+        then the first minimum-cost leaf in Schnorr-Euchner order wins."""
+        seed, kind, m, extra, n_targets, deficient, zeros = case
+        rng = np.random.default_rng(seed)
+        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = batch_system(g, c, ridge)
+        warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
+        res = sesd_solve(system, alphabet, warm_starts=warm_starts)
+        for j in range(n_targets):
+            single = TriangularSystem(r=system.r, d=system.d[:, j], constant_offset=0.0)
+            expected = depth_first_sd(single, alphabet,
+                                      None if warm_starts is None else warm_starts[j])
+            np.testing.assert_array_equal(res.z[j], expected)
+
+    def test_large_batch_spans_blocks(self):
+        """Over SD_BLOCK targets at the default block size: the roots alone fill
+        two blocks, every expansion stays within SD_BLOCK times the label count,
+        and the labels equal one-at-a-time solves."""
+        rng = np.random.default_rng(RNG_SEED)
+        n_targets = detect.SD_BLOCK + 300
+        c, g, alphabet, ridge = batch_instance(rng, "phase-2bit", 4, 1, n_targets, False, False)
+        system = batch_system(g, c, ridge)
+        res = sesd_solve(system, alphabet)
+        assert detect.SD_BLOCK < res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
+        for j in range(0, n_targets, 7):
+            single = sesd_solve(
+                TriangularSystem(r=system.r, d=system.d[:, j],
+                                 constant_offset=float(system.constant_offset[j])), alphabet)
+            np.testing.assert_array_equal(res.z[j], single.z)
+
+    def test_full_tie_keeps_the_incumbent(self):
+        """With an identity factor and zero targets every label vector ties;
+        the rounded incumbent (first label everywhere) keeps its place."""
+        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        system = batch_system(np.eye(4), np.zeros((4, 3)), 0.0)
+        res = sesd_solve(system, alphabet)
+        np.testing.assert_array_equal(res.z, np.full((3, 4), alphabet.labels[0]))
 
 
 class TestExpectationPropagation:

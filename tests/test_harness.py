@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import hybridprec.harness as harness
+from hybridprec import hybrid
 from hybridprec.channel import SystemConfig
+from hybridprec.detect import EPNumericalError, SingularGramError
 from hybridprec.harness import (
-    EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
+    EXIT_NUMERICAL, EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
     SpecError, config_fingerprint, emit_csv, load_spec, main, oracle_check,
     parse_csv, run_experiment, runtime_benchmark, spec_from_dict,
 )
@@ -234,6 +236,20 @@ class TestOracleCheckAndCli:
         path.write_text(json.dumps({"schema_version": 1, "name": "x",
                                     "schemes": ["fully-digital"], "oops": True}))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
+
+    @pytest.mark.parametrize("failure", [
+        SingularGramError(1e-9),
+        EPNumericalError(3, "posterior moments"),
+        hybrid.InfeasiblePowerError("no step meets the budget"),
+        hybrid.AnalogSolveError("analog subproblem failed"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_cli_numerical_failure_exit_code(self, failure, monkeypatch, capsys):
+        """Numerical failures exit with 3, not as a spec error or a traceback."""
+        def fail(*args, **kwargs):
+            raise failure
+        monkeypatch.setattr(hybrid, "alternate", fail)
+        assert main(["bench-runtime", "--rf", "3", "--trials", "1"]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_cli_bench_runtime(self, capsys):
         code = main(["bench-runtime", "--rf", "3", "--trials", "1"])

@@ -16,8 +16,8 @@ import numpy as np
 from .alphabets import Alphabet, DeltaRule, choose_delta, make_digital_alphabet, nearest_labels
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, HybridPrecoder, _power_per_subcarrier, init_analog_svd,
-    rescale_to_budget,
+    FULLY_CONNECTED, HybridPrecoder, _as_matrix, _power_per_subcarrier,
+    init_analog_svd, rescale_to_budget,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -32,10 +32,6 @@ class AltminTrace:
     objective_per_iter: list = field(default_factory=list)
     line_search_failures: int = 0
     n_outer: int = 0
-
-
-def _as_matrix(f_fd: Union[FullyDigitalPrecoder, np.ndarray]) -> np.ndarray:
-    return f_fd.f_fd if isinstance(f_fd, FullyDigitalPrecoder) else np.asarray(f_fd)
 
 
 def _digital_ls(f_rf: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
@@ -43,11 +43,12 @@ class SearchSpaceError(ValueError):
 
 
 class EPNumericalError(RuntimeError):
-    """Non-finite intermediate inside the EP loop."""
+    """Non-finite intermediate inside the EP loop; ``index`` is the target."""
 
-    def __init__(self, iteration: int, what: str):
+    def __init__(self, iteration: int, what: str, index: int = 0):
         self.iteration = iteration
-        super().__init__(f"EP produced non-finite {what} at iteration {iteration}")
+        self.index = index
+        super().__init__(f"EP produced non-finite {what} at iteration {iteration} for target {index}")
 
 
 @dataclass
@@ -62,29 +63,31 @@ class TriangularSystem:
 
 @dataclass
 class SolveResult:
+    """A solve's result; counts, EP targets ``truncated`` at max_iter included, sum over targets."""
+
     z: np.ndarray
     objective: float
     nodes_visited: int = 0
     iterations: int = 0
     wall_time_s: float = 0.0
-    truncated: bool = False
+    truncated: int = 0
     diagnostics: Optional[dict] = None
 
 
 @dataclass
 class EPState:
-    """Snapshot of the EP factor parameters and moments at one iteration."""
+    """EP factors and moments at each target's last iteration; a batch adds a leading target axis."""
 
     lambda_diag: np.ndarray
     gamma: np.ndarray
     mu: np.ndarray
     sigma_diag: np.ndarray
-    sigma2_hat: float
+    sigma2_hat: Union[float, np.ndarray]
     cavity_var: np.ndarray
     cavity_mean: np.ndarray
     tilted_mean: np.ndarray
     tilted_var: np.ndarray
-    iteration: int
+    iteration: Union[int, np.ndarray]
 
 
 def suggested_ridge(gram: np.ndarray) -> float:
@@ -227,7 +230,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
         if info > 0:
             raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
     z_best = labels[np.argmin(np.abs(unconstrained[:, :, None] - labels), axis=2)]
-    best = _residuals(targets, r, z_best)
+    roots = np.ascontiguousarray(targets.T)
+    best = _residuals(roots, r, z_best)
 
     def offer(cost: np.ndarray, z: np.ndarray) -> None:
         better = cost < best
@@ -235,10 +239,9 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
         z_best[better] = z[better]
 
     if warm is not None:
-        offer(_residuals(targets, r, warm), warm)
+        offer(_residuals(roots, r, warm), warm)
     scaled = np.real(np.diag(r))[:, None] * labels  # R_ii times every label
     cols = [r[:i, i].copy() for i in range(m)]
-    roots = np.ascontiguousarray(targets.T)
     index_type = np.min_scalar_type(len(labels) - 1)
     # the Babai point is the first leaf a depth-first search reaches, so
     # taking it first keeps the tie rule and tightens every incumbent early
@@ -292,13 +295,6 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     )
 
 
-def _residuals(targets: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """||d_p - R z_p||^2 for each target column d_p and row z_p, rounded as
-    residual_norm_sq rounds it: one matrix-vector product and one vdot each."""
-    diff = targets.T - (r @ z[:, :, None])[:, :, 0]
-    return np.array([np.vdot(row, row).real for row in diff])
-
-
 def _push_blocks(stack: list, level: int, prob: np.ndarray, y: np.ndarray,
                  cost: np.ndarray, path: np.ndarray) -> None:
     """Push nodes in blocks of at most SD_BLOCK, the earliest block on top."""
@@ -310,28 +306,52 @@ def _push_blocks(stack: list, level: int, prob: np.ndarray, y: np.ndarray,
         stack.append((level, prob[part], y[part], cost[part], path[part]))
 
 
-def _robust_inverse(a: np.ndarray, iteration: int) -> np.ndarray:
-    """Matrix inverse with relative jitter retries for extreme scalings.
+def _robust_inverse(a: np.ndarray, iteration: int, index: np.ndarray) -> np.ndarray:
+    """Inverse of each member of a (P, m, m) stack; ``index`` numbers them.
 
     The likelihood precision can dwarf the factor precisions by enough that
     their diagonal contribution is absorbed in floating point, leaving an
-    exactly singular matrix; a tiny relative jitter restores it.
+    exactly singular matrix; a tiny relative jitter restores it. Only the
+    singular members of a stack are retried with jitter.
     """
-    if not np.all(np.isfinite(a)):
-        raise EPNumericalError(iteration, "posterior precision")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise EPNumericalError(iteration, "posterior precision", int(index[np.argmin(finite)]))
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        pass
-    scale = float(np.abs(np.diagonal(a)).max()) or 1.0
+        if len(a) > 1:
+            return np.concatenate([_robust_inverse(a[j:j + 1], iteration, index[j:j + 1])
+                                   for j in range(len(a))])
+    scale = float(np.abs(np.diagonal(a[0])).max()) or 1.0
     jitter = 1e-14 * scale
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[1])
     while jitter <= 1e-3 * scale:
         try:
             return np.linalg.inv(a + jitter * eye)
         except np.linalg.LinAlgError:
             jitter *= 100.0
-    raise EPNumericalError(iteration, "posterior covariance")
+    raise EPNumericalError(iteration, "posterior covariance", int(index[0]))
+
+
+def _sq_norms(x: np.ndarray, conj: bool = True) -> np.ndarray:
+    """Squared norm of each row by one BLAS dot: a row rounds as np.vdot(row,
+    row) does, or with ``conj=False`` as np.linalg.norm(row) ** 2 (real and
+    imaginary parts dotted apart), whatever the other rows hold."""
+    if np.iscomplexobj(x) and not conj:
+        return _sq_norms(x.real) + _sq_norms(x.imag)
+    return (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
+
+
+def _residuals(targets: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||t_p - G z_p||^2 for rows t_p and z_p, rounded as residual_norm_sq."""
+    return _sq_norms(targets - (g @ z[:, :, None])[:, :, 0])
+
+
+def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """||new_p - old_p|| / max(||old_p||, 1e-30) per row, rounded as np.linalg.norm."""
+    return np.sqrt(_sq_norms(new - old, conj=False)) / np.maximum(
+        np.sqrt(_sq_norms(old, conj=False)), 1e-30)
 
 
 def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
@@ -344,6 +364,11 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     variance. Runs complex-valued when inputs are complex, real-valued
     otherwise. Returns the best hard decision (entrywise nearest label to
     the posterior mean) observed across iterations.
+
+    ``c`` is one target ``(n,)`` or ``P`` targets as columns ``(n, P)`` sharing
+    ``G``. Each target leaves the batch when it converges, so it gets the result
+    of a solve of it alone; ``iterations`` is summed over targets and
+    ``truncated`` counts those that reached ``max_iter``.
     """
     t0 = time.perf_counter()
     if not 0.0 <= damping <= 1.0:
@@ -353,70 +378,75 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     labels = alphabet.labels
     complex_mode = np.iscomplexobj(g) or np.iscomplexobj(c) or np.iscomplexobj(labels)
     dtype = np.complex128 if complex_mode else np.float64
-    c = c.astype(dtype, copy=False)
+    single = c.ndim == 1
+    targets = np.ascontiguousarray((c[:, None] if single else c).T, dtype=dtype)  # (P, n)
     g = g.astype(dtype, copy=False)
     labels = labels.astype(dtype, copy=False)
-    m = g.shape[1]
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(g))):
-        raise EPNumericalError(1, "inputs")
+    n_prob, m = targets.shape[0], g.shape[1]
+    finite = np.isfinite(targets).all(axis=1) & np.isfinite(g).all()
+    if not finite.all():
+        raise EPNumericalError(1, "inputs", int(np.argmin(finite)))
 
     gram = g.conj().T @ g
-    gc = g.conj().T @ c
+    gc = (g.conj().T @ targets[:, :, None])[:, :, 0]  # one gemv per target
     eye = np.eye(m)
 
-    lam = np.ones(m)
-    gam = np.zeros(m, dtype=dtype)
-    sigma2 = 1.0
+    # state of the targets still iterating, numbered by `active`
+    active = np.arange(n_prob)
+    lam = np.ones((n_prob, m))
+    gam = np.zeros((n_prob, m), dtype=dtype)
+    sigma2 = np.ones(n_prob)
+    z_best = np.full((n_prob, m), labels[0])
+    best = np.full(n_prob, np.inf)
+    mu_prev = var_prev = zeta = nu = rho = omega = None
+    final: dict = {}  # EPState fields, z and objective of every target
 
-    z_best = None
-    best = np.inf
-    mu_prev = None
-    var_prev = None
-    zeta = nu = rho = omega = None
-    truncated = True
-    iteration = 0
+    def finish(done: np.ndarray, iteration: int) -> None:
+        fields = dict(z=z_best, objective=best, lambda_diag=lam, gamma=gam, mu=mu,
+                      sigma_diag=var, sigma2_hat=sigma2, cavity_var=zeta, cavity_mean=nu,
+                      tilted_mean=rho, tilted_var=omega,
+                      iteration=np.full(len(active), iteration))
+        for name, value in fields.items():
+            final.setdefault(name, np.empty((n_prob,) + value.shape[1:], value.dtype))
+            final[name][active[done]] = value[done]
 
     for iteration in range(1, max_iter + 1):
-        cov = _robust_inverse(gram / sigma2 + lam * eye, iteration)
-        mu = cov @ (gc / sigma2 + gam)
-        var = np.real(np.diag(cov))
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise EPNumericalError(iteration, "posterior moments")
+        cov = _robust_inverse(gram / sigma2[:, None, None] + lam[:, None, :] * eye,
+                              iteration, active)
+        mu = (cov @ (gc / sigma2[:, None] + gam)[:, :, None])[:, :, 0]
+        var = np.diagonal(cov, axis1=1, axis2=2).real
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(var).all(axis=1)
+        if not finite.all():
+            raise EPNumericalError(iteration, "posterior moments", int(active[np.argmin(finite)]))
 
-        idx = np.argmin(np.abs(mu[:, None] - labels[None, :]), axis=1)
-        z = labels[idx]
-        obj = residual_norm_sq(c, g, z)
-        if obj < best:
-            best = obj
-            z_best = z
+        z = labels[np.argmin(np.abs(mu[:, :, None] - labels), axis=2)]
+        obj = _residuals(targets, g, z)
+        better = obj < best
+        best[better] = obj[better]
+        z_best[better] = z[better]
 
         if mu_prev is not None:
-            dm = np.linalg.norm(mu - mu_prev) / max(np.linalg.norm(mu_prev), 1e-30)
-            dv = np.linalg.norm(var - var_prev) / max(np.linalg.norm(var_prev), 1e-30)
-            if dm < tol and dv < tol:
-                truncated = False
-                break
-        mu_prev = mu
-        var_prev = var
+            done = (_relative_change(mu, mu_prev) < tol) & (_relative_change(var, var_prev) < tol)
+            if done.any():
+                finish(done, iteration)
+                keep = ~done
+                active, targets, gc, lam, gam, sigma2, z_best, best, mu, var = (
+                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, mu, var))
+                if not len(active):
+                    break
+        mu_prev, var_prev = mu, var
 
-        denom = np.maximum(1.0 - var * lam, 1e-12)
-        zeta = np.maximum(var / denom, 1e-300)
+        zeta = np.maximum(var / np.maximum(1.0 - var * lam, 1e-12), 1e-300)
         nu = zeta * (mu / var - gam)
 
         # subtract the per-row minimum before scaling so the best label sits at
         # log-weight 0 even when the cavity variance has collapsed
-        sq = np.abs(labels[None, :] - nu[:, None]) ** 2
-        sq -= sq.min(axis=1, keepdims=True)
-        if complex_mode:
-            logw = -sq / zeta[:, None]
-        else:
-            logw = -sq / (2.0 * zeta[:, None])
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
+        sq = np.abs(labels - nu[:, :, None]) ** 2
+        sq -= sq.min(axis=2, keepdims=True)
+        w = np.exp(-sq / (zeta[:, :, None] if complex_mode else 2.0 * zeta[:, :, None]))
+        w /= w.sum(axis=2, keepdims=True)
         rho = w @ labels
-        omega = np.maximum(
-            np.sum(w * np.abs(labels[None, :] - rho[:, None]) ** 2, axis=1), OMEGA_FLOOR
-        )
+        omega = np.maximum(np.sum(w * np.abs(labels - rho[:, :, None]) ** 2, axis=2), OMEGA_FLOOR)
 
         lam_new = 1.0 / omega - 1.0 / zeta
         gam_new = rho / omega - nu / zeta
@@ -426,20 +456,20 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         lam = (1.0 - damping) * lam_new + damping * lam
         gam = (1.0 - damping) * gam_new + damping * gam
 
-        sigma2 = max(residual_norm_sq(c, g, rho) / m, SIGMA2_FLOOR)
-        if not np.isfinite(sigma2):
-            raise EPNumericalError(iteration, "error variance")
+        sigma2 = np.maximum(_residuals(targets, g, rho) / m, SIGMA2_FLOOR)
+        finite = np.isfinite(sigma2)
+        if not finite.all():
+            raise EPNumericalError(iteration, "error variance", int(active[np.argmin(finite)]))
+    truncated = len(active)
+    finish(np.ones(truncated, dtype=bool), max_iter)
 
-    state = EPState(
-        lambda_diag=lam, gamma=gam, mu=mu, sigma_diag=var, sigma2_hat=sigma2,
-        cavity_var=zeta, cavity_mean=nu, tilted_mean=rho, tilted_var=omega,
-        iteration=iteration,
-    )
+    final = {name: value[0] if single else value for name, value in final.items()}
+    z, objective = final.pop("z"), final.pop("objective")
     return SolveResult(
-        z=z_best,
-        objective=best,
-        iterations=iteration,
+        z=z,
+        objective=float(objective) if single else objective,
+        iterations=int(np.sum(final["iteration"])),
         wall_time_s=time.perf_counter() - t0,
         truncated=truncated,
-        diagnostics={"state": state},
+        diagnostics={"state": EPState(**final)},
     )

@@ -43,6 +43,17 @@ SCHEMES = (
     "sd-analog-ideal-digital", "ep-analog-ideal-digital",
     "dynamic-sd", "dynamic-ep",
 )
+# Schemes designed by hybrid.alternate: (solver, mode, analog method, digital method).
+ALTERNATE_SCHEMES = {
+    "sd-hybrid": ("sesd", hybrid.FULLY_CONNECTED, None, None),
+    "ep-hybrid": ("ep", hybrid.FULLY_CONNECTED, None, None),
+    "np-analog-ep-digital": ("ep", hybrid.FULLY_CONNECTED, "np", "ep"),
+    "ep-analog-np-digital": ("ep", hybrid.FULLY_CONNECTED, "ep", "np"),
+    "sd-analog-ideal-digital": ("sesd", hybrid.FULLY_CONNECTED, None, "ls"),
+    "ep-analog-ideal-digital": ("ep", hybrid.FULLY_CONNECTED, None, "ls"),
+    "dynamic-sd": ("sesd", hybrid.DYNAMIC_CONNECTED, None, None),
+    "dynamic-ep": ("ep", hybrid.DYNAMIC_CONNECTED, None, None),
+}
 METRICS = ("sum_rate_avg", "sum_rate_total", "mse", "runtime", "trace")
 
 EXIT_OK = 0
@@ -125,27 +136,8 @@ def run_scheme(name: str, channel: ChannelSet, target: FullyDigitalPrecoder,
         )
         eff = quantized.effective()
         mse = mse_to_target(target, quantized.f_rf, quantized.f_bb)
-    else:
-        mode = hybrid.FULLY_CONNECTED
-        analog_method = digital_method = None
-        if name == "sd-hybrid":
-            solver = "sesd"
-        elif name == "ep-hybrid":
-            solver = "ep"
-        elif name == "np-analog-ep-digital":
-            solver, analog_method, digital_method = "ep", "np", "ep"
-        elif name == "ep-analog-np-digital":
-            solver, analog_method, digital_method = "ep", "ep", "np"
-        elif name == "sd-analog-ideal-digital":
-            solver, digital_method = "sesd", "ls"
-        elif name == "ep-analog-ideal-digital":
-            solver, digital_method = "ep", "ls"
-        elif name == "dynamic-sd":
-            solver, mode = "sesd", hybrid.DYNAMIC_CONNECTED
-        elif name == "dynamic-ep":
-            solver, mode = "ep", hybrid.DYNAMIC_CONNECTED
-        else:
-            raise SpecError(f"unknown scheme {name!r}")
+    elif name in ALTERNATE_SCHEMES:
+        solver, mode, analog_method, digital_method = ALTERNATE_SCHEMES[name]
         precoder, trace = hybrid.alternate(
             target, config, solver, mode=mode,
             analog_method=analog_method, digital_method=digital_method,
@@ -153,6 +145,8 @@ def run_scheme(name: str, channel: ChannelSet, target: FullyDigitalPrecoder,
         eff = precoder.effective()
         mse = mse_to_target(target, precoder.f_rf, precoder.f_bb)
         trace_values = list(trace.objective_per_outer_iter)
+    else:
+        raise SpecError(f"unknown scheme {name!r}")
     report = sum_rate(channel, eff, n0)
     out = {
         "sum_rate_avg": report.sum_rate_per_subcarrier_avg,

@@ -24,7 +24,8 @@ from .alphabets import (
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
-    SolveResult, TriangularSystem, ep_solve, sesd_solve, suggested_ridge,
+    EPNumericalError, SolveResult, TriangularSystem, ep_solve, realify, sesd_solve,
+    suggested_ridge,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -131,37 +132,29 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
     problem per transmit antenna, all sharing the digital Gram factor.
     """
     target = _as_matrix(f_fd)
-    n_t = target.shape[0]
-    m_rf = f_bb.shape[0]
     b = f_bb.T  # (K*S, M_T)
     a = target.T  # (K*S, N_T)
     stats = SolverStats()
     if solver == "np":
         x_ls, *_ = np.linalg.lstsq(b, a, rcond=None)
         f_rf = nearest_labels(np.exp(1j * np.angle(x_ls.T)), alphabet)
-        stats.solves += n_t
+        stats.solves += target.shape[0]
         return f_rf, stats
 
-    if solver == "sesd":
-        try:
-            res = sesd_solve(_antenna_system(b, a), alphabet, warm_starts=warm)
-        except Exception as exc:
-            raise AnalogSolveError("analog subproblem failed") from exc
-        stats.absorb(res)
-        return res.z, stats
-    if solver != "ep":
+    if solver not in ("sesd", "ep"):
         raise ValueError(f"unknown analog solver {solver!r}")
     cfg = config or SystemConfig()
-    rows = np.empty((n_t, m_rf), dtype=complex)
-    for n in range(n_t):
-        try:
-            res = ep_solve(a[:, n], b, alphabet, damping=cfg.ep_damping,
+    try:
+        if solver == "sesd":
+            res = sesd_solve(_antenna_system(b, a), alphabet, warm_starts=warm)
+        else:
+            res = ep_solve(a, b, alphabet, damping=cfg.ep_damping,
                            max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
-        except Exception as exc:
-            raise AnalogSolveError(f"analog subproblem failed at antenna {n}") from exc
-        rows[n] = res.z
-        stats.absorb(res)
-    return rows, stats
+    except Exception as exc:
+        where = f" at antenna {exc.index}" if isinstance(exc, EPNumericalError) else ""
+        raise AnalogSolveError("analog subproblem failed" + where) from exc
+    stats.absorb(res)
+    return res.z, stats
 
 
 def _antenna_system(b: np.ndarray, a: np.ndarray) -> TriangularSystem:
@@ -257,11 +250,8 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
 
     delta = choose_delta(ls_digital, levels, delta_rule)
     # mu enters only as a scale: R(mu) = sqrt(mu+1) R20, d(mu) = d2 / sqrt(mu+1)
-    gram_r = np.block([[gram.real, -gram.imag], [gram.imag, gram.real]])
-    r20, _ = _chol_with_retry(gram_r)
-    f_rf_r = np.block([[f_rf.real, -f_rf.imag], [f_rf.imag, f_rf.real]])
-
-    proj_r = np.concatenate([proj.real, proj.imag], axis=0)  # (2M_T, K*S)
+    r20, _ = _chol_with_retry(realify(proj, gram)[1])
+    proj_r, f_rf_r = realify(proj, f_rf)  # (2M_T, K*S), (2N_T, 2M_T)
     d2 = solve_triangular(r20.conj().T, proj_r, lower=True)  # base targets, mu = 0
 
     prev_bb, prev_delta = previous if previous is not None else (None, None)
@@ -329,15 +319,11 @@ def _solve_all_subcarriers(target, f_rf, r20, d2, f_rf_r, alphabet, solver, p_s,
             return res.z
         if solver != "ep":
             raise ValueError(f"unknown digital solver {solver!r}")
-        sols = []
-        for col in cols:
-            a_col = target[:, col]
-            c = np.concatenate([a_col.real, a_col.imag]) / scale
-            res = ep_solve(c, scale * f_rf_r, alphabet, damping=cfg.ep_damping,
-                           max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
-            stats.absorb(res)
-            sols.append(res.z)
-        return np.array(sols)
+        c = np.concatenate([target[:, cols].real, target[:, cols].imag]) / scale
+        res = ep_solve(c, scale * f_rf_r, alphabet, damping=cfg.ep_damping,
+                       max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+        stats.absorb(res)
+        return res.z
 
     def realized(sols: np.ndarray) -> tuple[list, float]:
         cplx = [z[:m_rf] + 1j * z[m_rf:] for z in sols]

@@ -435,3 +435,185 @@ class TestExpectationPropagation:
         alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
         with pytest.raises(ValueError):
             ep_solve(np.ones(2), np.eye(2), alphabet, damping=1.5)
+
+
+ep_cases = st.tuples(
+    st.integers(0, 2**31 - 1), st.sampled_from(sorted(ALPHABETS)),
+    st.integers(1, 5), st.integers(0, 3), st.integers(1, 8), st.booleans(),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.integers(1, 30),
+    st.sampled_from([1e-2, 1e-4, 1e-8]),
+)
+
+
+def assert_matches_single_solves(res, c, g, alphabet, **kwargs):
+    """Every target of a batched EP result equals a solve of that column alone."""
+    singles = [ep_solve(c[:, j], g, alphabet, **kwargs) for j in range(c.shape[1])]
+    state = res.diagnostics["state"]
+    assert res.z.shape == (c.shape[1], g.shape[1])
+    for j, single in enumerate(singles):
+        np.testing.assert_array_equal(res.z[j], single.z)
+        assert res.z[j].dtype == single.z.dtype
+        assert res.objective[j] == single.objective
+        assert state.iteration[j] == single.iterations
+        assert single.truncated in (0, 1)
+        np.testing.assert_array_equal(state.mu[j], single.diagnostics["state"].mu)
+        np.testing.assert_array_equal(state.lambda_diag[j],
+                                      single.diagnostics["state"].lambda_diag)
+        assert state.sigma2_hat[j] == single.diagnostics["state"].sigma2_hat
+    assert res.iterations == sum(s.iterations for s in singles)
+    assert res.truncated == sum(s.truncated for s in singles)
+    return singles
+
+
+def jittered_inverse(a):
+    """np.linalg.inv, retried with a growing relative diagonal jitter."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        pass
+    scale = float(np.abs(np.diagonal(a)).max()) or 1.0
+    jitter = 1e-14 * scale
+    while jitter <= 1e-3 * scale:
+        try:
+            return np.linalg.inv(a + jitter * np.eye(len(a)))
+        except np.linalg.LinAlgError:
+            jitter *= 100.0
+    raise np.linalg.LinAlgError("no jitter restores the inverse")
+
+
+def reference_ep(c, g, alphabet, damping, max_iter, tol):
+    """Single-target EP loop, one numpy call per step, as ep_solve ran before
+    it was batched: (z, objective, iterations, truncated)."""
+    dtype = np.complex128 if np.iscomplexobj(g) or np.iscomplexobj(alphabet.labels) else np.float64
+    c, g, labels = c.astype(dtype), g.astype(dtype), alphabet.labels.astype(dtype)
+    m = g.shape[1]
+    gram, gc = g.conj().T @ g, g.conj().T @ c
+    lam, gam, sigma2 = np.ones(m), np.zeros(m, dtype=dtype), 1.0
+    z_best, best, mu_prev, var_prev = None, np.inf, None, None
+    for iteration in range(1, max_iter + 1):
+        cov = jittered_inverse(gram / sigma2 + lam * np.eye(m))
+        mu = cov @ (gc / sigma2 + gam)
+        var = np.real(np.diag(cov))
+        z = labels[np.argmin(np.abs(mu[:, None] - labels[None, :]), axis=1)]
+        obj = residual_norm_sq(c, g, z)
+        if obj < best:
+            best, z_best = obj, z
+        if mu_prev is not None:
+            dm = np.linalg.norm(mu - mu_prev) / max(np.linalg.norm(mu_prev), 1e-30)
+            dv = np.linalg.norm(var - var_prev) / max(np.linalg.norm(var_prev), 1e-30)
+            if dm < tol and dv < tol:
+                return z_best, best, iteration, 0
+        mu_prev, var_prev = mu, var
+        zeta = np.maximum(var / np.maximum(1.0 - var * lam, 1e-12), 1e-300)
+        nu = zeta * (mu / var - gam)
+        sq = np.abs(labels[None, :] - nu[:, None]) ** 2
+        sq -= sq.min(axis=1, keepdims=True)
+        w = np.exp(-sq / (zeta[:, None] if dtype == np.complex128 else 2.0 * zeta[:, None]))
+        w /= w.sum(axis=1, keepdims=True)
+        rho = w @ labels
+        omega = np.maximum(np.sum(w * np.abs(labels[None, :] - rho[:, None]) ** 2, axis=1),
+                           detect.OMEGA_FLOOR)
+        lam_new, gam_new = 1.0 / omega - 1.0 / zeta, rho / omega - nu / zeta
+        bad = lam_new <= detect.LAMBDA_FLOOR
+        lam_new, gam_new = np.where(bad, detect.LAMBDA_FLOOR, lam_new), np.where(bad, gam, gam_new)
+        lam = (1.0 - damping) * lam_new + damping * lam
+        gam = (1.0 - damping) * gam_new + damping * gam
+        sigma2 = max(residual_norm_sq(c, g, rho) / m, detect.SIGMA2_FLOOR)
+    return z_best, best, max_iter, 1
+
+
+def inverse_calls(monkeypatch):
+    """Record (stack size, raised) for every np.linalg.inv call."""
+    calls = []
+    real_inv = np.linalg.inv
+
+    def spy(a):
+        try:
+            out = real_inv(a)
+        except np.linalg.LinAlgError:
+            calls.append((len(a), True))
+            raise
+        calls.append((len(a), False))
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return calls
+
+
+class TestBatchedExpectationPropagation:
+    @given(ep_cases)
+    @settings(max_examples=150, deadline=None)
+    def test_every_target_equals_single_solve(self, case):
+        """Labels, objective, iteration count, truncation and final moments of
+        each target are byte-identical to solving that target alone, and to
+        the single-target reference loop, over real and complex alphabets,
+        rank-deficient G and all-zero targets."""
+        seed, kind, m, extra, n_targets, deficient, damping, max_iter, tol = case
+        rng = np.random.default_rng(seed)
+        c, g, alphabet, _ = batch_instance(rng, kind, m, extra, n_targets, deficient, False)
+        c[:, rng.random(n_targets) < 0.3] = 0.0
+        kwargs = dict(damping=damping, max_iter=max_iter, tol=tol)
+        res = ep_solve(c, g, alphabet, **kwargs)
+        assert_matches_single_solves(res, c, g, alphabet, **kwargs)
+        for j in range(n_targets):
+            z, objective, iterations, truncated = reference_ep(c[:, j].copy(), g, alphabet, **kwargs)
+            np.testing.assert_array_equal(res.z[j], z)
+            assert (res.objective[j], res.diagnostics["state"].iteration[j]) == (objective, iterations)
+
+    def test_targets_leave_the_batch_at_their_own_iteration(self):
+        """A batch whose targets converge at different iterations, some at
+        max_iter without converging, one all-zero."""
+        rng = np.random.default_rng(3)
+        alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
+        g = rng.standard_normal((6, 4))
+        c = g @ rng.choice(alphabet.labels, size=(4, 6)) + 0.3 * rng.standard_normal((6, 6))
+        c[:, 2] = 0.0
+        res = ep_solve(c, g, alphabet, max_iter=12)
+        iterations = res.diagnostics["state"].iteration
+        assert len(set(iterations.tolist())) >= 4
+        assert 0 < res.truncated < c.shape[1]
+        assert res.diagnostics["state"].mu.shape == (6, 4)
+        assert_matches_single_solves(res, c, g, alphabet, max_iter=12)
+
+    def test_jittered_member_leaves_the_others_unchanged(self, monkeypatch):
+        """With G rank one at a large scale, the all-zero target's error
+        variance collapses and its posterior precision turns exactly singular:
+        only that member is inverted with jitter, and every member still
+        equals its single solve."""
+        rng = np.random.default_rng(RNG_SEED)
+        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        g = 1000.0 * rng.standard_normal((4, 2))
+        g[:, 1] = g[:, 0]
+        c = 10.0 * rng.standard_normal((4, 3))
+        c[:, 1] = 0.0
+        calls = inverse_calls(monkeypatch)
+        needs_jitter = []
+        for j in range(3):
+            calls.clear()
+            ep_solve(c[:, j], g, alphabet, damping=1.0)
+            needs_jitter.append(any(raised for _, raised in calls))
+        assert needs_jitter == [False, True, False]
+        calls.clear()
+        res = ep_solve(c, g, alphabet, damping=1.0)
+        # iteration 2: the stack is singular, so its members are inverted one at
+        # a time, and only the zero target's inverse is retried with jitter
+        assert calls[1:6] == [(3, True), (1, False), (1, True), (1, False), (1, False)]
+        assert_matches_single_solves(res, c, g, alphabet, damping=1.0)
+        for j in range(3):
+            z, objective, _, _ = reference_ep(c[:, j].copy(), g, alphabet, 1.0, 30, 1e-4)
+            np.testing.assert_array_equal(res.z[j], z)
+            assert res.objective[j] == objective
+
+    @pytest.mark.parametrize("bad", [0, 3, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_column_names_its_index(self, bad, value):
+        rng = np.random.default_rng(RNG_SEED)
+        c, g, alphabet = random_instance(rng, 3, 5, analog_bits=1)
+        c = np.tile(c[:, None], (1, 5))
+        c[1, bad] = value
+        if bad < 4:
+            c[0, 4] = value  # a later non-finite column does not mask the first
+        with pytest.raises(EPNumericalError) as err:
+            ep_solve(c, g, alphabet)
+        assert err.value.index == bad
+        assert err.value.iteration == 1

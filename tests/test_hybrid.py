@@ -1,15 +1,22 @@
 """Tests for the alternating hybrid precoder design and its subproblems."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hybridprec
 
 from hybridprec.alphabets import (
     is_member, make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.detect import brute_force_ml, residual_norm_sq
+from hybridprec.detect import brute_force_ml, ep_solve, residual_norm_sq
 from hybridprec.hybrid import (
-    DYNAMIC_CONNECTED, alternate, init_analog_svd, optimize_analog,
+    DYNAMIC_CONNECTED, AnalogSolveError, alternate, init_analog_svd, optimize_analog,
     optimize_digital, optimize_phase_diag, optimize_switch, random_phase_init,
 )
 from hybridprec.wmmse import mse_to_target, wmmse_fully_digital
@@ -118,6 +125,29 @@ class TestOptimizeAnalog:
         f_bb = np.eye(2, 4).astype(complex)
         with pytest.raises(RuntimeError, match="antenna 0"):
             optimize_analog(target, f_bb, "ep", alphabet)
+
+    def test_solver_error_names_the_first_failing_antenna(self):
+        rng = np.random.default_rng(RNG_SEED)
+        target = random_target(rng, 5, 4)
+        target[2, 1] = np.nan
+        target[4, 0] = np.inf
+        f_bb = np.eye(2, 4).astype(complex)
+        with pytest.raises(AnalogSolveError, match="antenna 2$"):
+            optimize_analog(target, f_bb, "ep", make_analog_alphabet(1))
+
+    def test_ep_rows_equal_per_antenna_solves(self):
+        """One batched EP call gives each antenna the row a solve of that
+        antenna alone gives."""
+        rng = np.random.default_rng(RNG_SEED)
+        alphabet = make_analog_alphabet(2)
+        target = random_target(rng, 6, 4)
+        f_bb = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        f_rf, stats = optimize_analog(target, f_bb, "ep", alphabet)
+        singles = [ep_solve(target[n], f_bb.T, alphabet) for n in range(6)]
+        for n, single in enumerate(singles):
+            np.testing.assert_array_equal(f_rf[n], single.z)
+        assert stats.solves == 6
+        assert stats.iterations == sum(s.iterations for s in singles)
 
 
 class TestOptimizeDigital:
@@ -349,3 +379,35 @@ class TestDynamicConnected:
             assert switch[:, m].any()
         keys = {switch[:, m].tobytes() for m in range(m_rf)}
         assert len(keys) == m_rf
+
+
+# One EP and one SD design at harness.DESK_CONFIG (trial 0); prints a hash of
+# F_RF and F_BB per solver.
+DESIGN_HASHES = """
+import hashlib
+from hybridprec import channel, harness, hybrid, wmmse
+cfg = channel.SystemConfig(**harness.DESK_CONFIG)
+ch = channel.draw_channel(cfg, 0)
+target, _ = wmmse.wmmse_fully_digital(
+    ch, channel.per_subcarrier_power_mw(cfg), channel.noise_power_mw(cfg),
+    tol=cfg.wmmse_tol, max_iter=cfg.wmmse_max_iter)
+for solver in ("ep", "sesd"):
+    precoder, _ = hybrid.alternate(target, cfg, solver)
+    digest = hashlib.sha256(precoder.f_rf.tobytes() + precoder.f_bb.tobytes())
+    print(solver, digest.hexdigest())
+"""
+
+
+class TestBlasThreadDeterminism:
+    def test_designs_identical_at_one_and_two_blas_threads(self):
+        """F_RF and F_BB do not depend on the OpenBLAS thread count."""
+        src = str(Path(hybridprec.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", DESIGN_HASHES], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            outputs.append(done.stdout)
+        assert [line.split()[0] for line in outputs[0].splitlines()] == ["ep", "sesd"]
+        assert outputs[0] == outputs[1]

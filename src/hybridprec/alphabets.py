@@ -164,16 +164,11 @@ def choose_delta(reference_entries: np.ndarray, levels: int, rule: Optional[Delt
     return float(coeff) * sigma
 
 
-def nearest_index(value: complex, alphabet: Alphabet) -> int:
-    """Index of the closest label; ties resolve to the lowest index."""
-    return int(np.argmin(np.abs(value - alphabet.labels)))
-
-
 def nearest_label(value: complex, alphabet: Alphabet) -> complex:
     """Closest label to ``value``; ties resolve to the lowest label index."""
     if not np.isfinite(value):
         raise ValueError(f"value must be finite, got {value!r}")
-    return alphabet.labels[nearest_index(value, alphabet)]
+    return alphabet.labels[int(np.argmin(np.abs(value - alphabet.labels)))]
 
 
 def nearest_labels(values: np.ndarray, alphabet: Alphabet) -> np.ndarray:

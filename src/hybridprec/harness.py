@@ -31,7 +31,7 @@ from .channel import (
     noise_power_mw, per_subcarrier_power_mw, supported_levels,
 )
 from .detect import (
-    EPNumericalError, brute_force_ml, prepare_triangular, sesd_solve,
+    EPNumericalError, brute_force_ml, prepare_triangular, residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target, sum_rate, wmmse_fully_digital
 
@@ -464,8 +464,6 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
 
     Returns (number of mismatches, worst recomputed-objective gap).
     """
-    from .alphabets import make_analog_alphabet as _analog, make_digital_alphabet as _digital
-    from .detect import residual_norm_sq
     rng = np.random.default_rng(seed)
     mismatches = 0
     worst = 0.0
@@ -473,11 +471,11 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
         m = int(rng.integers(2, 5))
         n = m + int(rng.integers(0, 3))
         if i % 2 == 0:
-            alphabet = _analog(int(rng.choice([1, 2])))
+            alphabet = make_analog_alphabet(int(rng.choice([1, 2])))
             g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
             c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
         else:
-            alphabet = _digital(int(rng.choice([2, 4])), float(rng.uniform(0.5, 2.0)),
+            alphabet = make_digital_alphabet(int(rng.choice([2, 4])), float(rng.uniform(0.5, 2.0)),
                                 kind="digital-real")
             g = rng.standard_normal((n, m))
             c = rng.standard_normal(n)

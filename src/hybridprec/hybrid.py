@@ -107,11 +107,6 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int,
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
 
-def random_phase_init(n_tx: int, m_rf: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random phases; the alternative initialization strategy."""
-    return np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_tx, m_rf)))
-
-
 def _chol_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
     """Upper-triangular factor of the Gram matrix, diagonally loaded if needed."""
     try:
@@ -214,7 +209,6 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
                      delta_rule: Optional[DeltaRule] = None,
                      config: Optional[SystemConfig] = None,
                      bisection_tol: float = 1e-2,
-                     previous: Optional[tuple[np.ndarray, float]] = None,
                      ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, SolverStats]:
     """Best quantized digital precoder for a fixed analog matrix.
 
@@ -223,11 +217,12 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     problems are solved independently in stacked real form. The multiplier
     is bisected from an infeasible lower end to a feasible upper end and the
     feasible-side solution is returned (immediately, when the unconstrained
-    solution already fits). Returns (f_bb, delta, mu, bisection_iters, stats).
+    solution already fits). The step is halved while even the smallest
+    realizable power (a zero-target solve) exceeds the budget. Returns
+    (f_bb, delta, mu, bisection_iters, stats).
     """
     cfg = config or SystemConfig()
     target = _as_matrix(f_fd)
-    m_rf = f_rf.shape[1]
     ks = target.shape[1]
     s_count = ks // n_users
     stats = SolverStats()
@@ -236,7 +231,6 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     # min-norm least squares keeps the reference entries bounded even when the
     # quantized analog matrix is rank deficient
     ls_digital = np.linalg.lstsq(f_rf, target, rcond=None)[0]
-    proj = f_rf.conj().T @ target  # (M_T, K*S)
 
     if solver == "ls":
         # unquantized digital entries: the ideal-resolution reference case
@@ -247,142 +241,100 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         f_bb, delta = nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users, delta_rule)
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
+    if solver not in ("sesd", "ep"):
+        raise ValueError(f"unknown digital solver {solver!r}")
 
     delta = choose_delta(ls_digital, levels, delta_rule)
-    # mu enters only as a scale: R(mu) = sqrt(mu+1) R20, d(mu) = d2 / sqrt(mu+1)
-    r20, _ = _chol_with_retry(realify(proj, gram)[1])
-    proj_r, f_rf_r = realify(proj, f_rf)  # (2M_T, K*S), (2N_T, 2M_T)
-    d2 = solve_triangular(r20.conj().T, proj_r, lower=True)  # base targets, mu = 0
+    proj_r, gram_r = realify(f_rf.conj().T @ target, gram)
+    target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
+    r20, _ = _chol_with_retry(gram_r)
+    # real targets at mu = 0 for SD (d2) and EP (c2); column K*S is all zero,
+    # the min-power probe
+    d2 = np.hstack([solve_triangular(r20.conj().T, proj_r, lower=True),
+                    np.zeros((len(r20), 1))])
+    c2 = np.hstack([target_r, np.zeros((len(target_r), 1))])
 
-    prev_bb, prev_delta = previous if previous is not None else (None, None)
+    def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stacked real solutions (one row per column) at multiplier mu, over
+        the labels of the current step.
 
-    for shrink in range(9):
-        alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
-        if n_users * _min_power_per_user(f_rf, r20, f_rf_r, alphabet, solver, cfg, stats) \
-                > p_s * (1 + bisection_tol):
-            if shrink == 8:
-                raise InfeasiblePowerError(
-                    "smallest-magnitude labels exceed the power budget after 8 step shrinks"
-                )
-            delta /= 2.0
-            continue
-        try:
-            f_bb, mu, iters = _solve_all_subcarriers(
-                target, f_rf, r20, d2, f_rf_r, alphabet, solver, p_s, s_count,
-                n_users, m_rf, cfg, bisection_tol, stats,
-                prev_bb if prev_delta == delta else None,
-            )
-            break
-        except InfeasiblePowerError:
-            if shrink == 8:
-                raise
-            delta /= 2.0
-    return f_bb, delta, mu, iters, stats
-
-
-def _min_power_per_user(f_rf, r20, f_rf_r, alphabet, solver, cfg,
-                        stats: SolverStats) -> float:
-    """Smallest per-user transmit power any label vector can realize.
-
-    This is itself a finite-alphabet least-squares problem with a zero
-    target; infeasibility at the current step is detected here instead of
-    by runaway growth of the power multiplier.
-    """
-    m2 = r20.shape[0]
-    if solver == "sesd":
-        system = TriangularSystem(r=r20, d=np.zeros(m2), constant_offset=0.0)
-        res = sesd_solve(system, alphabet)
-    else:
-        res = ep_solve(np.zeros(f_rf_r.shape[0]), f_rf_r, alphabet,
-                       damping=cfg.ep_damping, max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
-    stats.absorb(res)
-    m_rf = f_rf.shape[1]
-    b = res.z[:m_rf] + 1j * res.z[m_rf:]
-    return float(np.real(np.vdot(f_rf @ b, f_rf @ b)))
-
-
-def _solve_all_subcarriers(target, f_rf, r20, d2, f_rf_r, alphabet, solver, p_s,
-                           s_count, n_users, m_rf, cfg, bisection_tol, stats,
-                           prev_bb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ks = target.shape[1]
-    f_bb = np.empty((m_rf, ks), dtype=complex)
-    mu_out = np.zeros(s_count)
-    iters_out = np.zeros(s_count, dtype=int)
-
-    def solve_columns(cols, mu: float, warm: Optional[np.ndarray]) -> np.ndarray:
-        """Stacked real solutions (one row per column) at multiplier mu."""
+        mu enters only as a scale: R(mu) = sqrt(mu+1) R20, d(mu) = d2 / sqrt(mu+1).
+        """
         scale = math.sqrt(mu + 1.0)
         if solver == "sesd":
             system = TriangularSystem(r=scale * r20, d=d2[:, cols] / scale, constant_offset=0.0)
             res = sesd_solve(system, alphabet, warm_starts=warm)
-            stats.absorb(res)
-            return res.z
-        if solver != "ep":
-            raise ValueError(f"unknown digital solver {solver!r}")
-        c = np.concatenate([target[:, cols].real, target[:, cols].imag]) / scale
-        res = ep_solve(c, scale * f_rf_r, alphabet, damping=cfg.ep_damping,
-                       max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+        else:
+            res = ep_solve(c2[:, cols] / scale, scale * f_rf_r, alphabet,
+                           damping=cfg.ep_damping, max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
         stats.absorb(res)
         return res.z
 
-    def realized(sols: np.ndarray) -> tuple[list, float]:
-        cplx = [z[:m_rf] + 1j * z[m_rf:] for z in sols]
-        return cplx, float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b)) for b in cplx))
+    for shrink in range(9):
+        alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
+        if n_users * _power(f_rf, solve([ks], 0.0)) <= p_s * (1 + bisection_tol):
+            try:
+                f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
+                                                         bisection_tol)
+                return f_bb, delta, mu, iters, stats
+            except InfeasiblePowerError:
+                if shrink == 8:
+                    raise
+        delta /= 2.0
+    raise InfeasiblePowerError(
+        "smallest-magnitude labels exceed the power budget after 8 step shrinks")
 
-    warm_all = None if prev_bb is None else np.concatenate([prev_bb.real, prev_bb.imag]).T
-    at_zero = solve_columns(np.arange(ks), 0.0, warm_all)
+
+def _power(f_rf: np.ndarray, sols: np.ndarray) -> float:
+    """Summed transmit power of stacked real digital columns (one per row)."""
+    m_rf = f_rf.shape[1]
+    return float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b))
+                     for b in sols[:, :m_rf] + 1j * sols[:, m_rf:]))
+
+
+def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
+                           bisection_tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    m_rf = f_rf.shape[1]
+    ks = s_count * n_users
+    f_bb = np.empty((m_rf, ks), dtype=complex)
+    mu_out = np.zeros(s_count)
+    iters_out = np.zeros(s_count, dtype=int)
+
+    at_zero = solve(np.arange(ks), 0.0)
     for s in range(s_count):
-        cols = [k * s_count + s for k in range(n_users)]
-        warm = at_zero[cols]
-
-        def attempt(mu: float) -> tuple[list, float]:
-            nonlocal warm
-            warm = solve_columns(cols, mu, warm)  # warm-starts the next multiplier candidate
-            return realized(warm)
-
+        cols = np.arange(s, ks, s_count)  # column k * s_count + s of user k
+        sols = warm = at_zero[cols]
         n_evals = 1
-        sols, power = realized(warm)
         mu_s = 0.0
-        if power > p_s and abs(power - p_s) > bisection_tol * p_s:
+        if _power(f_rf, sols) - p_s > bisection_tol * p_s:
+            # each candidate multiplier is warm-started from the previous one
             lo, hi = 0.0, 1.0
-            sols_hi, power_hi = attempt(hi)
+            warm = solve(cols, hi, warm)
             n_evals += 1
             doublings = 0
-            while power_hi > p_s * (1 + bisection_tol):
+            while _power(f_rf, warm) > p_s * (1 + bisection_tol):
                 lo, hi = hi, hi * 2.0
                 doublings += 1
                 if doublings > 60:
                     raise InfeasiblePowerError(
                         f"sub-carrier {s}: smallest discrete power exceeds the budget"
                     )
-                sols_hi, power_hi = attempt(hi)
+                warm = solve(cols, hi, warm)
                 n_evals += 1
-            mu_s, sols = hi, sols_hi
+            mu_s, sols = hi, warm
             while hi - lo >= 1e-8:
                 mid = 0.5 * (lo + hi)
-                sols_mid, power_mid = attempt(mid)
+                warm = solve(cols, mid, warm)
                 n_evals += 1
+                power_mid = _power(f_rf, warm)
                 if abs(power_mid - p_s) <= bisection_tol * p_s:
-                    mu_s, sols = mid, sols_mid
+                    mu_s, sols = mid, warm
                     break
                 if power_mid > p_s:
                     lo = mid
                 else:
-                    hi, mu_s, sols = mid, mid, sols_mid
-        # keep the previous iterate when it is feasible and strictly better
-        if prev_bb is not None:
-            prev_cols = [prev_bb[:, c] for c in cols]
-            prev_power = float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b)) for b in prev_cols))
-            if prev_power <= p_s * (1 + bisection_tol):
-                def fit(blocks):
-                    return sum(
-                        float(np.real(np.vdot(target[:, c] - f_rf @ b, target[:, c] - f_rf @ b)))
-                        for c, b in zip(cols, blocks)
-                    )
-                if fit(prev_cols) < fit(sols):
-                    sols = prev_cols
-        for c, b in zip(cols, sols):
-            f_bb[:, c] = b
+                    hi, mu_s, sols = mid, mid, warm
+        f_bb[:, cols] = sols[:, :m_rf].T + 1j * sols[:, m_rf:].T
         mu_out[s] = mu_s
         iters_out[s] = n_evals
     return f_bb, mu_out, iters_out
@@ -525,13 +477,11 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
 
     best = None
     prev_obj = None
-    prev_digital = None
     for it in range(1, config.outer_max_iter + 1):
         t0 = time.perf_counter()
         f_bb, delta, mu, bis_iters, dstats = optimize_digital(
             target, f_rf, p_s, digital_method, config.quant_levels, k_count,
             delta_rule=delta_rule, config=config, bisection_tol=config.bisection_tol,
-            previous=prev_digital,
         )
         t1 = time.perf_counter()
         if dynamic:
@@ -566,7 +516,6 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
                 "switch": None if switch is None else switch.copy(),
                 "phase_diag": None if phase_diag is None else phase_diag.copy(),
             }
-        prev_digital = (f_bb, delta)
         if prev_obj is not None and abs(prev_obj - obj) <= config.outer_tol * max(prev_obj, 1e-30):
             break
         prev_obj = obj

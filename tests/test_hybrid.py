@@ -11,13 +11,13 @@ import pytest
 import hybridprec
 
 from hybridprec.alphabets import (
-    is_member, make_analog_alphabet, make_digital_alphabet,
+    choose_delta, is_member, make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.detect import brute_force_ml, ep_solve, residual_norm_sq
 from hybridprec.hybrid import (
-    DYNAMIC_CONNECTED, AnalogSolveError, alternate, init_analog_svd, optimize_analog,
-    optimize_digital, optimize_phase_diag, optimize_switch, random_phase_init,
+    DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, alternate, init_analog_svd, optimize_analog,
+    optimize_digital, optimize_phase_diag, optimize_switch,
 )
 from hybridprec.wmmse import mse_to_target, wmmse_fully_digital
 
@@ -32,6 +32,11 @@ def small_config():
 
 def random_target(rng, n_tx, ks, scale=1.0):
     return scale * (rng.standard_normal((n_tx, ks)) + 1j * rng.standard_normal((n_tx, ks)))
+
+
+def random_phase_init(n_tx, m_rf, rng):
+    """Uniform random phases: the initialization the SVD one is compared against."""
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_tx, m_rf)))
 
 
 class TestSvdInit:
@@ -216,6 +221,36 @@ class TestOptimizeDigital:
         for s in range(2):
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
             assert power <= p_s * (1 + 1e-2) + 1e-12
+
+    @staticmethod
+    def _binding_setup():
+        rng = np.random.default_rng(RNG_SEED)
+        f_rf = rng.choice(make_analog_alphabet(1).labels, size=(8, 3))
+        return f_rf, random_target(rng, 8, 4, scale=3.0)
+
+    @pytest.mark.parametrize("solver", ["sesd", "ep"])
+    def test_tight_budget_shrinks_step_and_stays_feasible(self, solver):
+        """A budget below the smallest power at the fitted step halves the step
+        (the min-power probe fails) until the bisection can meet it."""
+        f_rf, target = self._binding_setup()
+        p_s = 1e-3
+        f_bb, delta, mu, iters, _ = optimize_digital(
+            target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, bisection_tol=1e-2)
+        fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
+        assert delta < fitted
+        assert is_member(f_bb, make_digital_alphabet(2, delta))
+        eff = f_rf @ f_bb
+        for s in range(2):
+            power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
+            assert power <= p_s * (1 + 1e-2) + 1e-12
+        assert np.all(iters > 1) and np.all(mu > 0)
+
+    @pytest.mark.parametrize("solver", ["sesd", "ep"])
+    def test_unreachable_budget_raises(self, solver):
+        f_rf, target = self._binding_setup()
+        with pytest.raises(InfeasiblePowerError):
+            optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2,
+                             bisection_tol=1e-2)
 
 
 class TestAlternate:

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import baselines, hybrid
 from .alphabets import make_analog_alphabet, make_digital_alphabet
@@ -36,6 +38,7 @@ from .detect import (
 from .wmmse import FullyDigitalPrecoder, mse_to_target, sum_rate, wmmse_fully_digital
 
 SCHEMA_VERSION = 1
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SCHEMES = (
     "sd-hybrid", "ep-hybrid", "altmin1", "altmin1-q", "altmin2", "altmin2-q",
@@ -326,6 +329,9 @@ def write_manifest(spec: ExperimentSpec, path, wall_seconds: float) -> None:
         "n_trials": spec.n_trials,
         "git_describe": _git_describe(),
         "wall_clock_seconds": wall_seconds,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -3,7 +3,7 @@
 The factorization target is the classical weighted-MMSE precoder: per
 sub-carrier, alternate MMSE receive scalars, rate-optimal error weights,
 and a power-constrained precoder update until the achievable sum rate
-stops improving.
+stops improving. All sub-carriers run in lockstep on (S, K, n_t) stacks.
 """
 
 from __future__ import annotations
@@ -35,20 +35,36 @@ class RateReport:
 
 @dataclass
 class WmmseTrace:
-    """Per-sub-carrier utility (sum rate) after each alternation step."""
+    """Per-sub-carrier utility (sum rate) after each alternation step,
+    alternation steps and K x K solves of the precoder updates."""
 
     utilities: list
     iterations: list
     truncated: bool
+    solves: list
 
 
-def _channel_matrix(h: Union[ChannelSet, np.ndarray]) -> np.ndarray:
-    return h.h if isinstance(h, ChannelSet) else np.asarray(h)
+def _dims(h: Union[ChannelSet, np.ndarray], n_users: int, n_subcarriers: int
+          ) -> tuple[np.ndarray, int, int]:
+    """Channel matrix with its user and sub-carrier counts."""
+    if isinstance(h, ChannelSet):
+        return h.h, h.n_users, h.n_subcarriers
+    hm = np.asarray(h)
+    if n_users is None or n_subcarriers is None or hm.ndim != 2 \
+            or hm.shape[1] != n_users * n_subcarriers:
+        raise ValueError(f"a channel array needs n_users * n_subcarriers columns, got shape "
+                         f"{hm.shape} with n_users={n_users}, n_subcarriers={n_subcarriers}")
+    return hm, n_users, n_subcarriers
 
 
-def _gains(h_s: np.ndarray, f_s: np.ndarray) -> np.ndarray:
-    """E[k, i] = h_k^T f_i for one sub-carrier (transpose application)."""
-    return h_s.T @ f_s
+def _stack(m: np.ndarray, k_count: int, s_count: int) -> np.ndarray:
+    """C-contiguous (S, K, n) stack whose [s, k] row is column k * S + s of m.
+
+    Products take these rows as they are (h_k^T) or as transposed views
+    (columns f_k), so every stack member reaches BLAS with the strides of
+    the column blocks m[:, cols] a per-sub-carrier product would use.
+    """
+    return np.ascontiguousarray(m.reshape(m.shape[0], k_count, s_count).transpose(2, 1, 0))
 
 
 def sinr(h: Union[ChannelSet, np.ndarray], f: np.ndarray, k: int, s: int,
@@ -56,9 +72,7 @@ def sinr(h: Union[ChannelSet, np.ndarray], f: np.ndarray, k: int, s: int,
     """Signal-to-interference-plus-noise ratio of user k on sub-carrier s."""
     if n0 <= 0:
         raise ValueError("noise power must be positive")
-    hm = _channel_matrix(h)
-    if isinstance(h, ChannelSet):
-        n_users, n_subcarriers = h.n_users, h.n_subcarriers
+    hm, n_users, n_subcarriers = _dims(h, n_users, n_subcarriers)
     hk = hm[:, k * n_subcarriers + s]
     gains = np.array([hk @ f[:, i * n_subcarriers + s] for i in range(n_users)])
     signal = abs(gains[k]) ** 2
@@ -69,20 +83,11 @@ def sinr(h: Union[ChannelSet, np.ndarray], f: np.ndarray, k: int, s: int,
 def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
              n_users: int = None, n_subcarriers: int = None) -> RateReport:
     """Achievable rates log2(1 + SINR), aggregated per sub-carrier and in total."""
-    hm = _channel_matrix(h)
-    if isinstance(h, ChannelSet):
-        n_users, n_subcarriers = h.n_users, h.n_subcarriers
-    k_count, s_count = n_users, n_subcarriers
-    rates = np.zeros((k_count, s_count))
-    for s in range(s_count):
-        cols = [k * s_count + s for k in range(k_count)]
-        h_s = hm[:, cols]
-        f_s = f[:, cols]
-        e = _gains(h_s, f_s)
-        p = np.abs(e) ** 2
-        signal = np.diag(p)
-        interference = p.sum(axis=1) - signal
-        rates[:, s] = np.log2(1.0 + signal / (interference + n0))
+    hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
+    e = _stack(hm, k_count, s_count) @ _stack(f, k_count, s_count).transpose(0, 2, 1)
+    p = np.abs(e) ** 2
+    signal = np.diagonal(p, axis1=1, axis2=2)
+    rates = np.ascontiguousarray(np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0)).T)
     total = float(rates.sum())
     return RateReport(
         per_user_per_subcarrier=rates,
@@ -99,53 +104,67 @@ def mse_to_target(f_fd: Union[FullyDigitalPrecoder, np.ndarray],
     return float(np.real(np.sum(diff * diff.conj())))
 
 
-def _precoder_update(hc: np.ndarray, w: np.ndarray, u: np.ndarray,
-                     p_s: float) -> tuple[np.ndarray, float]:
-    """Power-constrained precoder block for one sub-carrier.
+def _precoder_update(ht: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     p_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Power-constrained precoder blocks of a stack of sub-carriers.
 
-    Solves f_k = (sum_i w_i |u_i|^2 hc_i hc_i^H + mu I)^-1 w_k u_k^* hc_k with
-    the multiplier bisected so the power budget holds; the low-rank identity
-    (mu I + Hc D Hc^H)^-1 Hc = Hc (mu I + D Hc^H Hc)^-1 keeps it K x K.
+    Per sub-carrier solves f_k = (sum_i w_i |u_i|^2 hc_i hc_i^H + mu I)^-1 w_k u_k^* hc_k
+    with the multiplier bisected so the power budget holds; the low-rank identity
+    (mu I + Hc D Hc^H)^-1 Hc = Hc (mu I + D Hc^H Hc)^-1 keeps it K x K. Each
+    sub-carrier keeps its own bracket, and every mu = 0, doubling and bisection
+    step is one stacked solve of the sub-carriers still searching. Silent users
+    (u_k = 0) decouple and keep a zero row, so the stack is solved in groups of
+    equal active-user mask. Returns the (P, K, n_t) rows f_k^T and the K x K
+    solves per sub-carrier.
     """
-    k_count = hc.shape[1]
-    active = np.abs(u) > 0  # silent users decouple and keep a zero column
-    ha = hc[:, active]
-    d = (w * np.abs(u) ** 2)[active]
-    inner = ha.conj().T @ ha
-    coeff = (w * np.conj(u))[active]
-    n_active = int(active.sum())
+    ft = np.zeros(ht.shape, dtype=complex)
+    solves = np.zeros(len(ht), dtype=int)
+    masks, group = np.unique(np.abs(u) > 0, axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        if not mask.any():
+            continue
+        members = np.flatnonzero(group.ravel() == g)
+        pick = np.ix_(members, mask)
+        hr = ht[pick]  # active rows h_k^T, (G, Ka, n_t)
+        hcr = hr.conj()
+        inner = hr @ hcr.transpose(0, 2, 1)
+        d = (w * np.abs(u) ** 2)[pick]
+        rhs = np.zeros(inner.shape, dtype=complex)
+        diag = np.arange(int(mask.sum()))
+        rhs[:, diag, diag] = (w * np.conj(u))[pick]
+        eye = np.eye(len(diag))
+        n = np.zeros(len(members), dtype=int)
 
-    def solve(mu: float) -> np.ndarray:
-        f_s = np.zeros_like(hc)
-        core = np.linalg.solve(mu * np.eye(n_active) + d[:, None] * inner, np.diag(coeff))
-        f_s[:, active] = ha @ core
-        return f_s
+        def solve(sel: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n[sel] += 1
+            core = np.linalg.solve(mu[:, None, None] * eye + d[sel, :, None] * inner[sel],
+                                   rhs[sel])
+            f = np.zeros((len(sel),) + ht.shape[1:], dtype=complex)
+            f[:, mask] = (hcr[sel].transpose(0, 2, 1) @ core).transpose(0, 2, 1)
+            return f, (f * f.conj()).reshape(len(sel), -1).sum(axis=1).real
 
-    def power(f_s: np.ndarray) -> float:
-        return float(np.real(np.sum(f_s * f_s.conj())))
-
-    if n_active == 0:
-        return np.zeros_like(hc), 0.0
-    f0 = solve(0.0)
-    if power(f0) <= p_s:
-        return f0, 0.0
-    lo, hi = 0.0, 1.0
-    while power(solve(hi)) > p_s:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e18:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if power(solve(mid)) > p_s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(hi, 1.0):
-            break
-    f_s = solve(hi)
-    if power(f_s) > p_s * (1 + 1e-9):
-        f_s *= math.sqrt(p_s / power(f_s))
-    return f_s, hi
+        out, power = solve(np.arange(len(members)), np.zeros(len(members)))
+        binds = pend = np.flatnonzero(power > p_s)
+        lo, hi = np.zeros(len(members)), np.ones(len(members))
+        doubling, steps = np.ones(len(members), dtype=bool), np.zeros(len(members), dtype=int)
+        while pend.size:
+            dbl = doubling[pend]
+            mu = np.where(dbl, hi[pend], 0.5 * (lo[pend] + hi[pend]))
+            over = solve(pend, mu)[1] > p_s
+            lo[pend] = np.where(over, mu, lo[pend])
+            hi[pend] = np.where(over, np.where(dbl, 2.0 * mu, hi[pend]), mu)
+            doubling[pend] = dbl & over & (hi[pend] <= 1e18)
+            steps[pend] += ~dbl
+            done = ~dbl & ((hi[pend] - lo[pend] < 1e-14 * np.maximum(hi[pend], 1.0))
+                           | (steps[pend] >= 200))
+            pend = pend[~done]
+        if binds.size:
+            f, power = solve(binds, hi[binds])
+            big = power > p_s * (1 + 1e-9)
+            f[big] *= np.sqrt(p_s / power[big])[:, None, None]
+            out[binds] = f
+        ft[members], solves[members] = out, n
+    return ft, solves
 
 
 def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
@@ -154,51 +173,50 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
                         ) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
     """Sum-rate precoder via weighted-MMSE alternation, per sub-carrier.
 
-    Initialized from the matched filter at full power; stops when the
-    relative utility change drops below ``tol``. Utility is the achievable
+    Initialized from the matched filter at full power. All sub-carriers
+    alternate in lockstep; each leaves the batch once its relative utility
+    change drops below ``tol`` or at ``max_iter``. Utility is the achievable
     sum rate, which is non-decreasing across full iterations.
     """
     if p_s <= 0:
         raise ValueError("per-sub-carrier power must be positive")
-    hm = _channel_matrix(h)
-    if isinstance(h, ChannelSet):
-        n_users, n_subcarriers = h.n_users, h.n_subcarriers
-    k_count, s_count = n_users, n_subcarriers
+    hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
     n_t = hm.shape[0]
-    f = np.zeros((n_t, k_count * s_count), dtype=complex)
-    utilities = []
-    iterations = []
-    truncated = False
-    for s in range(s_count):
-        cols = [k * s_count + s for k in range(k_count)]
-        h_s = hm[:, cols]
-        hc = h_s.conj()
-        norms = np.linalg.norm(h_s, axis=0)
-        f_s = np.zeros((n_t, k_count), dtype=complex)
-        nz = norms > 0
-        f_s[:, nz] = math.sqrt(p_s / k_count) * hc[:, nz] / norms[nz]
-        util_hist = []
-        prev = None
-        for it in range(1, max_iter + 1):
-            e = _gains(h_s, f_s)
-            p = np.abs(e) ** 2
-            denom = p.sum(axis=1) + n0
-            u = np.conj(np.diag(e)) / denom
-            mmse = 1.0 - np.abs(np.diag(e)) ** 2 / denom
-            w = 1.0 / np.maximum(mmse, 1e-15)
-            f_s, _ = _precoder_update(hc, w, u, p_s)
-            e = _gains(h_s, f_s)
-            p = np.abs(e) ** 2
-            signal = np.diag(p)
-            util = float(np.sum(np.log2(1.0 + signal / (p.sum(axis=1) - signal + n0))))
-            util_hist.append(util)
-            if prev is not None and abs(util - prev) <= tol * max(abs(prev), 1.0):
-                break
-            prev = util
-        else:
-            truncated = True
-        f[:, cols] = f_s
-        utilities.append(np.array(util_hist))
-        iterations.append(len(util_hist))
+    ht = _stack(hm, k_count, s_count)
+    norms = np.linalg.norm(ht, axis=2)
+    ft = np.zeros(ht.shape, dtype=complex)  # rows f_k^T
+    nz = norms > 0
+    ft[nz] = math.sqrt(p_s / k_count) * ht.conj()[nz] / norms[nz][:, None]
+    # Gains E[s, k, i] = h_k^T f_i. The first product takes the matched filter
+    # as C-ordered (n_t, K) blocks, as it is built per sub-carrier.
+    gains = ht @ np.ascontiguousarray(ft.transpose(0, 2, 1))
+    utilities = [[] for _ in range(s_count)]
+    solves = np.zeros(s_count, dtype=int)
+    prev = np.full(s_count, np.nan)
+    run = np.arange(s_count)
+    for _ in range(max_iter):
+        e = gains[run]
+        p = np.abs(e) ** 2
+        denom = p.sum(axis=2) + n0
+        diag = np.diagonal(e, axis1=1, axis2=2)
+        u = np.conj(diag) / denom
+        mmse = 1.0 - np.abs(diag) ** 2 / denom
+        ft[run], n = _precoder_update(ht[run], 1.0 / np.maximum(mmse, 1e-15), u, p_s)
+        solves[run] += n
+        gains[run] = e = ht[run] @ ft[run].transpose(0, 2, 1)
+        p = np.abs(e) ** 2
+        signal = np.diagonal(p, axis1=1, axis2=2)
+        util = np.sum(np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0)), axis=1)
+        for s, value in zip(run, util):
+            utilities[s].append(float(value))
+        done = np.abs(util - prev[run]) <= tol * np.maximum(np.abs(prev[run]), 1.0)
+        prev[run] = util
+        run = run[~done]
+        if not run.size:
+            break
+    f = ft.transpose(2, 1, 0).reshape(n_t, k_count * s_count)
     precoder = FullyDigitalPrecoder(f_fd=f, n_users=k_count, n_subcarriers=s_count)
-    return precoder, WmmseTrace(utilities=utilities, iterations=iterations, truncated=truncated)
+    return precoder, WmmseTrace(
+        utilities=[np.array(v) for v in utilities],
+        iterations=[len(v) for v in utilities], truncated=bool(run.size),
+        solves=solves.tolist())

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 import hybridprec.harness as harness
 from hybridprec import hybrid
@@ -216,7 +217,9 @@ class TestOracleCheckAndCli:
     def test_cli_oracle_check(self, capsys):
         assert main(["oracle-check", "--instances", "10"]) == EXIT_OK
 
-    def test_cli_run_spec_file(self, tmp_path, capsys):
+    def test_cli_run_spec_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
             "schema_version": 1, "name": "cli-tiny", "base": dict(TINY_BASE),
@@ -230,6 +233,12 @@ class TestOracleCheckAndCli:
         manifest = json.loads((tmp_path / "results" / "cli-tiny.manifest.json").read_text())
         assert manifest["experiment"] == "cli-tiny"
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        threads = manifest["blas_threads"]
+        assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert threads["OPENBLAS_NUM_THREADS"] == "1"
+        assert threads["MKL_NUM_THREADS"] is None
 
     def test_cli_bad_spec_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

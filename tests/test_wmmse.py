@@ -1,7 +1,11 @@
 """Tests for the fully-digital precoding target and the rate metrics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridprec.channel import (
     SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw,
@@ -160,3 +164,217 @@ class TestWmmse:
         with pytest.raises(ValueError):
             wmmse_fully_digital(np.ones((2, 1), dtype=complex), 0.0, 1.0,
                                 n_users=1, n_subcarriers=1)
+
+
+class TestChannelDims:
+    """An ndarray channel needs both counts, and they must match its columns."""
+
+    @pytest.mark.parametrize("counts", [{}, {"n_users": 2}, {"n_users": 2, "n_subcarriers": 2}])
+    def test_sinr(self, counts):
+        h = np.ones((4, 6), dtype=complex)
+        with pytest.raises(ValueError, match=r"\(4, 6\)"):
+            sinr(h, h, 0, 0, 1.0, **counts)
+
+    @pytest.mark.parametrize("counts", [{}, {"n_subcarriers": 3}, {"n_users": 4, "n_subcarriers": 2}])
+    def test_sum_rate(self, counts):
+        h = np.ones((4, 6), dtype=complex)
+        with pytest.raises(ValueError, match=r"\(4, 6\)"):
+            sum_rate(h, h, 1.0, **counts)
+
+    @pytest.mark.parametrize("counts", [{}, {"n_users": 3}, {"n_users": 1, "n_subcarriers": 5}])
+    def test_wmmse_fully_digital(self, counts):
+        with pytest.raises(ValueError, match=r"\(4, 6\)"):
+            wmmse_fully_digital(np.ones((4, 6), dtype=complex), 1.0, 1.0, **counts)
+
+
+class TestWmmseSolves:
+    """`solves` counts the K x K solves of each sub-carrier's precoder updates."""
+
+    def channel_with_silent_user(self):
+        # Sub-carrier 0: user 1 silent, so the matched filter starts user 0 at
+        # half the budget and its mu = 0 update stays within it at high SNR.
+        # Sub-carrier 1: both users active, where the mu = 0 update overshoots.
+        h = random_channel(np.random.default_rng(RNG_SEED), 8, 2, 2)
+        h[:, 1 * 2 + 0] = 0.0
+        return h
+
+    def test_loose_budget_one_solve_per_iteration(self):
+        h = self.channel_with_silent_user()
+        _, trace = wmmse_fully_digital(h, 1.0, 1e-3, n_users=2, n_subcarriers=2)
+        assert trace.solves[0] == trace.iterations[0]
+        assert trace.solves[1] > trace.iterations[1]
+
+    def test_binding_budget_bisects(self):
+        h = self.channel_with_silent_user()
+        _, trace = wmmse_fully_digital(h, 1.0, 10.0 * np.linalg.norm(h) ** 2,
+                                       n_users=2, n_subcarriers=2)
+        assert all(s > i for s, i in zip(trace.solves, trace.iterations))
+
+
+# --- reference: the per-sub-carrier loop the lockstep iteration replaced ---
+
+def loop_precoder_update(hc, w, u, p_s):
+    """One sub-carrier's update; returns (f_s, K x K solves, mu = 0 feasible)."""
+    active = np.abs(u) > 0
+    ha = hc[:, active]
+    d = (w * np.abs(u) ** 2)[active]
+    inner = ha.conj().T @ ha
+    coeff = (w * np.conj(u))[active]
+    n_active = int(active.sum())
+    solves = 0
+
+    def solve(mu):
+        nonlocal solves
+        solves += 1
+        f_s = np.zeros_like(hc)
+        core = np.linalg.solve(mu * np.eye(n_active) + d[:, None] * inner, np.diag(coeff))
+        f_s[:, active] = ha @ core
+        return f_s
+
+    def power(f_s):
+        return float(np.real(np.sum(f_s * f_s.conj())))
+
+    if n_active == 0:
+        return np.zeros_like(hc), 0, False
+    f0 = solve(0.0)
+    if power(f0) <= p_s:
+        return f0, solves, True
+    lo, hi = 0.0, 1.0
+    while power(solve(hi)) > p_s:
+        lo, hi = hi, hi * 2.0
+        if hi > 1e18:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if power(solve(mid)) > p_s:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * max(hi, 1.0):
+            break
+    f_s = solve(hi)
+    if power(f_s) > p_s * (1 + 1e-9):
+        f_s *= math.sqrt(p_s / power(f_s))
+    return f_s, solves, False
+
+
+def loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count):
+    """Returns (f, utilities, iterations, truncated, solves, mu = 0 outcomes)."""
+    n_t = hm.shape[0]
+    f = np.zeros((n_t, k_count * s_count), dtype=complex)
+    utilities, iterations, solves, feasible = [], [], [], []
+    truncated = False
+    for s in range(s_count):
+        cols = [k * s_count + s for k in range(k_count)]
+        h_s = hm[:, cols]
+        hc = h_s.conj()
+        norms = np.linalg.norm(h_s, axis=0)
+        f_s = np.zeros((n_t, k_count), dtype=complex)
+        nz = norms > 0
+        f_s[:, nz] = math.sqrt(p_s / k_count) * hc[:, nz] / norms[nz]
+        util_hist = []
+        prev = None
+        n_solves = 0
+        for _ in range(1, max_iter + 1):
+            e = h_s.T @ f_s
+            p = np.abs(e) ** 2
+            denom = p.sum(axis=1) + n0
+            u = np.conj(np.diag(e)) / denom
+            mmse = 1.0 - np.abs(np.diag(e)) ** 2 / denom
+            w = 1.0 / np.maximum(mmse, 1e-15)
+            f_s, count, loose = loop_precoder_update(hc, w, u, p_s)
+            n_solves += count
+            if count:
+                feasible.append(loose)
+            e = h_s.T @ f_s
+            p = np.abs(e) ** 2
+            signal = np.diag(p)
+            util = float(np.sum(np.log2(1.0 + signal / (p.sum(axis=1) - signal + n0))))
+            util_hist.append(util)
+            if prev is not None and abs(util - prev) <= tol * max(abs(prev), 1.0):
+                break
+            prev = util
+        else:
+            truncated = True
+        f[:, cols] = f_s
+        utilities.append(np.array(util_hist))
+        iterations.append(len(util_hist))
+        solves.append(n_solves)
+    return f, utilities, iterations, truncated, solves, feasible
+
+
+def loop_sum_rate(hm, f, n0, k_count, s_count):
+    rates = np.zeros((k_count, s_count))
+    for s in range(s_count):
+        cols = [k * s_count + s for k in range(k_count)]
+        p = np.abs(hm[:, cols].T @ f[:, cols]) ** 2
+        signal = np.diag(p)
+        rates[:, s] = np.log2(1.0 + signal / (p.sum(axis=1) - signal + n0))
+    return rates, float(rates.sum())
+
+
+def assert_matches_loop(hm, p_s, n0, tol, max_iter, k_count, s_count):
+    """Lockstep target equals the loop's byte for byte; returns its trace and
+    whether each of the loop's precoder updates was feasible at mu = 0."""
+    f, utilities, iterations, truncated, solves, feasible = loop_wmmse(
+        hm, p_s, n0, tol, max_iter, k_count, s_count)
+    precoder, trace = wmmse_fully_digital(hm, p_s, n0, tol=tol, max_iter=max_iter,
+                                          n_users=k_count, n_subcarriers=s_count)
+    assert precoder.f_fd.tobytes() == f.tobytes()
+    assert trace.iterations == iterations
+    assert [u.tobytes() for u in trace.utilities] == [u.tobytes() for u in utilities]
+    assert trace.truncated == truncated
+    assert trace.solves == solves
+    return trace, feasible
+
+
+class TestLockstepMatchesLoop:
+    def test_property(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(k_count=st.integers(1, 3), s_count=st.integers(1, 6),
+               n_t=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+               silent=st.floats(0.0, 0.5), snr_db=st.floats(-20.0, 40.0),
+               max_iter=st.sampled_from([1, 2, 3, 200]),
+               tol=st.sampled_from([1e-2, 1e-4, 1e-8]))
+        def check(k_count, s_count, n_t, seed, silent, snr_db, max_iter, tol):
+            rng = np.random.default_rng(seed)
+            hm = random_channel(rng, n_t, k_count, s_count)
+            hm[:, rng.random(k_count * s_count) < silent] = 0.0  # silent users
+            p_s, n0 = float(rng.uniform(0.1, 10.0)), 1.0
+            p_s *= 10 ** (snr_db / 10)
+            with np.errstate(all="ignore"):
+                try:
+                    trace, feasible = assert_matches_loop(
+                        hm, p_s, n0, tol, max_iter, k_count, s_count)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count)
+                    return
+                rates, total = loop_sum_rate(hm, hm.conj(), n0, k_count, s_count)
+                report = sum_rate(hm, hm.conj(), n0, k_count, s_count)
+            assert report.per_user_per_subcarrier.tobytes() == rates.tobytes()
+            assert report.total_sum_rate == total
+            seen.update({"mu0 feasible"} if any(feasible) else set())
+            seen.update({"bisection"} if not all(feasible) else set())
+            seen.update({"truncated"} if trace.truncated else set())
+            seen.update({"staggered"} if len(set(trace.iterations)) > 1 else set())
+
+        check()
+        assert seen == {"mu0 feasible", "bisection", "truncated", "staggered"}
+
+    def test_doubling_cap(self):
+        """At extreme SNR the multiplier doubles past 1e18 before the bisection."""
+        hm = random_channel(np.random.default_rng(RNG_SEED), 4, 1, 2)
+        with np.errstate(all="ignore"):
+            trace, _ = assert_matches_loop(hm, 1e-20, 1e-100, 1e-4, 5, 1, 2)
+        assert max(trace.solves) > 62  # mu = 0, 61 doublings, bisection, final solve
+
+    def test_reference_trial(self):
+        """Reference scale (64 x 64, trial 1) against the loop."""
+        config = SystemConfig()
+        ch = draw_channel(config, 1)
+        assert_matches_loop(ch.h, per_subcarrier_power_mw(config), noise_power_mw(config),
+                            config.wmmse_tol, config.wmmse_max_iter,
+                            config.n_users, config.n_subcarriers)

@@ -13,11 +13,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .alphabets import Alphabet, DeltaRule, choose_delta, make_digital_alphabet, nearest_labels
+# choose_delta and make_digital_alphabet are unused here but stay importable:
+# bench/tracing.py wraps them under this module's name
+from .alphabets import (  # noqa: F401
+    Alphabet, DeltaRule, choose_delta, make_digital_alphabet, nearest_labels,
+)
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, HybridPrecoder, _as_matrix, _power_per_subcarrier,
-    init_analog_svd, rescale_to_budget,
+    FULLY_CONNECTED, HybridPrecoder, _as_matrix, init_analog_svd, nearest_quantize_digital,
+    rescale_to_budget,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -149,20 +153,14 @@ def quantize_baseline(f_rf: np.ndarray, f_bb: np.ndarray, analog_alphabet: Alpha
 
     The digital step is fit to the continuous entries and halved until every
     sub-carrier meets the power budget (power evaluated with the quantized
-    analog matrix).
+    analog matrix); ``InfeasiblePowerError`` if it never does.
     """
     if not (np.all(np.isfinite(f_rf)) and np.all(np.isfinite(f_bb))):
         raise ValueError("precoders must be finite")
     q_rf = nearest_labels(f_rf, analog_alphabet)
-    delta = choose_delta(f_bb, levels, delta_rule)
-    s_count = f_bb.shape[1] // n_users
-    for _ in range(max_shrinks + 1):
-        alphabet = make_digital_alphabet(levels, delta)
-        q_bb = nearest_labels(f_bb, alphabet)
-        if np.all(_power_per_subcarrier(q_rf, q_bb, n_users) <= p_s * (1 + 1e-9)):
-            return HybridPrecoder(
-                f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED,
-                n_users=n_users, n_subcarriers=s_count,
-            )
-        delta /= 2.0
-    raise RuntimeError("could not reach the power budget by shrinking the step")
+    q_bb, delta = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users, delta_rule,
+                                           max_shrinks)
+    return HybridPrecoder(
+        f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED,
+        n_users=n_users, n_subcarriers=f_bb.shape[1] // n_users,
+    )

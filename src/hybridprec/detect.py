@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 
 from .alphabets import Alphabet
 
@@ -53,12 +53,14 @@ class EPNumericalError(RuntimeError):
 
 @dataclass
 class TriangularSystem:
-    """min ||c - G z||^2 rewritten as min ||d - R z||^2 + constant_offset."""
+    """min ||c - G z||^2 rewritten as min ||d - R z||^2 + constant_offset;
+    with ``order``, column j of R is entry ``order[j]`` of z."""
 
     r: np.ndarray
     d: np.ndarray
     constant_offset: float
     ridge: float = 0.0
+    order: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -96,6 +98,42 @@ def suggested_ridge(gram: np.ndarray) -> float:
     return base if base > 0 else 1e-12
 
 
+def cholesky_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Upper-triangular factor of the Gram matrix, diagonally loaded if needed."""
+    try:
+        return np.linalg.cholesky(gram).conj().T, 0.0
+    except np.linalg.LinAlgError:
+        ridge = suggested_ridge(gram)
+        loaded = gram + ridge * np.eye(gram.shape[0], dtype=gram.dtype)
+        return np.linalg.cholesky(loaded).conj().T, ridge
+
+
+def forward_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """R^H x = b for upper-triangular R: the trsm call of ``solve_triangular(r.conj().T,
+    b, lower=True)``, without its checks and the thread dispatch of LAPACK trtrs, which
+    dominate at these sizes and stall when the other cores are busy."""
+    trsm, = get_blas_funcs(("trsm",), (r, b))
+    return trsm(1.0, r.conj(), b, lower=0, trans_a=1)
+
+
+def ordered_triangular(gram: np.ndarray, proj: np.ndarray) -> TriangularSystem:
+    """Column-ordered system for min ||c - G z||^2 from gram = G^H G and
+    proj = G^H c (one target or one per column), with constant_offset 0.
+
+    Columns go by decreasing diagonal of the inverse Gram, loaded with
+    ``suggested_ridge`` to stay finite when columns repeat, so the search
+    assigns first the entry of largest post-detection gain. The load picks
+    the order only: the factor is of the permuted Gram, ridge-loaded only if
+    its factorization fails. A permutation keeps the box alphabet, so the
+    search stays exact.
+    """
+    loaded = gram + suggested_ridge(gram) * np.eye(gram.shape[0], dtype=gram.dtype)
+    order = np.argsort(-np.real(np.diagonal(np.linalg.inv(loaded))), kind="stable")
+    r, ridge = cholesky_with_retry(gram[np.ix_(order, order)])
+    d = forward_solve(r, proj[order])
+    return TriangularSystem(r=r, d=d, constant_offset=0.0, ridge=ridge, order=order)
+
+
 def prepare_triangular(g: np.ndarray, c: np.ndarray, ridge: float = 0.0) -> TriangularSystem:
     """Cholesky reduction of ||c - G z||^2 to an upper-triangular system.
 
@@ -126,7 +164,10 @@ def realify(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(d)
     r = np.asarray(r)
     d_r = np.concatenate([d.real, d.imag])
-    r_r = np.block([[r.real, -r.imag], [r.imag, r.real]])
+    rows, cols = r.shape
+    r_r = np.empty((2 * rows, 2 * cols), dtype=r.real.dtype)
+    r_r[:rows, :cols] = r_r[rows:, cols:] = r.real
+    r_r[:rows, cols:], r_r[rows:, :cols] = -r.imag, r.imag
     return d_r, r_r
 
 
@@ -182,7 +223,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     ``system.d`` is one target ``(m,)`` or ``P`` targets stacked as columns
     ``(m, P)``, all sharing the factor R; ``constant_offset`` is a scalar or
     one value per target, and ``warm_starts`` an optional ``(m,)`` or
-    ``(P, m)`` array of alphabet-member vectors. Each problem's incumbent is
+    ``(P, m)`` array of alphabet-member vectors, in natural order when the
+    system carries an ``order``. Each problem's incumbent is
     the nearest-label rounding of its unconstrained triangular solve, then its
     warm start and its Babai point (first child at every level), each only if
     strictly better.
@@ -215,6 +257,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     targets = targets.astype(dtype, copy=False)
     labels = labels.astype(dtype, copy=False)
     warm = None if warm_starts is None else np.array(warm_starts, dtype=dtype).reshape(n_prob, m)
+    if warm is not None and system.order is not None:
+        warm = warm[:, system.order]
     if not (np.isfinite(r).all() and np.isfinite(targets).all()):
         raise ValueError("triangular system has non-finite entries")
 
@@ -286,6 +330,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
             _push_blocks(stack, level - 1, prob, y, cost, path)
 
     objective = best + system.constant_offset
+    if system.order is not None:
+        z_best[:, system.order] = z_best.copy()
     return SolveResult(
         z=z_best[0] if single else z_best,
         objective=float(objective[0]) if single else objective,

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .alphabets import (
     Alphabet, DeltaRule, DIGITAL_REAL,
@@ -24,8 +23,8 @@ from .alphabets import (
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
-    EPNumericalError, SolveResult, TriangularSystem, ep_solve, realify, sesd_solve,
-    suggested_ridge,
+    EPNumericalError, SolveResult, TriangularSystem, cholesky_with_retry, ep_solve,
+    forward_solve, ordered_triangular, realify, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -63,6 +62,7 @@ class SolverStats:
     solves: int = 0
     nodes: int = 0
     iterations: int = 0
+    shrinks: int = 0  # digital step halvings
 
     def absorb(self, result: SolveResult) -> None:
         self.solves += len(result.z) if result.z.ndim == 2 else 1
@@ -107,16 +107,6 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int,
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
 
-def _chol_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Upper-triangular factor of the Gram matrix, diagonally loaded if needed."""
-    try:
-        return np.linalg.cholesky(gram).conj().T, 0.0
-    except np.linalg.LinAlgError:
-        ridge = suggested_ridge(gram)
-        loaded = gram + ridge * np.eye(gram.shape[0], dtype=gram.dtype)
-        return np.linalg.cholesky(loaded).conj().T, ridge
-
-
 def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndarray,
                     solver: str, alphabet: Alphabet,
                     config: Optional[SystemConfig] = None,
@@ -154,8 +144,8 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
 
 def _antenna_system(b: np.ndarray, a: np.ndarray) -> TriangularSystem:
     """All per-antenna problems min ||a_n - B x||^2 over one shared factor of B."""
-    r, ridge = _chol_with_retry(b.conj().T @ b)
-    targets = solve_triangular(r.conj().T, b.conj().T @ a, lower=True)  # d_n columns
+    r, ridge = cholesky_with_retry(b.conj().T @ b)
+    targets = forward_solve(r, b.conj().T @ a)  # d_n columns
     offsets = np.sum(np.abs(a) ** 2, axis=0) - np.sum(np.abs(targets) ** 2, axis=0)
     return TriangularSystem(r=r, d=targets, constant_offset=offsets, ridge=ridge)
 
@@ -192,7 +182,8 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
     """Entrywise nearest-label quantization of a continuous digital precoder.
 
     The step is fit to the continuous entries, then halved (re-quantizing)
-    until every sub-carrier meets the power budget.
+    until every sub-carrier meets the power budget; after ``max_shrinks``
+    halvings ``InfeasiblePowerError``. Returns (f_bb, delta).
     """
     delta = choose_delta(f_cont, levels, rule)
     for _ in range(max_shrinks + 1):
@@ -217,9 +208,9 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     problems are solved independently in stacked real form. The multiplier
     is bisected from an infeasible lower end to a feasible upper end and the
     feasible-side solution is returned (immediately, when the unconstrained
-    solution already fits). The step is halved while even the smallest
-    realizable power (a zero-target solve) exceeds the budget. Returns
-    (f_bb, delta, mu, bisection_iters, stats).
+    solution already fits). The step is halved while some sub-carrier cannot
+    meet the budget at any multiplier; ``stats.shrinks`` counts the halvings.
+    Returns (f_bb, delta, mu, bisection_iters, stats).
     """
     cfg = config or SystemConfig()
     target = _as_matrix(f_fd)
@@ -227,7 +218,6 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     s_count = ks // n_users
     stats = SolverStats()
 
-    gram = f_rf.conj().T @ f_rf
     # min-norm least squares keeps the reference entries bounded even when the
     # quantized analog matrix is rank deficient
     ls_digital = np.linalg.lstsq(f_rf, target, rcond=None)[0]
@@ -245,44 +235,40 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         raise ValueError(f"unknown digital solver {solver!r}")
 
     delta = choose_delta(ls_digital, levels, delta_rule)
-    proj_r, gram_r = realify(f_rf.conj().T @ target, gram)
-    target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
-    r20, _ = _chol_with_retry(gram_r)
-    # real targets at mu = 0 for SD (d2) and EP (c2); column K*S is all zero,
-    # the min-power probe
-    d2 = np.hstack([solve_triangular(r20.conj().T, proj_r, lower=True),
-                    np.zeros((len(r20), 1))])
-    c2 = np.hstack([target_r, np.zeros((len(target_r), 1))])
+    if solver == "sesd":
+        # one column order for every multiplier: mu only scales the factor
+        proj_r, gram_r = realify(f_rf.conj().T @ target, f_rf.conj().T @ f_rf)
+        base = ordered_triangular(gram_r, proj_r)
+    else:
+        target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
 
     def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked real solutions (one row per column) at multiplier mu, over
         the labels of the current step.
 
-        mu enters only as a scale: R(mu) = sqrt(mu+1) R20, d(mu) = d2 / sqrt(mu+1).
+        mu enters only as a scale: R(mu) = sqrt(mu+1) R0, d(mu) = d0 / sqrt(mu+1).
         """
         scale = math.sqrt(mu + 1.0)
         if solver == "sesd":
-            system = TriangularSystem(r=scale * r20, d=d2[:, cols] / scale, constant_offset=0.0)
+            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale)
             res = sesd_solve(system, alphabet, warm_starts=warm)
         else:
-            res = ep_solve(c2[:, cols] / scale, scale * f_rf_r, alphabet,
+            res = ep_solve(target_r[:, cols] / scale, scale * f_rf_r, alphabet,
                            damping=cfg.ep_damping, max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
         stats.absorb(res)
         return res.z
 
-    for shrink in range(9):
+    while True:
         alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
-        if n_users * _power(f_rf, solve([ks], 0.0)) <= p_s * (1 + bisection_tol):
-            try:
-                f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
-                                                         bisection_tol)
-                return f_bb, delta, mu, iters, stats
-            except InfeasiblePowerError:
-                if shrink == 8:
-                    raise
+        try:
+            f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
+                                                     bisection_tol)
+            return f_bb, delta, mu, iters, stats
+        except InfeasiblePowerError as exc:
+            if stats.shrinks == 8:
+                raise InfeasiblePowerError(f"{exc} after 8 step shrinks") from exc
+        stats.shrinks += 1
         delta /= 2.0
-    raise InfeasiblePowerError(
-        "smallest-magnitude labels exceed the power budget after 8 step shrinks")
 
 
 def _power(f_rf: np.ndarray, sols: np.ndarray) -> float:
@@ -296,44 +282,41 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                            bisection_tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m_rf = f_rf.shape[1]
     ks = s_count * n_users
-    f_bb = np.empty((m_rf, ks), dtype=complex)
-    mu_out = np.zeros(s_count)
-    iters_out = np.zeros(s_count, dtype=int)
-
     at_zero = solve(np.arange(ks), 0.0)
-    for s in range(s_count):
+    f_bb = np.ascontiguousarray(at_zero[:, :m_rf].T + 1j * at_zero[:, m_rf:].T)
+    mu_out = np.zeros(s_count)
+    iters_out = np.ones(s_count, dtype=int)
+
+    over = _power_per_subcarrier(f_rf, f_bb, n_users) - p_s > bisection_tol * p_s
+    for s in np.flatnonzero(over):
         cols = np.arange(s, ks, s_count)  # column k * s_count + s of user k
-        sols = warm = at_zero[cols]
-        n_evals = 1
-        mu_s = 0.0
-        if _power(f_rf, sols) - p_s > bisection_tol * p_s:
-            # each candidate multiplier is warm-started from the previous one
-            lo, hi = 0.0, 1.0
+        # each candidate multiplier is warm-started from the previous one
+        lo, hi = 0.0, 1.0
+        warm = solve(cols, hi, at_zero[cols])
+        n_evals = 2
+        doublings = 0
+        while _power(f_rf, warm) > p_s * (1 + bisection_tol):
+            lo, hi = hi, hi * 2.0
+            doublings += 1
+            if doublings > 60:
+                raise InfeasiblePowerError(
+                    f"sub-carrier {s}: smallest discrete power exceeds the budget"
+                )
             warm = solve(cols, hi, warm)
             n_evals += 1
-            doublings = 0
-            while _power(f_rf, warm) > p_s * (1 + bisection_tol):
-                lo, hi = hi, hi * 2.0
-                doublings += 1
-                if doublings > 60:
-                    raise InfeasiblePowerError(
-                        f"sub-carrier {s}: smallest discrete power exceeds the budget"
-                    )
-                warm = solve(cols, hi, warm)
-                n_evals += 1
-            mu_s, sols = hi, warm
-            while hi - lo >= 1e-8:
-                mid = 0.5 * (lo + hi)
-                warm = solve(cols, mid, warm)
-                n_evals += 1
-                power_mid = _power(f_rf, warm)
-                if abs(power_mid - p_s) <= bisection_tol * p_s:
-                    mu_s, sols = mid, warm
-                    break
-                if power_mid > p_s:
-                    lo = mid
-                else:
-                    hi, mu_s, sols = mid, mid, warm
+        mu_s, sols = hi, warm
+        while hi - lo >= 1e-8:
+            mid = 0.5 * (lo + hi)
+            warm = solve(cols, mid, warm)
+            n_evals += 1
+            power_mid = _power(f_rf, warm)
+            if abs(power_mid - p_s) <= bisection_tol * p_s:
+                mu_s, sols = mid, warm
+                break
+            if power_mid > p_s:
+                lo = mid
+            else:
+                hi, mu_s, sols = mid, mid, warm
         f_bb[:, cols] = sols[:, :m_rf].T + 1j * sols[:, m_rf:].T
         mu_out[s] = mu_s
         iters_out[s] = n_evals
@@ -499,6 +482,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         trace.solver_stats.solves += dstats.solves + astats.solves
         trace.solver_stats.nodes += dstats.nodes + astats.nodes
         trace.solver_stats.iterations += dstats.iterations + astats.iterations
+        trace.solver_stats.shrinks += dstats.shrinks
         trace.wall_times["digital_s"] = trace.wall_times.get("digital_s", 0.0) + (t1 - t0)
         trace.wall_times["analog_s"] = trace.wall_times.get("analog_s", 0.0) + (t2 - t1)
         if record_iterates:

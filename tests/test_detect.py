@@ -368,6 +368,97 @@ class TestBatchedSphereDecoder:
         np.testing.assert_array_equal(res.z, np.full((3, 4), alphabet.labels[0]))
 
 
+def digital_instance(rng, m_rf, extra_rows, levels, n_targets, duplicate):
+    """Real-form digital subproblem over a 1-bit analog matrix, optionally with a
+    repeated (sign-flipped) column: (C_r, G_r, Gram_r, proj_r, alphabet)."""
+    n_t = m_rf + extra_rows
+    f_rf = rng.choice(make_analog_alphabet(1).labels, size=(n_t, m_rf))
+    if duplicate and m_rf > 1:
+        f_rf[:, -1] = rng.choice([-1.0, 1.0]) * f_rf[:, 0]
+    c = rng.standard_normal((n_t, n_targets)) + 1j * rng.standard_normal((n_t, n_targets))
+    alphabet = make_digital_alphabet(levels, float(rng.uniform(0.3, 2.0)), kind="digital-real")
+    c_r, g_r = realify(c, f_rf)
+    proj_r, gram_r = realify(f_rf.conj().T @ c, f_rf.conj().T @ f_rf)
+    return c_r, g_r, gram_r, proj_r, alphabet
+
+
+# (levels, largest m_rf): at most 4096 label vectors to enumerate
+ordered_cases = st.tuples(
+    st.integers(0, 2**31 - 1), st.sampled_from([(2, 3), (4, 3), (8, 2)]), st.integers(1, 3),
+    st.integers(0, 3), st.integers(1, 4), st.booleans(), st.booleans(), st.booleans(),
+)
+
+
+class TestOrderedSphereDecoder:
+    @given(ordered_cases)
+    @settings(max_examples=150, deadline=None)
+    def test_every_target_matches_enumeration(self, case):
+        """Each target's objective equals exhaustive enumeration's on the
+        natural-order system: single targets and batches, warm starts given in
+        natural order, and rank-deficient Grams factored with a ridge."""
+        seed, (levels, max_rf), m_rf, extra, n_targets, single, warm, duplicate = case
+        m_rf = min(m_rf, max_rf)
+        n_targets = 1 if single else n_targets
+        rng = np.random.default_rng(seed)
+        c_r, g_r, gram_r, proj_r, alphabet = digital_instance(
+            rng, m_rf, extra, levels, n_targets, duplicate)
+        m = 2 * m_rf
+        system = detect.ordered_triangular(gram_r, proj_r[:, 0] if single else proj_r)
+        assert sorted(system.order) == list(range(m))
+        warm_starts = None
+        if warm:
+            warm_starts = rng.choice(alphabet.labels, size=(m,) if single else (n_targets, m))
+        res = sesd_solve(system, alphabet, warm_starts=warm_starts)
+        assert res.z.shape == ((m,) if single else (n_targets, m))
+        for j, z in enumerate(res.z[None] if single else res.z):
+            exact = brute_force_ml(c_r[:, j], g_r, alphabet)
+            assert all(label in alphabet.labels for label in z)
+            assert residual_norm_sq(c_r[:, j], g_r, z) == pytest.approx(
+                exact.objective, abs=1e-10)
+
+    def test_repeated_column_takes_the_ridge_path(self):
+        """A repeated analog column makes the real Gram singular: the order
+        stays finite, the factor is ridge-loaded, and the solve stays exact."""
+        rng = np.random.default_rng(RNG_SEED)
+        c_r, g_r, gram_r, proj_r, alphabet = digital_instance(rng, 3, 2, 4, 3, True)
+        system = detect.ordered_triangular(gram_r, proj_r)
+        assert system.ridge > 0
+        res = sesd_solve(system, alphabet)
+        for j in range(3):
+            exact = brute_force_ml(c_r[:, j], g_r, alphabet)
+            assert residual_norm_sq(c_r[:, j], g_r, res.z[j]) == pytest.approx(
+                exact.objective, abs=1e-10)
+
+    def test_same_search_as_the_permuted_problem(self):
+        """An ordered system searches exactly as its factor without the order
+        would, given the warm starts permuted by hand: same labels (permuted
+        back), same node count."""
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(20):
+            c_r, g_r, gram_r, proj_r, alphabet = digital_instance(rng, 3, 1, 4, 3, False)
+            system = detect.ordered_triangular(gram_r, proj_r)
+            order = system.order
+            warm = np.stack([brute_force_ml(c_r[:, j], g_r, alphabet).z for j in range(3)])
+            res = sesd_solve(system, alphabet, warm_starts=warm)
+            plain = sesd_solve(TriangularSystem(r=system.r, d=system.d, constant_offset=0.0),
+                               alphabet, warm_starts=warm[:, order])
+            np.testing.assert_array_equal(res.z[:, order], plain.z)
+            assert res.nodes_visited == plain.nodes_visited
+
+    def test_labels_and_warm_starts_in_natural_order(self):
+        """Decreasing inverse-Gram diagonal puts the strongest column last (it
+        is searched first); the permuted factor still returns z in the natural
+        order, and takes a natural-order warm start."""
+        alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
+        g = np.diag([1.0, 4.0, 2.0])
+        z_true = alphabet.labels[[0, 3, 1]]
+        system = detect.ordered_triangular(g.T @ g, g.T @ (g @ z_true))
+        np.testing.assert_array_equal(system.order, [0, 2, 1])
+        res = sesd_solve(system, alphabet, warm_starts=z_true)
+        np.testing.assert_array_equal(res.z, z_true)
+        assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+
 class TestExpectationPropagation:
     def test_decoupled_system_rounds_entries(self):
         """With an identity system and well-separated labels the first

@@ -14,7 +14,7 @@ from hybridprec.alphabets import (
     choose_delta, is_member, make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.detect import brute_force_ml, ep_solve, residual_norm_sq
+from hybridprec.detect import brute_force_ml, ep_solve, realify, residual_norm_sq
 from hybridprec.hybrid import (
     DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, alternate, init_analog_svd, optimize_analog,
     optimize_digital, optimize_phase_diag, optimize_switch,
@@ -231,19 +231,43 @@ class TestOptimizeDigital:
     @pytest.mark.parametrize("solver", ["sesd", "ep"])
     def test_tight_budget_shrinks_step_and_stays_feasible(self, solver):
         """A budget below the smallest power at the fitted step halves the step
-        (the min-power probe fails) until the bisection can meet it."""
+        (the multiplier search cannot meet it) until the bisection can meet it;
+        the halvings are counted."""
         f_rf, target = self._binding_setup()
         p_s = 1e-3
-        f_bb, delta, mu, iters, _ = optimize_digital(
+        f_bb, delta, mu, iters, stats = optimize_digital(
             target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, bisection_tol=1e-2)
         fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
         assert delta < fitted
+        assert stats.shrinks > 0 and delta == fitted / 2 ** stats.shrinks
         assert is_member(f_bb, make_digital_alphabet(2, delta))
         eff = f_rf @ f_bb
         for s in range(2):
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
             assert power <= p_s * (1 + 1e-2) + 1e-12
         assert np.all(iters > 1) and np.all(mu > 0)
+
+    def test_inexact_zero_target_solve_does_not_shrink_ep_step(self):
+        """EP on a zero target can exceed a budget that exact labels meet; the
+        EP step must still stay at the fitted value when the multiplier search
+        meets the budget, as the exact solver's does."""
+        rng = np.random.default_rng(0)
+        f_rf = rng.choice(make_analog_alphabet(1).labels, size=(8, 3))
+        target = random_target(rng, 8, 4)
+        p_s = 15.0
+        fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
+        labels = make_digital_alphabet(2, fitted, kind="digital-real")
+        zero = ep_solve(*realify(np.zeros(8), f_rf), labels).z
+        b = zero[:3] + 1j * zero[3:]
+        assert 2 * np.linalg.norm(f_rf @ b) ** 2 > p_s * (1 + 1e-2)  # EP's smallest power
+        for solver in ("ep", "sesd"):
+            f_bb, delta, _, _, stats = optimize_digital(
+                target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, bisection_tol=1e-2)
+            assert delta == fitted and stats.shrinks == 0
+            eff = f_rf @ f_bb
+            for s in range(2):
+                assert sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2)) \
+                    <= p_s * (1 + 1e-2)
 
     @pytest.mark.parametrize("solver", ["sesd", "ep"])
     def test_unreachable_budget_raises(self, solver):
@@ -294,6 +318,24 @@ class TestAlternate:
         _, trace = alternate(target, small_config, "sesd")
         objectives = trace.objective_per_outer_iter
         assert all(a >= b - 1e-6 for a, b in zip(objectives, objectives[1:]))
+
+    def test_step_shrinks_counted(self):
+        """The trace sums the digital step halvings of every outer iteration:
+        some under a budget far below the target's power, none on reference
+        trial 1, where at every fitted step some multiplier meets the budget."""
+        tight = SystemConfig(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2,
+                             total_power_dbm=-20.0, seed=RNG_SEED)
+        target = random_target(np.random.default_rng(RNG_SEED), 8, 4, scale=3.0)
+        _, trace = alternate(target, tight, "sesd")
+        assert trace.solver_stats.shrinks >= trace.n_outer > 0
+
+        cfg = SystemConfig()
+        target, _ = wmmse_fully_digital(
+            draw_channel(cfg, 1), per_subcarrier_power_mw(cfg), noise_power_mw(cfg),
+            tol=cfg.wmmse_tol, max_iter=cfg.wmmse_max_iter)
+        _, trace = alternate(target, cfg, "sesd")
+        assert trace.solver_stats.shrinks == 0
+        assert trace.solver_stats.nodes > 0
 
     def test_best_iterate_returned(self, small_config):
         ch = draw_channel(small_config)

@@ -360,9 +360,7 @@ def _robust_inverse(a: np.ndarray, iteration: int, index: np.ndarray) -> np.ndar
     exactly singular matrix; a tiny relative jitter restores it. Only the
     singular members of a stack are retried with jitter.
     """
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise EPNumericalError(iteration, "posterior precision", int(index[np.argmin(finite)]))
+    _check_finite(iteration, "posterior precision", index, a)
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -380,24 +378,23 @@ def _robust_inverse(a: np.ndarray, iteration: int, index: np.ndarray) -> np.ndar
     raise EPNumericalError(iteration, "posterior covariance", int(index[0]))
 
 
-def _sq_norms(x: np.ndarray, conj: bool = True) -> np.ndarray:
+def _check_finite(iteration: int, what: str, index: np.ndarray, a: np.ndarray) -> None:
+    """One test of all entries; the first bad row is looked up, by ``index``, on failure only."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+        raise EPNumericalError(iteration, what, int(index[np.argmin(finite)]))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row by one BLAS dot: a row rounds as np.vdot(row,
-    row) does, or with ``conj=False`` as np.linalg.norm(row) ** 2 (real and
-    imaginary parts dotted apart), whatever the other rows hold."""
-    if np.iscomplexobj(x) and not conj:
-        return _sq_norms(x.real) + _sq_norms(x.imag)
+    row) does (for real rows, as np.linalg.norm(row) ** 2), whatever the other
+    rows hold."""
     return (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
 
 
 def _residuals(targets: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||t_p - G z_p||^2 for rows t_p and z_p, rounded as residual_norm_sq."""
     return _sq_norms(targets - (g @ z[:, :, None])[:, :, 0])
-
-
-def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """||new_p - old_p|| / max(||old_p||, 1e-30) per row, rounded as np.linalg.norm."""
-    return np.sqrt(_sq_norms(new - old, conj=False)) / np.maximum(
-        np.sqrt(_sq_norms(old, conj=False)), 1e-30)
 
 
 def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
@@ -429,9 +426,9 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     g = g.astype(dtype, copy=False)
     labels = labels.astype(dtype, copy=False)
     n_prob, m = targets.shape[0], g.shape[1]
-    finite = np.isfinite(targets).all(axis=1) & np.isfinite(g).all()
-    if not finite.all():
-        raise EPNumericalError(1, "inputs", int(np.argmin(finite)))
+    if not np.isfinite(g).all():
+        raise EPNumericalError(1, "inputs", 0)
+    _check_finite(1, "inputs", np.arange(n_prob), targets)
 
     gram = g.conj().T @ g
     gc = (g.conj().T @ targets[:, :, None])[:, :, 0]  # one gemv per target
@@ -444,43 +441,50 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     sigma2 = np.ones(n_prob)
     z_best = np.full((n_prob, m), labels[0])
     best = np.full(n_prob, np.inf)
-    mu_prev = var_prev = zeta = nu = rho = omega = None
+    prev = zeta = nu = rho = omega = None
     final: dict = {}  # EPState fields, z and objective of every target
 
-    def finish(done: np.ndarray, iteration: int) -> None:
+    def finish(idx: np.ndarray, iteration: int) -> None:
         fields = dict(z=z_best, objective=best, lambda_diag=lam, gamma=gam, mu=mu,
                       sigma_diag=var, sigma2_hat=sigma2, cavity_var=zeta, cavity_mean=nu,
-                      tilted_mean=rho, tilted_var=omega,
-                      iteration=np.full(len(active), iteration))
+                      tilted_mean=rho, tilted_var=omega, iteration=np.full(len(active), iteration))
+        if not final:  # allocated once, at the first target to leave
+            final.update((name, np.empty((n_prob,) + value.shape[1:], value.dtype))
+                         for name, value in fields.items())
+        ids = active[idx]
         for name, value in fields.items():
-            final.setdefault(name, np.empty((n_prob,) + value.shape[1:], value.dtype))
-            final[name][active[done]] = value[done]
+            final[name][ids] = value[idx]
 
     for iteration in range(1, max_iter + 1):
         cov = _robust_inverse(gram / sigma2[:, None, None] + lam[:, None, :] * eye,
                               iteration, active)
         mu = (cov @ (gc / sigma2[:, None] + gam)[:, :, None])[:, :, 0]
         var = np.diagonal(cov, axis1=1, axis2=2).real
-        finite = np.isfinite(mu).all(axis=1) & np.isfinite(var).all(axis=1)
-        if not finite.all():
-            raise EPNumericalError(iteration, "posterior moments", int(active[np.argmin(finite)]))
+        # per target, the real rows (Re mu, Im mu, var), or (mu, var), end to end
+        state = np.concatenate((mu.real, mu.imag, var) if complex_mode else (mu, var), axis=1)
+        _check_finite(iteration, "posterior moments", active, state)
 
         z = labels[np.argmin(np.abs(mu[:, :, None] - labels), axis=2)]
         obj = _residuals(targets, g, z)
         better = obj < best
-        best[better] = obj[better]
-        z_best[better] = z[better]
+        np.copyto(best, obj, where=better)
+        np.copyto(z_best, z, where=better[:, None])
 
-        if mu_prev is not None:
-            done = (_relative_change(mu, mu_prev) < tol) & (_relative_change(var, var_prev) < tol)
+        if prev is not None:
+            # ||change|| / max(||previous||, 1e-30) of mu and var as np.linalg.norm rounds it
+            rows = np.concatenate((state - prev, prev), axis=1).reshape(-1, m)
+            sq = (rows[:, None, :] @ rows[:, :, None]).reshape(len(state), -1)  # a dot per row
+            norms = np.sqrt(np.add.reduceat(sq, [0, 2, 3, 5], axis=1) if complex_mode else sq)
+            done = (norms[:, :2] / np.maximum(norms[:, 2:], 1e-30) < tol).all(axis=1)
             if done.any():
-                finish(done, iteration)
-                keep = ~done
-                active, targets, gc, lam, gam, sigma2, z_best, best, mu, var = (
-                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, mu, var))
+                finish(np.flatnonzero(done), iteration)
+                keep = np.flatnonzero(~done)
+                active, targets, gc, lam, gam, sigma2, z_best, best, mu, var, state = (
+                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, mu,
+                                      var, state))
                 if not len(active):
                     break
-        mu_prev, var_prev = mu, var
+        prev = state
 
         zeta = np.maximum(var / np.maximum(1.0 - var * lam, 1e-12), 1e-300)
         nu = zeta * (mu / var - gam)
@@ -503,11 +507,9 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         gam = (1.0 - damping) * gam_new + damping * gam
 
         sigma2 = np.maximum(_residuals(targets, g, rho) / m, SIGMA2_FLOOR)
-        finite = np.isfinite(sigma2)
-        if not finite.all():
-            raise EPNumericalError(iteration, "error variance", int(active[np.argmin(finite)]))
+        _check_finite(iteration, "error variance", active, sigma2)
     truncated = len(active)
-    finish(np.ones(truncated, dtype=bool), max_iter)
+    finish(np.arange(truncated), max_iter)
 
     final = {name: value[0] if single else value for name, value in final.items()}
     z, objective = final.pop("z"), final.pop("objective")

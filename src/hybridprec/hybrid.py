@@ -79,6 +79,7 @@ class AlternateTrace:
     solver_stats: SolverStats = field(default_factory=SolverStats)
     wall_times: dict = field(default_factory=dict)
     truncated: bool = False
+    stop: str = "max-iter"  # or "tolerance", or "fixed-point": an iterate repeated its input
     n_outer: int = 0
     best_iteration: int = 0
     iterates: Optional[list] = None
@@ -324,11 +325,12 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
 
 
 def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: np.ndarray,
-                    f_bb: np.ndarray, solver: str = "sesd") -> tuple[np.ndarray, SolverStats]:
+                    f_bb: np.ndarray) -> tuple[np.ndarray, SolverStats]:
     """Best binary RF-chain/antenna switch matrix for fixed phases and digital precoder.
 
     Rotating the target by the conjugate phases decouples the problem per
-    antenna over {0,1}^M. The result is repaired, if necessary, so columns
+    antenna over {0,1}^M, always solved exactly by the sphere decoder (for
+    ``dynamic-ep`` too). The result is repaired, if necessary, so columns
     are distinct and nonzero (entry flips with least residual increase).
     """
     target = _as_matrix(f_fd)
@@ -424,8 +426,10 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     """Alternating digital/analog optimization of the hybrid precoder.
 
     Runs digital-then-analog updates until the relative objective change
-    drops below ``config.outer_tol`` or the iteration cap is reached, and
-    returns the best-objective iterate seen. ``analog_method`` and
+    drops below ``config.outer_tol``, the analog state (``f_rf``, or switch
+    and phases) repeats byte for byte, so every later iteration would repeat
+    this one, or the iteration cap is reached (``trace.stop`` says which),
+    and returns the best-objective iterate seen. ``analog_method`` and
     ``digital_method`` override the solver per subproblem (e.g. to mix
     nearest-point quantization with message passing); ``digital_method="ls"``
     keeps the digital entries continuous (ideal resolution, power-rescaled),
@@ -459,7 +463,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         f_rf = init_analog_svd(target, config.m_rf)
 
     best = None
-    prev_obj = None
+    prev_obj = prev_state = None
     for it in range(1, config.outer_max_iter + 1):
         t0 = time.perf_counter()
         f_bb, delta, mu, bis_iters, dstats = optimize_digital(
@@ -500,9 +504,15 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
                 "switch": None if switch is None else switch.copy(),
                 "phase_diag": None if phase_diag is None else phase_diag.copy(),
             }
+        # what the next iteration reads; the SD warm start is f_rf itself
+        state = (switch.tobytes() + phase_diag.tobytes()) if dynamic else f_rf.tobytes()
         if prev_obj is not None and abs(prev_obj - obj) <= config.outer_tol * max(prev_obj, 1e-30):
+            trace.stop = "tolerance"
             break
-        prev_obj = obj
+        if state == prev_state:
+            trace.stop = "fixed-point"
+            break
+        prev_obj, prev_state = obj, state
     else:
         trace.truncated = True
 

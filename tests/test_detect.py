@@ -1,5 +1,7 @@
 """Tests for the finite-alphabet least-squares solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hybridprec.alphabets import (
     make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
 )
 from hybridprec.detect import (
-    EPNumericalError, SearchSpaceError, SingularGramError, TriangularSystem,
+    EPNumericalError, EPState, SearchSpaceError, SingularGramError, TriangularSystem,
     brute_force_ml, ep_solve, prepare_triangular, realify, residual_norm_sq,
     sesd_solve,
 )
@@ -537,7 +539,8 @@ ep_cases = st.tuples(
 
 
 def assert_matches_single_solves(res, c, g, alphabet, **kwargs):
-    """Every target of a batched EP result equals a solve of that column alone."""
+    """Every target of a batched EP result equals a solve of that column alone,
+    in every EPState field byte for byte."""
     singles = [ep_solve(c[:, j], g, alphabet, **kwargs) for j in range(c.shape[1])]
     state = res.diagnostics["state"]
     assert res.z.shape == (c.shape[1], g.shape[1])
@@ -547,10 +550,10 @@ def assert_matches_single_solves(res, c, g, alphabet, **kwargs):
         assert res.objective[j] == single.objective
         assert state.iteration[j] == single.iterations
         assert single.truncated in (0, 1)
-        np.testing.assert_array_equal(state.mu[j], single.diagnostics["state"].mu)
-        np.testing.assert_array_equal(state.lambda_diag[j],
-                                      single.diagnostics["state"].lambda_diag)
-        assert state.sigma2_hat[j] == single.diagnostics["state"].sigma2_hat
+        for name in (f.name for f in dataclasses.fields(EPState)):
+            ours, alone = getattr(state, name)[j], getattr(single.diagnostics["state"], name)
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (
+                alone.dtype, alone.shape, alone.tobytes()), name
     assert res.iterations == sum(s.iterations for s in singles)
     assert res.truncated == sum(s.truncated for s in singles)
     return singles
@@ -653,7 +656,8 @@ class TestBatchedExpectationPropagation:
 
     def test_targets_leave_the_batch_at_their_own_iteration(self):
         """A batch whose targets converge at different iterations, some at
-        max_iter without converging, one all-zero."""
+        max_iter without converging, one all-zero: each leaves with the state
+        of its own solve."""
         rng = np.random.default_rng(3)
         alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
         g = rng.standard_normal((6, 4))

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, CSV emission, and the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,50 @@ class TestRunExperiment:
         assert names == sorted(names)
         assert all(n.startswith("trace_mse_iter") for n in names)
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize("order", [("altmin1", "altmin2", "altmin1-q", "altmin2-q"),
+                                       ("altmin2-q", "altmin1-q", "altmin2", "altmin1")])
+    def test_quantized_altmin_reuses_the_cell_pair(self, tiny_spec, monkeypatch, order):
+        """altmin1-q and altmin2-q rows are the same whether each scheme runs
+        alone or with the continuous schemes in one cell, in either order,
+        and each continuous AltMin runs once per cell."""
+        def spec(schemes):
+            return ExperimentSpec(name="am", base=tiny_spec.base, schemes=list(schemes),
+                                  n_trials=2, seed=5, outputs=["sum_rate_avg", "mse"])
+
+        alone = [r for s in ("altmin1-q", "altmin2-q")
+                 for r in run_experiment(spec([s]), record_timing=False)]
+        calls = []
+
+        def counted(name):
+            real = getattr(harness.baselines, name)
+
+            def run(*args):
+                calls.append(name)
+                return real(*args)
+            return run
+
+        for name in ("altmin1", "altmin2"):
+            monkeypatch.setattr(harness.baselines, name, counted(name))
+        together = run_experiment(spec(order), record_timing=False)
+        assert sorted(calls) == ["altmin1"] * 2 + ["altmin2"] * 2
+        quantized = [r for r in together if r.scheme.endswith("-q")]
+        assert sorted(quantized, key=ResultRow.sort_key) == sorted(alone, key=ResultRow.sort_key)
+
+    @pytest.mark.parametrize("order", [("altmin1", "altmin1-q"), ("altmin1-q", "altmin1")])
+    def test_shared_altmin_time_charged_to_both_schemes(self, tiny_spec, monkeypatch, order):
+        real = harness.baselines.altmin1
+
+        def slow(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(harness.baselines, "altmin1", slow)
+        rows = run_experiment(ExperimentSpec(name="rt", base=tiny_spec.base,
+                                             schemes=list(order), n_trials=1, seed=5,
+                                             outputs=["runtime"]))
+        assert {r.scheme for r in rows} == set(order)
+        assert all(r.value >= 50.0 for r in rows)
 
 
 class TestEmitCsv:

@@ -15,6 +15,7 @@ from hybridprec.alphabets import (
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.detect import brute_force_ml, ep_solve, realify, residual_norm_sq
+from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
 from hybridprec.hybrid import (
     DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, alternate, init_analog_svd, optimize_analog,
     optimize_digital, optimize_phase_diag, optimize_switch,
@@ -353,6 +354,62 @@ class TestAlternate:
                                 analog_method="np", digital_method="ep")
         analog_alpha = make_analog_alphabet(small_config.analog_bits)
         assert is_member(precoder.f_rf, analog_alpha)
+
+    def test_iteration_cap_is_reported(self, small_config):
+        _, trace = alternate(random_target(np.random.default_rng(RNG_SEED), 8, 4),
+                             small_config.with_updates(outer_max_iter=1), "sesd")
+        assert (trace.stop, trace.truncated, trace.n_outer) == ("max-iter", True, 1)
+
+
+def _iterate_bytes(f_rf, f_bb, delta, switch, phase_diag) -> list:
+    return [None if a is None else (a.dtype, a.shape, a.tobytes())
+            for a in (f_rf, f_bb, np.float64(delta), switch, phase_diag)]
+
+
+class TestFixedPointStop:
+    @pytest.mark.parametrize("levels", [2, 8])
+    def test_one_more_iteration_repeats_the_last(self, levels):
+        """Desk-small designs of every scheme that designs through `alternate`:
+        where the loop stopped at a fixed point, one more digital step and
+        analog (or switch and phase) step from the last iterate reproduce that
+        iterate byte for byte, so the iterations cut would only repeat it."""
+        cfg = SystemConfig(**DESK_SMALL_CONFIG).with_updates(quant_levels=levels, seed=1)
+        p_s = per_subcarrier_power_mw(cfg)
+        alphabet = make_analog_alphabet(cfg.analog_bits)
+        stops = []
+        for trial in range(2):
+            target, _ = wmmse_fully_digital(draw_channel(cfg, trial), p_s, noise_power_mw(cfg),
+                                            tol=cfg.wmmse_tol, max_iter=cfg.wmmse_max_iter)
+            target = target.f_fd
+            for solver, mode, analog, digital in ALTERNATE_SCHEMES.values():
+                precoder, trace = alternate(target, cfg, solver, mode=mode, analog_method=analog,
+                                            digital_method=digital, record_iterates=True)
+                stops.append(trace.stop)
+                assert trace.truncated == (trace.stop == "max-iter")
+                assert len(trace.iterates) == trace.n_outer
+                if trace.stop != "fixed-point":
+                    continue
+                last, before = trace.iterates[-1], trace.iterates[-2]
+                state = ("switch", "phase_diag") if mode == DYNAMIC_CONNECTED else ("f_rf",)
+                assert all(last[k].tobytes() == before[k].tobytes() for k in state)
+                f_bb, delta, *_ = optimize_digital(
+                    target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users,
+                    config=cfg, bisection_tol=cfg.bisection_tol)
+                switch = phase_diag = None
+                if mode == DYNAMIC_CONNECTED:
+                    switch, _ = optimize_switch(target, last["phase_diag"], f_bb)
+                    phase_diag = optimize_phase_diag(target, switch, f_bb, alphabet)
+                    f_rf = phase_diag[:, None] * switch
+                else:
+                    method = analog or solver
+                    f_rf, _ = optimize_analog(target, f_bb, method, alphabet, config=cfg,
+                                              warm=last["f_rf"] if method == "sesd" else None)
+                assert _iterate_bytes(f_rf, f_bb, delta, switch, phase_diag) == _iterate_bytes(
+                    last["f_rf"], last["f_bb"], last["delta"], last["switch"],
+                    last["phase_diag"])
+                best = min(trace.objective_per_outer_iter)
+                assert mse_to_target(target, precoder.f_rf, precoder.f_bb) == best
+        assert stops.count("fixed-point") > 0 and set(stops) <= {"fixed-point", "tolerance"}
 
 
 class TestSwitchNetwork:

@@ -7,7 +7,7 @@ propagation), and ships a Monte Carlo harness for link-level evaluation.
 """
 
 from .alphabets import (
-    Alphabet, DeltaRule, choose_delta, gaussian_step_coefficient,
+    Alphabet, choose_delta, gaussian_step_coefficient,
     make_analog_alphabet, make_digital_alphabet, nearest_label, nearest_labels,
 )
 from .channel import (

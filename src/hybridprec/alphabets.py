@@ -8,7 +8,7 @@ sets, so labels are constructed once and reused bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -42,28 +42,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class DeltaRule:
-    """How the digital quantization step is selected.
-
-    ``gaussian-fit`` picks the step minimizing quantization MSE under a
-    Gaussian model of the precoder entries, scaled by their sample std.
-    ``fixed`` passes ``fixed_value`` through unchanged.
-    """
-
-    method: str = "gaussian-fit"
-    fixed_value: Optional[float] = None
-    gaussian_coefficients: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.method not in ("fixed", "gaussian-fit"):
-            raise ValueError(f"unknown delta rule method {self.method!r}")
-        if self.method == "fixed" and (self.fixed_value is None or self.fixed_value <= 0):
-            raise ValueError("fixed delta rule requires a positive fixed_value")
-        if any(c <= 0 for c in self.gaussian_coefficients.values()):
-            raise ValueError("gaussian coefficients must be positive")
 
 
 def make_analog_alphabet(bits: int) -> Alphabet:
@@ -141,16 +119,13 @@ def gaussian_step_coefficient(levels: int) -> float:
     return float(res.x)
 
 
-def choose_delta(reference_entries: np.ndarray, levels: int, rule: Optional[DeltaRule] = None) -> float:
+def choose_delta(reference_entries: np.ndarray, levels: int) -> float:
     """Quantization step for the given reference entries.
 
-    Under ``gaussian-fit`` the step is c(L) times the sample std of the
-    pooled real and imaginary parts (population normalization).
+    The step minimizes quantization MSE under a Gaussian model of the
+    entries: c(L) times the sample std of the pooled real and imaginary
+    parts (population normalization).
     """
-    if rule is None:
-        rule = DeltaRule()
-    if rule.method == "fixed":
-        return float(rule.fixed_value)
     entries = np.asarray(reference_entries).ravel()
     if entries.size == 0 or not np.any(entries != 0):
         raise DegenerateInputError("cannot fit a quantization step to all-zero entries")
@@ -158,10 +133,7 @@ def choose_delta(reference_entries: np.ndarray, levels: int, rule: Optional[Delt
     sigma = float(np.std(pooled))
     if sigma <= 0:
         raise DegenerateInputError("reference entries have zero spread")
-    coeff = rule.gaussian_coefficients.get(levels)
-    if coeff is None:
-        coeff = gaussian_step_coefficient(levels)
-    return float(coeff) * sigma
+    return gaussian_step_coefficient(levels) * sigma
 
 
 def nearest_label(value: complex, alphabet: Alphabet) -> complex:
@@ -192,10 +164,13 @@ def nearest_labels(values: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     out = np.empty(flat.shape, dtype=alphabet.labels.dtype)
     chunk = max(1, 2**22 // max(len(alphabet), 1))
     for start in range(0, flat.size, chunk):
-        block = flat[start:start + chunk]
-        idx = np.argmin(np.abs(block[:, None] - alphabet.labels[None, :]), axis=1)
-        out[start:start + chunk] = alphabet.labels[idx]
+        out[start:start + chunk] = _nearest(flat[start:start + chunk], alphabet.labels)
     return out.reshape(values.shape)
+
+
+def _nearest(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Closest label per entry, lowest index on ties; unchecked, for solver loops."""
+    return labels[np.argmin(np.abs(values[..., None] - labels), axis=-1)]
 
 
 def is_member(values: np.ndarray, alphabet: Alphabet) -> bool:

@@ -9,14 +9,14 @@ gradient descent on the product of unit circles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 # choose_delta and make_digital_alphabet are unused here but stay importable:
 # bench/tracing.py wraps them under this module's name
 from .alphabets import (  # noqa: F401
-    Alphabet, DeltaRule, choose_delta, make_digital_alphabet, nearest_labels,
+    Alphabet, choose_delta, make_digital_alphabet, nearest_labels,
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
@@ -38,18 +38,12 @@ class AltminTrace:
     n_outer: int = 0
 
 
-def _digital_ls(f_rf: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(f_rf, target, rcond=None)[0]
-
-
-def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
-            ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
-    """Alternating least squares with phase projection for the analog step.
-
-    The phase projection breaks monotonicity, so the trace is recorded but
-    not asserted anywhere. The digital precoder is rescaled to the budget
-    at exit.
-    """
+def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
+            analog_step) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
+    """Alternating minimization from the SVD initialization: least-squares
+    digital updates and ``analog_step(target, f_rf, f_bb, trace)`` analog
+    updates until the objective settles. The digital precoder is refit and
+    rescaled to the budget at exit."""
     target = _as_matrix(f_fd)
     if config.m_rf > target.shape[1]:
         raise ValueError("m_rf exceeds K*S")
@@ -58,18 +52,34 @@ def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
     trace = AltminTrace()
     prev = None
     for _ in range(ALTMIN_MAX_OUTER):
-        f_bb = _digital_ls(f_rf, target)
-        x_ls = np.linalg.lstsq(f_bb.T, target.T, rcond=None)[0]
-        f_rf = np.exp(1j * np.angle(x_ls.T))
+        f_bb = np.linalg.lstsq(f_rf, target, rcond=None)[0]
+        f_rf = analog_step(target, f_rf, f_bb, trace)
         obj = mse_to_target(target, f_rf, f_bb)
         trace.objective_per_iter.append(obj)
         if prev is not None and abs(prev - obj) <= config.outer_tol * max(prev, 1e-30):
             break
         prev = obj
     trace.n_outer = len(trace.objective_per_iter)
-    f_bb = _digital_ls(f_rf, target)
+    f_bb = np.linalg.lstsq(f_rf, target, rcond=None)[0]
     f_bb = rescale_to_budget(f_rf, f_bb, p_s, config.n_users)
     return f_rf, f_bb, trace
+
+
+def _phase_projection(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
+                      trace: AltminTrace) -> np.ndarray:
+    """Phases of the least-squares analog matrix for the fixed digital precoder."""
+    x_ls = np.linalg.lstsq(f_bb.T, target.T, rcond=None)[0]
+    return np.exp(1j * np.angle(x_ls.T))
+
+
+def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
+            ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
+    """Alternating least squares with phase projection for the analog step.
+
+    The phase projection breaks monotonicity, so the trace is recorded but
+    not asserted anywhere.
+    """
+    return _altmin(f_fd, config, _phase_projection)
 
 
 def unit_modulus_gradient(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
@@ -124,42 +134,22 @@ def _manifold_descent(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
 def altmin1(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
             ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
     """Alternating minimization with a manifold-optimized analog precoder."""
-    target = _as_matrix(f_fd)
-    if config.m_rf > target.shape[1]:
-        raise ValueError("m_rf exceeds K*S")
-    p_s = per_subcarrier_power_mw(config)
-    f_rf = init_analog_svd(target, config.m_rf)
-    trace = AltminTrace()
-    prev = None
-    for _ in range(ALTMIN_MAX_OUTER):
-        f_bb = _digital_ls(f_rf, target)
-        f_rf = _manifold_descent(target, f_rf, f_bb, trace)
-        obj = mse_to_target(target, f_rf, f_bb)
-        trace.objective_per_iter.append(obj)
-        if prev is not None and abs(prev - obj) <= config.outer_tol * max(prev, 1e-30):
-            break
-        prev = obj
-    trace.n_outer = len(trace.objective_per_iter)
-    f_bb = _digital_ls(f_rf, target)
-    f_bb = rescale_to_budget(f_rf, f_bb, p_s, config.n_users)
-    return f_rf, f_bb, trace
+    return _altmin(f_fd, config, _manifold_descent)
 
 
 def quantize_baseline(f_rf: np.ndarray, f_bb: np.ndarray, analog_alphabet: Alphabet,
-                      levels: int, p_s: float, n_users: int,
-                      delta_rule: Optional[DeltaRule] = None,
-                      max_shrinks: int = 60) -> HybridPrecoder:
+                      levels: int, p_s: float, n_users: int) -> HybridPrecoder:
     """Nearest-point mapping of a continuous hybrid pair onto the label sets.
 
-    The digital step is fit to the continuous entries and halved until every
-    sub-carrier meets the power budget (power evaluated with the quantized
-    analog matrix); ``InfeasiblePowerError`` if it never does.
+    The digital step is fit to the continuous entries by ``choose_delta`` and
+    halved until every sub-carrier meets the power budget (power evaluated
+    with the quantized analog matrix); ``InfeasiblePowerError`` after 60
+    halvings.
     """
     if not (np.all(np.isfinite(f_rf)) and np.all(np.isfinite(f_bb))):
         raise ValueError("precoders must be finite")
     q_rf = nearest_labels(f_rf, analog_alphabet)
-    q_bb, delta = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users, delta_rule,
-                                           max_shrinks)
+    q_bb, delta = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users)
     return HybridPrecoder(
         f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED,
         n_users=n_users, n_subcarriers=f_bb.shape[1] // n_users,

@@ -8,14 +8,13 @@ expectation propagation (near-optimal, polynomial cost).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
 
-from .alphabets import Alphabet
+from .alphabets import Alphabet, _nearest
 
 BRUTE_FORCE_GUARD = 2**24
 
@@ -71,25 +70,8 @@ class SolveResult:
     objective: float
     nodes_visited: int = 0
     iterations: int = 0
-    wall_time_s: float = 0.0
     truncated: int = 0
     diagnostics: Optional[dict] = None
-
-
-@dataclass
-class EPState:
-    """EP factors and moments at each target's last iteration; a batch adds a leading target axis."""
-
-    lambda_diag: np.ndarray
-    gamma: np.ndarray
-    mu: np.ndarray
-    sigma_diag: np.ndarray
-    sigma2_hat: Union[float, np.ndarray]
-    cavity_var: np.ndarray
-    cavity_mean: np.ndarray
-    tilted_mean: np.ndarray
-    tilted_var: np.ndarray
-    iteration: Union[int, np.ndarray]
 
 
 def suggested_ridge(gram: np.ndarray) -> float:
@@ -176,22 +158,20 @@ def residual_norm_sq(c: np.ndarray, g: np.ndarray, z: np.ndarray) -> float:
     return float(np.real(np.vdot(diff, diff)))
 
 
-def brute_force_ml(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
-                   guard: int = BRUTE_FORCE_GUARD) -> SolveResult:
+def brute_force_ml(c: np.ndarray, g: np.ndarray, alphabet: Alphabet) -> SolveResult:
     """Global minimizer of ||c - G z||^2 by full enumeration.
 
     Ties resolve to the lexicographically smallest label-index vector.
-    Refuses when |alphabet|^M exceeds ``guard``.
+    Refuses when |alphabet|^M exceeds ``BRUTE_FORCE_GUARD``.
     """
-    t0 = time.perf_counter()
     c = np.asarray(c)
     g = np.asarray(g)
     labels = alphabet.labels
     m = g.shape[1]
     n_cand = len(labels) ** m
-    if n_cand > guard:
+    if n_cand > BRUTE_FORCE_GUARD:
         raise SearchSpaceError(
-            f"{len(labels)}^{m} = {n_cand} candidates exceeds guard {guard}"
+            f"{len(labels)}^{m} = {n_cand} candidates exceeds guard {BRUTE_FORCE_GUARD}"
         )
     best_obj = np.inf
     best_idx: Optional[np.ndarray] = None
@@ -212,7 +192,6 @@ def brute_force_ml(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         z=z,
         objective=residual_norm_sq(c, g, z),
         nodes_visited=n_cand,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -244,7 +223,6 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     the Babai pass is not counted), and in ``diagnostics`` the largest number
     of children one block expansion kept (``peak_frontier``).
     """
-    t0 = time.perf_counter()
     labels = alphabet.labels
     d = np.asarray(system.d)
     single = d.ndim == 1
@@ -273,7 +251,7 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
         unconstrained[j], info = trtrs(a, targets[:, j], lower=lower, trans=trans)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
-    z_best = labels[np.argmin(np.abs(unconstrained[:, :, None] - labels), axis=2)]
+    z_best = _nearest(unconstrained, labels)
     roots = np.ascontiguousarray(targets.T)
     best = _residuals(roots, r, z_best)
 
@@ -336,7 +314,6 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
         z=z_best[0] if single else z_best,
         objective=float(objective[0]) if single else objective,
         nodes_visited=nodes,
-        wall_time_s=time.perf_counter() - t0,
         diagnostics={"peak_frontier": peak},
     )
 
@@ -410,10 +387,10 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
 
     ``c`` is one target ``(n,)`` or ``P`` targets as columns ``(n, P)`` sharing
     ``G``. Each target leaves the batch when it converges, so it gets the result
-    of a solve of it alone; ``iterations`` is summed over targets and
-    ``truncated`` counts those that reached ``max_iter``.
+    of a solve of it alone. ``iterations`` is summed over targets,
+    ``diagnostics["iterations"]`` holds each target's own, shape ``(P,)`` or
+    ``(1,)``, and ``truncated`` counts the targets that reached ``max_iter``.
     """
-    t0 = time.perf_counter()
     if not 0.0 <= damping <= 1.0:
         raise ValueError(f"damping must be in [0, 1], got {damping}")
     c = np.asarray(c)
@@ -441,19 +418,13 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     sigma2 = np.ones(n_prob)
     z_best = np.full((n_prob, m), labels[0])
     best = np.full(n_prob, np.inf)
-    prev = zeta = nu = rho = omega = None
-    final: dict = {}  # EPState fields, z and objective of every target
+    prev = None
+    # labels, objective and iteration count of every target, filled as it leaves
+    z_out, obj_out, iters_out = np.empty_like(z_best), np.empty(n_prob), np.empty(n_prob, int)
 
     def finish(idx: np.ndarray, iteration: int) -> None:
-        fields = dict(z=z_best, objective=best, lambda_diag=lam, gamma=gam, mu=mu,
-                      sigma_diag=var, sigma2_hat=sigma2, cavity_var=zeta, cavity_mean=nu,
-                      tilted_mean=rho, tilted_var=omega, iteration=np.full(len(active), iteration))
-        if not final:  # allocated once, at the first target to leave
-            final.update((name, np.empty((n_prob,) + value.shape[1:], value.dtype))
-                         for name, value in fields.items())
         ids = active[idx]
-        for name, value in fields.items():
-            final[name][ids] = value[idx]
+        z_out[ids], obj_out[ids], iters_out[ids] = z_best[idx], best[idx], iteration
 
     for iteration in range(1, max_iter + 1):
         cov = _robust_inverse(gram / sigma2[:, None, None] + lam[:, None, :] * eye,
@@ -464,7 +435,7 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         state = np.concatenate((mu.real, mu.imag, var) if complex_mode else (mu, var), axis=1)
         _check_finite(iteration, "posterior moments", active, state)
 
-        z = labels[np.argmin(np.abs(mu[:, :, None] - labels), axis=2)]
+        z = _nearest(mu, labels)
         obj = _residuals(targets, g, z)
         better = obj < best
         np.copyto(best, obj, where=better)
@@ -511,13 +482,10 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     truncated = len(active)
     finish(np.arange(truncated), max_iter)
 
-    final = {name: value[0] if single else value for name, value in final.items()}
-    z, objective = final.pop("z"), final.pop("objective")
     return SolveResult(
-        z=z,
-        objective=float(objective) if single else objective,
-        iterations=int(np.sum(final["iteration"])),
-        wall_time_s=time.perf_counter() - t0,
+        z=z_out[0] if single else z_out,
+        objective=float(obj_out[0]) if single else obj_out,
+        iterations=int(np.sum(iters_out)),
         truncated=truncated,
-        diagnostics={"state": EPState(**final)},
+        diagnostics={"iterations": iters_out},
     )

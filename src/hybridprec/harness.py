@@ -350,8 +350,15 @@ _SPEC_KEYS = {"schema_version", "name", "base", "sweep", "schemes", "n_trials",
               "seed", "outputs"}
 
 
+def _of_type(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else a SpecError naming ``what``."""
+    if not isinstance(value, kind):
+        raise SpecError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def spec_from_dict(payload: dict) -> ExperimentSpec:
-    unknown = set(payload) - _SPEC_KEYS
+    unknown = set(_of_type(payload, dict, "spec")) - _SPEC_KEYS
     if unknown:
         raise SpecError(f"unknown spec keys: {sorted(unknown)}")
     if payload.get("schema_version") != SCHEMA_VERSION:
@@ -360,29 +367,31 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
         )
     if "name" not in payload or "schemes" not in payload:
         raise SpecError("spec requires 'name' and 'schemes'")
-    base_dict = payload.get("base", {})
+    base_dict = _of_type(payload.get("base", {}), dict, "'base'")
     unknown_cfg = set(base_dict) - _CONFIG_FIELDS
     if unknown_cfg:
         raise SpecError(f"unknown config keys: {sorted(unknown_cfg)}")
-    for key in ("distance_range_m", "angle_range_rad"):
-        if key in base_dict:
-            base_dict[key] = tuple(base_dict[key])
     try:
+        for key in ("distance_range_m", "angle_range_rad"):
+            if key in base_dict:
+                base_dict[key] = tuple(base_dict[key])
         base = SystemConfig(**base_dict)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid base config: {exc}") from exc
     sweep = payload.get("sweep")
     sweep_parameter = sweep_values = None
     if sweep is not None:
-        if set(sweep) != {"parameter", "values"}:
+        if set(_of_type(sweep, dict, "'sweep'")) != {"parameter", "values"}:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
         sweep_parameter = sweep["parameter"]
-        sweep_values = list(sweep["values"])
+        sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
+    schemes = _of_type(payload["schemes"], list, "'schemes'")
+    outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
     return ExperimentSpec(
-        name=payload["name"], base=base, schemes=list(payload["schemes"]),
+        name=payload["name"], base=base, schemes=list(schemes),
         n_trials=int(payload.get("n_trials", 20)), seed=int(payload.get("seed", 0)),
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-        outputs=list(payload.get("outputs", ["sum_rate_avg", "mse"])),
+        outputs=list(outputs),
     )
 
 

@@ -17,14 +17,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .alphabets import (
-    Alphabet, DeltaRule, DIGITAL_REAL,
+    Alphabet, DIGITAL_REAL,
     choose_delta, make_analog_alphabet, make_digital_alphabet,
     make_switch_alphabet, nearest_labels,
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
     EPNumericalError, SolveResult, TriangularSystem, cholesky_with_retry, ep_solve,
-    forward_solve, ordered_triangular, realify, sesd_solve,
+    forward_solve, ordered_triangular, realify, residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -89,8 +89,7 @@ def _as_matrix(f_fd: Union[FullyDigitalPrecoder, np.ndarray]) -> np.ndarray:
     return f_fd.f_fd if isinstance(f_fd, FullyDigitalPrecoder) else np.asarray(f_fd)
 
 
-def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int,
-                    fallback_rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int) -> np.ndarray:
     """Phase pattern of the top singular pairs of the fully-digital target.
 
     Entries are continuous unit-modulus values; label quantization happens
@@ -103,7 +102,7 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int,
     try:
         u, sv, _ = np.linalg.svd(target, full_matrices=False)
     except np.linalg.LinAlgError:
-        rng = fallback_rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         return np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_t, m_rf)))
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
@@ -177,17 +176,15 @@ def rescale_to_budget(f_rf: np.ndarray, f_bb: np.ndarray, p_s: float,
 
 
 def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
-                             levels: int, n_users: int,
-                             rule: Optional[DeltaRule] = None,
-                             max_shrinks: int = 60) -> tuple[np.ndarray, float]:
+                             levels: int, n_users: int) -> tuple[np.ndarray, float]:
     """Entrywise nearest-label quantization of a continuous digital precoder.
 
-    The step is fit to the continuous entries, then halved (re-quantizing)
-    until every sub-carrier meets the power budget; after ``max_shrinks``
+    The step is fit to the continuous entries by ``choose_delta``, then halved
+    (re-quantizing) until every sub-carrier meets the power budget; after 60
     halvings ``InfeasiblePowerError``. Returns (f_bb, delta).
     """
-    delta = choose_delta(f_cont, levels, rule)
-    for _ in range(max_shrinks + 1):
+    delta = choose_delta(f_cont, levels)
+    for _ in range(61):
         alphabet = make_digital_alphabet(levels, delta)
         f_bb = nearest_labels(f_cont, alphabet)
         if np.all(_power_per_subcarrier(f_rf, f_bb, n_users) <= p_s * (1 + 1e-9)):
@@ -198,19 +195,18 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
 
 def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.ndarray,
                      p_s: float, solver: str, levels: int, n_users: int,
-                     delta_rule: Optional[DeltaRule] = None,
                      config: Optional[SystemConfig] = None,
-                     bisection_tol: float = 1e-2,
                      ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, SolverStats]:
     """Best quantized digital precoder for a fixed analog matrix.
 
     Per sub-carrier, a non-negative multiplier scales the Gram factor so the
     power constraint holds; for each candidate multiplier the K per-user
     problems are solved independently in stacked real form. The multiplier
-    is bisected from an infeasible lower end to a feasible upper end and the
-    feasible-side solution is returned (immediately, when the unconstrained
-    solution already fits). The step is halved while some sub-carrier cannot
-    meet the budget at any multiplier; ``stats.shrinks`` counts the halvings.
+    is bisected, to ``config.bisection_tol``, from an infeasible lower end to a
+    feasible upper end and the feasible-side solution is returned
+    (immediately, when the unconstrained solution already fits). The step is
+    halved while some sub-carrier cannot meet the budget at any multiplier;
+    ``stats.shrinks`` counts the halvings.
     Returns (f_bb, delta, mu, bisection_iters, stats).
     """
     cfg = config or SystemConfig()
@@ -229,13 +225,13 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         stats.solves += ks
         return f_bb, float("nan"), np.zeros(s_count), np.zeros(s_count, dtype=int), stats
     if solver == "np":
-        f_bb, delta = nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users, delta_rule)
+        f_bb, delta = nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users)
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
     if solver not in ("sesd", "ep"):
         raise ValueError(f"unknown digital solver {solver!r}")
 
-    delta = choose_delta(ls_digital, levels, delta_rule)
+    delta = choose_delta(ls_digital, levels)
     if solver == "sesd":
         # one column order for every multiplier: mu only scales the factor
         proj_r, gram_r = realify(f_rf.conj().T @ target, f_rf.conj().T @ f_rf)
@@ -263,7 +259,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
         try:
             f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
-                                                     bisection_tol)
+                                                     cfg.bisection_tol)
             return f_bb, delta, mu, iters, stats
         except InfeasiblePowerError as exc:
             if stats.shrinks == 8:
@@ -345,11 +341,6 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     return switch, stats
 
 
-def _row_residual(a_col: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
-    diff = a_col - b @ x
-    return float(np.real(np.vdot(diff, diff)))
-
-
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flip single entries until all columns are distinct and nonzero."""
     n_t, m_rf = switch.shape
@@ -362,7 +353,8 @@ def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
             for n in range(n_t):
                 trial = switch[n].copy()
                 trial[m] = 1.0 - trial[m]
-                delta_res = _row_residual(a[:, n], b, trial) - _row_residual(a[:, n], b, switch[n])
+                delta_res = (residual_norm_sq(a[:, n], b, trial)
+                             - residual_norm_sq(a[:, n], b, switch[n]))
                 candidate = switch.copy()
                 candidate[n] = trial
                 if len(_offending_columns(candidate)) < len(bad) and (
@@ -421,7 +413,6 @@ def _initial_switch(n_tx: int, m_rf: int) -> np.ndarray:
 def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
               solver: str, mode: str = FULLY_CONNECTED,
               analog_method: Optional[str] = None, digital_method: Optional[str] = None,
-              delta_rule: Optional[DeltaRule] = None,
               record_iterates: bool = False) -> tuple[HybridPrecoder, AlternateTrace]:
     """Alternating digital/analog optimization of the hybrid precoder.
 
@@ -467,9 +458,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     for it in range(1, config.outer_max_iter + 1):
         t0 = time.perf_counter()
         f_bb, delta, mu, bis_iters, dstats = optimize_digital(
-            target, f_rf, p_s, digital_method, config.quant_levels, k_count,
-            delta_rule=delta_rule, config=config, bisection_tol=config.bisection_tol,
-        )
+            target, f_rf, p_s, digital_method, config.quant_levels, k_count, config=config)
         t1 = time.perf_counter()
         if dynamic:
             switch, astats = optimize_switch(target, phase_diag, f_bb)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec.alphabets import (
-    Alphabet, DegenerateInputError, DeltaRule, choose_delta,
+    Alphabet, DegenerateInputError, choose_delta,
     gaussian_step_coefficient, is_member, make_analog_alphabet,
     make_digital_alphabet, nearest_label, nearest_labels,
 )
@@ -108,10 +108,6 @@ class TestChooseDelta:
         delta = choose_delta(entries, 2)
         assert abs(delta - gaussian_step_coefficient(2)) < 1e-12
 
-    def test_fixed_rule_passthrough(self):
-        rule = DeltaRule(method="fixed", fixed_value=0.7)
-        assert choose_delta(np.array([1.0 + 1j]), 4, rule) == 0.7
-
     def test_scaling_homogeneity(self):
         """choose_delta(k * entries) = k * choose_delta(entries) for k > 0."""
         rng = np.random.default_rng(RNG_SEED)
@@ -123,12 +119,6 @@ class TestChooseDelta:
     def test_all_zero_entries(self):
         with pytest.raises(DegenerateInputError):
             choose_delta(np.zeros(8, dtype=complex), 2)
-
-    def test_coefficient_override(self):
-        rule = DeltaRule(gaussian_coefficients={2: 2.0})
-        entries = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
-        sigma = np.std(np.concatenate([entries.real, entries.imag]))
-        assert choose_delta(entries, 2, rule) == pytest.approx(2.0 * sigma)
 
     def test_coefficients_decrease_with_levels(self):
         cs = [gaussian_step_coefficient(L) for L in (2, 4, 8, 16, 32)]

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from hybridprec.alphabets import is_member, make_analog_alphabet, make_digital_alphabet
+from hybridprec.alphabets import (
+    choose_delta, is_member, make_analog_alphabet, make_digital_alphabet, nearest_labels,
+)
 from hybridprec.baselines import (
     altmin1, altmin2, quantize_baseline, retract, tangent_project,
     unit_modulus_gradient,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.hybrid import _power_per_subcarrier
+from hybridprec.hybrid import InfeasiblePowerError, _power_per_subcarrier, nearest_quantize_digital
 from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
 
 RNG_SEED = 91
@@ -113,6 +115,24 @@ class TestQuantizeBaseline:
         np.testing.assert_array_equal(quantized.f_rf, f_rf)
         assert quantized.delta > 0
         assert fixed_delta_sigma > 0
+
+    def test_step_halves_at_most_sixty_times(self):
+        """A budget first met at the 60th halving of the step is met; half of
+        it, which only a 61st halving could meet, raises, and so does a budget
+        that no halving reaches."""
+        rng = np.random.default_rng(RNG_SEED)
+        analog = make_analog_alphabet(1)
+        f_rf = rng.choice(analog.labels, size=(6, 2))
+        f_bb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        fitted = choose_delta(f_bb, 2)
+        last = nearest_labels(f_bb, make_digital_alphabet(2, fitted / 2.0 ** 60))
+        p_last = _power_per_subcarrier(f_rf, last, 2).max()
+        _, delta = nearest_quantize_digital(f_bb, f_rf, p_last, 2, 2)
+        assert delta == fitted / 2.0 ** 60
+        with pytest.raises(InfeasiblePowerError):
+            nearest_quantize_digital(f_bb, f_rf, p_last / 2, 2, 2)
+        with pytest.raises(InfeasiblePowerError):
+            quantize_baseline(f_rf, f_bb, analog, 2, p_s=1e-300, n_users=2)
 
     def test_membership_and_power(self, small_config):
         ch = draw_channel(small_config)

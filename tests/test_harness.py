@@ -291,6 +291,28 @@ class TestOracleCheckAndCli:
                                     "schemes": ["fully-digital"], "oops": True}))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
 
+    @pytest.mark.parametrize("payload", [
+        [],
+        [{"a": 1}],
+        {"base": 5},
+        {"base": {"distance_range_m": 5}},
+        {"sweep": 5},
+        {"sweep": {"parameter": "m_rf", "values": 5}},
+        {"schemes": "fully-digital"},
+        {"outputs": "mse"},
+    ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
+            "outputs"])
+    def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
+        """A spec, or a field of it, of the wrong JSON type is a spec error
+        (exit 2), not a traceback or a silently split string."""
+        if isinstance(payload, dict):
+            payload = {"schema_version": 1, "name": "x", "schemes": ["fully-digital"],
+                       **payload}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
+        assert "spec error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("failure", [
         SingularGramError(1e-9),
         EPNumericalError(3, "posterior moments"),

@@ -77,7 +77,7 @@ class TestSvdInit:
             svd_prec, _ = alternate(target, cfg.with_updates(seed=seed), "sesd")
             import hybridprec.hybrid as hybrid_mod
             original = hybrid_mod.init_analog_svd
-            hybrid_mod.init_analog_svd = lambda t, m, fallback_rng=None: random_phase_init(
+            hybrid_mod.init_analog_svd = lambda t, m: random_phase_init(
                 t.shape[0] if not hasattr(t, "f_fd") else t.f_fd.shape[0], m, rng)
             try:
                 rand_prec, _ = alternate(target, cfg.with_updates(seed=seed), "sesd")
@@ -216,8 +216,7 @@ class TestOptimizeDigital:
         target = random_target(rng, 8, 4, scale=3.0)
         p_s = 5.0
         f_bb, delta, mu, _, _ = optimize_digital(
-            target, f_rf, p_s=p_s, solver="sesd", levels=2, n_users=2,
-            bisection_tol=1e-2)
+            target, f_rf, p_s=p_s, solver="sesd", levels=2, n_users=2)
         eff = f_rf @ f_bb
         for s in range(2):
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
@@ -237,7 +236,7 @@ class TestOptimizeDigital:
         f_rf, target = self._binding_setup()
         p_s = 1e-3
         f_bb, delta, mu, iters, stats = optimize_digital(
-            target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, bisection_tol=1e-2)
+            target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2)
         fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
         assert delta < fitted
         assert stats.shrinks > 0 and delta == fitted / 2 ** stats.shrinks
@@ -263,7 +262,7 @@ class TestOptimizeDigital:
         assert 2 * np.linalg.norm(f_rf @ b) ** 2 > p_s * (1 + 1e-2)  # EP's smallest power
         for solver in ("ep", "sesd"):
             f_bb, delta, _, _, stats = optimize_digital(
-                target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, bisection_tol=1e-2)
+                target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2)
             assert delta == fitted and stats.shrinks == 0
             eff = f_rf @ f_bb
             for s in range(2):
@@ -274,8 +273,7 @@ class TestOptimizeDigital:
     def test_unreachable_budget_raises(self, solver):
         f_rf, target = self._binding_setup()
         with pytest.raises(InfeasiblePowerError):
-            optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2,
-                             bisection_tol=1e-2)
+            optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2)
 
 
 class TestAlternate:
@@ -394,7 +392,7 @@ class TestFixedPointStop:
                 assert all(last[k].tobytes() == before[k].tobytes() for k in state)
                 f_bb, delta, *_ = optimize_digital(
                     target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users,
-                    config=cfg, bisection_tol=cfg.bisection_tol)
+                    config=cfg)
                 switch = phase_diag = None
                 if mode == DYNAMIC_CONNECTED:
                     switch, _ = optimize_switch(target, last["phase_diag"], f_bb)

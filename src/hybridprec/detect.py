@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .alphabets import Alphabet, _nearest
 
@@ -25,16 +25,6 @@ SIGMA2_FLOOR = 1e-12     # error-variance estimate kept away from zero
 # Sphere-decoder nodes expanded together. A search holds at most SD_BLOCK
 # children per expansion and (labels - 1) pending blocks per level.
 SD_BLOCK = 1024
-
-
-class SingularGramError(np.linalg.LinAlgError):
-    """Gram matrix not factorizable; carries a suggested diagonal loading."""
-
-    def __init__(self, suggested_ridge: float):
-        self.suggested_ridge = suggested_ridge
-        super().__init__(
-            f"Gram matrix numerically singular; retry with ridge={suggested_ridge:g}"
-        )
 
 
 class SearchSpaceError(ValueError):
@@ -57,7 +47,7 @@ class TriangularSystem:
 
     r: np.ndarray
     d: np.ndarray
-    constant_offset: float
+    constant_offset: float  # or one value per target
     ridge: float = 0.0
     order: Optional[np.ndarray] = None
 
@@ -116,26 +106,21 @@ def ordered_triangular(gram: np.ndarray, proj: np.ndarray) -> TriangularSystem:
     return TriangularSystem(r=r, d=d, constant_offset=0.0, ridge=ridge, order=order)
 
 
-def prepare_triangular(g: np.ndarray, c: np.ndarray, ridge: float = 0.0) -> TriangularSystem:
-    """Cholesky reduction of ||c - G z||^2 to an upper-triangular system.
+def prepare_triangular(g: np.ndarray, c: np.ndarray) -> TriangularSystem:
+    """Cholesky reduction of ||c - G z||^2 to ||d - R z||^2 + constant_offset.
 
-    With ridge = 0 the two objectives agree up to ``constant_offset``;
-    a positive ridge regularizes the Gram matrix (adds ridge*||z||^2).
-    Raises SingularGramError with a suggested ridge when factorization fails.
+    ``c`` is one target ``(n,)`` or ``P`` targets as columns ``(n, P)``, all
+    sharing the factor of G; ``constant_offset`` is ``||c||^2 - ||d||^2`` per
+    target. A Gram matrix that does not factor is loaded with
+    ``suggested_ridge`` (``ridge > 0``), which adds ridge*||z||^2.
     """
     g = np.asarray(g)
     c = np.asarray(c)
-    gram = g.conj().T @ g
-    if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0], dtype=gram.dtype)
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise SingularGramError(suggested_ridge(gram)) from None
-    r = lower.conj().T
-    d = solve_triangular(lower, g.conj().T @ c, lower=True)
-    offset = float(np.real(np.vdot(c, c) - np.vdot(d, d)))
-    return TriangularSystem(r=r, d=d, constant_offset=offset, ridge=ridge)
+    g_h = g.conj().T
+    r, ridge = cholesky_with_retry(g_h @ g)
+    d = forward_solve(r, g_h @ c)
+    offsets = np.sum(np.abs(c) ** 2, axis=0) - np.sum(np.abs(d) ** 2, axis=0)
+    return TriangularSystem(r=r, d=d, constant_offset=offsets, ridge=ridge)
 
 
 def realify(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -187,31 +188,24 @@ def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
     )
     altmin: dict = {}  # one continuous AltMin pair per variant for the whole cell
     for scheme in spec.schemes:
+        row = functools.partial(ResultRow, spec.name, scheme, sweep_repr, trial, spec.seed)
         t0 = time.perf_counter()
         try:
             metrics = run_scheme(scheme, channel, target, config, altmin)
         except Exception:
-            rows.append(ResultRow(spec.name, scheme, sweep_repr, trial, spec.seed,
-                                  "error", float("nan"), 0.0))
+            rows.append(row("error", float("nan"), 0.0))
             continue
         # every scheme built on an AltMin pair is charged its time, in any order
         elapsed = time.perf_counter() - t0 + metrics.get("altmin_s", 0.0)
         elapsed_ms = elapsed * 1e3 if record_timing else 0.0
         for metric in spec.outputs:
             if metric == "runtime":
-                rows.append(ResultRow(spec.name, scheme, sweep_repr, trial,
-                                      spec.seed, "runtime_ms",
-                                      elapsed_ms if record_timing else 0.0,
-                                      elapsed_ms))
+                rows.append(row("runtime_ms", elapsed_ms, elapsed_ms))
             elif metric == "trace":
-                for i, value in enumerate(metrics.get("trace", [])):
-                    rows.append(ResultRow(spec.name, scheme, sweep_repr, trial,
-                                          spec.seed, f"trace_mse_iter{i:03d}",
-                                          value, elapsed_ms))
+                rows.extend(row(f"trace_mse_iter{i:03d}", value, elapsed_ms)
+                            for i, value in enumerate(metrics.get("trace", [])))
             else:
-                rows.append(ResultRow(spec.name, scheme, sweep_repr, trial,
-                                      spec.seed, metric, metrics[metric],
-                                      elapsed_ms))
+                rows.append(row(metric, metrics[metric], elapsed_ms))
     return rows
 
 
@@ -387,9 +381,13 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
         sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
     schemes = _of_type(payload["schemes"], list, "'schemes'")
     outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
+    try:
+        n_trials, seed = int(payload.get("n_trials", 20)), int(payload.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"n_trials and seed must be integers: {exc}") from exc
     return ExperimentSpec(
         name=payload["name"], base=base, schemes=list(schemes),
-        n_trials=int(payload.get("n_trials", 20)), seed=int(payload.get("seed", 0)),
+        n_trials=n_trials, seed=seed,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
         outputs=list(outputs),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -23,8 +23,8 @@ from .alphabets import (
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
-    EPNumericalError, SolveResult, TriangularSystem, cholesky_with_retry, ep_solve,
-    forward_solve, ordered_triangular, realify, residual_norm_sq, sesd_solve,
+    EPNumericalError, SolveResult, _sq_norms, ep_solve, ordered_triangular,
+    prepare_triangular, realify, residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -69,19 +69,19 @@ class SolverStats:
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
 
+    def add(self, other: "SolverStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 @dataclass
 class AlternateTrace:
     objective_per_outer_iter: list = field(default_factory=list)
-    delta_per_outer_iter: list = field(default_factory=list)
-    mu_per_subcarrier: Optional[np.ndarray] = None
-    inner_bisection_iters: Optional[list] = None
     solver_stats: SolverStats = field(default_factory=SolverStats)
     wall_times: dict = field(default_factory=dict)
     truncated: bool = False
     stop: str = "max-iter"  # or "tolerance", or "fixed-point": an iterate repeated its input
     n_outer: int = 0
-    best_iteration: int = 0
     iterates: Optional[list] = None
 
 
@@ -131,7 +131,7 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
     cfg = config or SystemConfig()
     try:
         if solver == "sesd":
-            res = sesd_solve(_antenna_system(b, a), alphabet, warm_starts=warm)
+            res = sesd_solve(prepare_triangular(b, a), alphabet, warm_starts=warm)
         else:
             res = ep_solve(a, b, alphabet, damping=cfg.ep_damping,
                            max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
@@ -142,37 +142,16 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
     return res.z, stats
 
 
-def _antenna_system(b: np.ndarray, a: np.ndarray) -> TriangularSystem:
-    """All per-antenna problems min ||a_n - B x||^2 over one shared factor of B."""
-    r, ridge = cholesky_with_retry(b.conj().T @ b)
-    targets = forward_solve(r, b.conj().T @ a)  # d_n columns
-    offsets = np.sum(np.abs(a) ** 2, axis=0) - np.sum(np.abs(targets) ** 2, axis=0)
-    return TriangularSystem(r=r, d=targets, constant_offset=offsets, ridge=ridge)
-
-
 def _power_per_subcarrier(f_rf: np.ndarray, f_bb: np.ndarray, n_users: int) -> np.ndarray:
-    """Transmit power on each sub-carrier for the assembled hybrid pair."""
-    eff = f_rf @ f_bb
-    s_count = f_bb.shape[1] // n_users
-    powers = np.zeros(s_count)
-    for k in range(n_users):
-        block = eff[:, k * s_count:(k + 1) * s_count]
-        powers += np.sum(np.abs(block) ** 2, axis=0)
-    return powers
+    """Transmit power on each sub-carrier; column k*S + s is user k on sub-carrier s."""
+    return np.sum(np.abs(f_rf @ f_bb) ** 2, axis=0).reshape(n_users, -1).sum(axis=0)
 
 
 def rescale_to_budget(f_rf: np.ndarray, f_bb: np.ndarray, p_s: float,
                       n_users: int) -> np.ndarray:
     """Scale each sub-carrier's digital block down to the power budget."""
-    f_bb = f_bb.copy()
-    s_count = f_bb.shape[1] // n_users
-    powers = _power_per_subcarrier(f_rf, f_bb, n_users)
-    for s in range(s_count):
-        if powers[s] > p_s:
-            scale = math.sqrt(p_s / powers[s])
-            for k in range(n_users):
-                f_bb[:, k * s_count + s] *= scale
-    return f_bb
+    powers = np.tile(_power_per_subcarrier(f_rf, f_bb, n_users), n_users)
+    return np.where(powers > p_s, f_bb * np.sqrt(p_s / np.maximum(powers, p_s)), f_bb)
 
 
 def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
@@ -268,11 +247,9 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         delta /= 2.0
 
 
-def _power(f_rf: np.ndarray, sols: np.ndarray) -> float:
-    """Summed transmit power of stacked real digital columns (one per row)."""
-    m_rf = f_rf.shape[1]
-    return float(sum(np.real(np.vdot(f_rf @ b, f_rf @ b))
-                     for b in sols[:, :m_rf] + 1j * sols[:, m_rf:]))
+def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
+    """Complex digital columns of stacked real solutions (one per row)."""
+    return np.ascontiguousarray(sols[:, :m_rf].T + 1j * sols[:, m_rf:].T)
 
 
 def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
@@ -280,7 +257,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
     m_rf = f_rf.shape[1]
     ks = s_count * n_users
     at_zero = solve(np.arange(ks), 0.0)
-    f_bb = np.ascontiguousarray(at_zero[:, :m_rf].T + 1j * at_zero[:, m_rf:].T)
+    f_bb = _columns(at_zero, m_rf)
     mu_out = np.zeros(s_count)
     iters_out = np.ones(s_count, dtype=int)
 
@@ -292,7 +269,8 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
         warm = solve(cols, hi, at_zero[cols])
         n_evals = 2
         doublings = 0
-        while _power(f_rf, warm) > p_s * (1 + bisection_tol):
+        while (_power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]
+               > p_s * (1 + bisection_tol)):
             lo, hi = hi, hi * 2.0
             doublings += 1
             if doublings > 60:
@@ -306,7 +284,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
             mid = 0.5 * (lo + hi)
             warm = solve(cols, mid, warm)
             n_evals += 1
-            power_mid = _power(f_rf, warm)
+            power_mid = _power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]
             if abs(power_mid - p_s) <= bisection_tol * p_s:
                 mu_s, sols = mid, warm
                 break
@@ -314,7 +292,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                 lo = mid
             else:
                 hi, mu_s, sols = mid, mid, warm
-        f_bb[:, cols] = sols[:, :m_rf].T + 1j * sols[:, m_rf:].T
+        f_bb[:, cols] = _columns(sols, m_rf)
         mu_out[s] = mu_s
         iters_out[s] = n_evals
     return f_bb, mu_out, iters_out
@@ -335,7 +313,7 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     rotated = (np.conj(phase_diag)[:, None] * target)  # diag(phase)^H F_FD
     b = f_bb.T
     stats = SolverStats()
-    res = sesd_solve(_antenna_system(b, rotated.T), make_switch_alphabet())
+    res = sesd_solve(prepare_triangular(b, rotated.T), make_switch_alphabet())
     stats.absorb(res)
     switch = _repair_switch(res.z.real.copy(), rotated.T, b)
     return switch, stats
@@ -371,36 +349,23 @@ def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def _offending_columns(switch: np.ndarray) -> set:
-    bad = set()
-    m_rf = switch.shape[1]
-    for m in range(m_rf):
-        if not switch[:, m].any():
-            bad.add(m)
-    seen = {}
-    for m in range(m_rf):
-        key = switch[:, m].tobytes()
-        if key in seen:
-            bad.add(m)
-        else:
-            seen[key] = m
-    return bad
+    """RF chains whose switch column is zero or repeats an earlier column."""
+    _, first = np.unique(switch.T, axis=0, return_index=True)
+    repeated = np.ones(switch.shape[1], dtype=bool)
+    repeated[first] = False
+    return set(np.flatnonzero(repeated | ~switch.any(axis=0)).tolist())
 
 
 def optimize_phase_diag(f_fd: Union[FullyDigitalPrecoder, np.ndarray], switch: np.ndarray,
                         f_bb: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     """Per-antenna phase labels by exhaustive scan over the analog alphabet."""
     target = _as_matrix(f_fd)
-    n_t = target.shape[0]
-    bt = f_bb.T @ switch.T  # (K*S, N_T)
+    rows = np.ascontiguousarray((f_bb.T @ switch.T).T)  # row n multiplies phase n
+    cross = (rows.conj()[:, None, :] @ target[:, :, None])[:, 0, 0]  # rounded as np.vdot
     labels = alphabet.labels
-    phases = np.empty(n_t, dtype=complex)
-    for n in range(n_t):
-        v = bt[:, n]
-        cross = np.vdot(v, target[n, :])  # v^H a_n
-        costs = -2.0 * np.real(np.conj(labels) * cross) + np.abs(labels) ** 2 * float(
-            np.real(np.vdot(v, v)))
-        phases[n] = labels[int(np.argmin(costs))]
-    return phases
+    costs = (-2.0 * np.real(np.conj(labels) * cross[:, None])
+             + np.abs(labels) ** 2 * _sq_norms(rows)[:, None])  # (N_T, L)
+    return labels[np.argmin(costs, axis=1)]
 
 
 def _initial_switch(n_tx: int, m_rf: int) -> np.ndarray:
@@ -453,11 +418,11 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         switch = None
         f_rf = init_analog_svd(target, config.m_rf)
 
-    best = None
+    best = best_obj = None
     prev_obj = prev_state = None
     for it in range(1, config.outer_max_iter + 1):
         t0 = time.perf_counter()
-        f_bb, delta, mu, bis_iters, dstats = optimize_digital(
+        f_bb, delta, _, _, dstats = optimize_digital(
             target, f_rf, p_s, digital_method, config.quant_levels, k_count, config=config)
         t1 = time.perf_counter()
         if dynamic:
@@ -471,28 +436,17 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
 
         obj = mse_to_target(target, f_rf, f_bb)
         trace.objective_per_outer_iter.append(obj)
-        trace.delta_per_outer_iter.append(delta)
-        trace.solver_stats.solves += dstats.solves + astats.solves
-        trace.solver_stats.nodes += dstats.nodes + astats.nodes
-        trace.solver_stats.iterations += dstats.iterations + astats.iterations
-        trace.solver_stats.shrinks += dstats.shrinks
+        trace.solver_stats.add(dstats)
+        trace.solver_stats.add(astats)
         trace.wall_times["digital_s"] = trace.wall_times.get("digital_s", 0.0) + (t1 - t0)
         trace.wall_times["analog_s"] = trace.wall_times.get("analog_s", 0.0) + (t2 - t1)
+        # every step returns new arrays, so the record holds them without copies
+        snapshot = {"f_rf": f_rf, "f_bb": f_bb, "delta": delta, "switch": switch,
+                    "phase_diag": phase_diag}
         if record_iterates:
-            trace.iterates.append({
-                "f_rf": f_rf.copy(), "f_bb": f_bb.copy(), "delta": delta,
-                "switch": None if switch is None else switch.copy(),
-                "phase_diag": None if phase_diag is None else phase_diag.copy(),
-            })
-
-        if best is None or obj < best["objective"]:
-            best = {
-                "objective": obj, "f_rf": f_rf.copy(), "f_bb": f_bb.copy(),
-                "delta": delta, "mu": mu.copy(), "bis_iters": bis_iters.copy(),
-                "iteration": it,
-                "switch": None if switch is None else switch.copy(),
-                "phase_diag": None if phase_diag is None else phase_diag.copy(),
-            }
+            trace.iterates.append(snapshot)
+        if best is None or obj < best_obj:
+            best, best_obj = snapshot, obj
         # what the next iteration reads; the SD warm start is f_rf itself
         state = (switch.tobytes() + phase_diag.tobytes()) if dynamic else f_rf.tobytes()
         if prev_obj is not None and abs(prev_obj - obj) <= config.outer_tol * max(prev_obj, 1e-30):
@@ -506,12 +460,5 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         trace.truncated = True
 
     trace.n_outer = len(trace.objective_per_outer_iter)
-    trace.best_iteration = best["iteration"]
-    trace.mu_per_subcarrier = best["mu"]
-    trace.inner_bisection_iters = list(best["bis_iters"])
-    precoder = HybridPrecoder(
-        f_rf=best["f_rf"], f_bb=best["f_bb"], delta=best["delta"], mode=mode,
-        switch=best["switch"], phase_diag=best["phase_diag"],
-        n_users=k_count, n_subcarriers=s_count,
-    )
+    precoder = HybridPrecoder(**best, mode=mode, n_users=k_count, n_subcarriers=s_count)
     return precoder, trace

@@ -11,7 +11,7 @@ from hybridprec.alphabets import (
     make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
 )
 from hybridprec.detect import (
-    EPNumericalError, SearchSpaceError, SingularGramError, TriangularSystem,
+    EPNumericalError, SearchSpaceError, TriangularSystem,
     brute_force_ml, ep_solve, prepare_triangular, realify, residual_norm_sq,
     sesd_solve,
 )
@@ -57,15 +57,35 @@ class TestPrepareTriangular:
             assert direct == pytest.approx(reduced, abs=1e-9)
 
     def test_rank_deficient_with_ridge(self):
+        """A singular Gram matrix is factored ridge-loaded: ||c - G z||^2 +
+        ridge ||z||^2 equals ||d - R z||^2 + offset."""
         g = np.ones((4, 3), dtype=complex)  # rank one
-        system = prepare_triangular(g, np.ones(4, dtype=complex), ridge=1e-8)
+        c = np.arange(1, 5).astype(complex)
+        system = prepare_triangular(g, c)
+        assert system.ridge > 0
         assert np.all(np.real(np.diag(system.r)) > 0)
+        z = np.array([1.0, -1.0, 1j])
+        direct = residual_norm_sq(c, g, z) + system.ridge * np.linalg.norm(z) ** 2
+        reduced = residual_norm_sq(system.d, system.r, z) + system.constant_offset
+        assert direct == pytest.approx(reduced, abs=1e-9)
 
-    def test_singular_without_ridge_signals_retry(self):
-        g = np.ones((4, 3), dtype=complex)
-        with pytest.raises(SingularGramError) as err:
-            prepare_triangular(g, np.ones(4, dtype=complex))
-        assert err.value.suggested_ridge > 0
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_many_targets_equal_per_column_builds(self, rank_deficient):
+        """Targets as columns share the factor each column alone would get. A
+        zero column makes G rank deficient without amplifying rounding in d."""
+        rng = np.random.default_rng(RNG_SEED)
+        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        if rank_deficient:
+            g[:, 1] = 0.0
+        c = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        system = prepare_triangular(g, c)
+        assert (system.ridge > 0) == rank_deficient
+        for j, col in enumerate(c.T):
+            single = prepare_triangular(g, col)
+            assert system.r.tobytes() == single.r.tobytes()
+            assert np.float64(system.ridge).tobytes() == np.float64(single.ridge).tobytes()
+            np.testing.assert_allclose(system.d[:, j], single.d, rtol=0, atol=1e-12)
+            assert system.constant_offset[j] == pytest.approx(single.constant_offset, abs=1e-12)
 
     def test_positive_real_diagonal(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -232,20 +252,7 @@ def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_tar
         g[:, -1] = g[:, 0]
     if zero_targets:
         c[:] = 0.0
-    ridge = 0.0
-    try:
-        prepare_triangular(g, c[:, 0])
-    except SingularGramError as exc:
-        ridge = exc.suggested_ridge
-    return c, g, make(), ridge
-
-
-def batch_system(g, c, ridge):
-    """The columns of c as targets of one shared triangular factor."""
-    parts = [prepare_triangular(g, col, ridge) for col in c.T]
-    return TriangularSystem(
-        r=parts[0].r, d=np.stack([p.d for p in parts], axis=1),
-        constant_offset=np.array([p.constant_offset for p in parts]), ridge=ridge)
+    return c, g, make(), prepare_triangular(g, c[:, 0]).ridge
 
 
 def depth_first_sd(system, alphabet, warm=None):
@@ -291,7 +298,7 @@ class TestBatchedSphereDecoder:
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
         c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        res = sesd_solve(batch_system(g, c, ridge), alphabet)
+        res = sesd_solve(prepare_triangular(g, c), alphabet)
         assert res.z.shape == (n_targets, m)
         assert res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
         # a ridge adds ridge*||z||^2: enumerate over G stacked on sqrt(ridge) I
@@ -312,7 +319,7 @@ class TestBatchedSphereDecoder:
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
         c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        system = batch_system(g, c, ridge)
+        system = prepare_triangular(g, c)
         warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "SD_BLOCK", block)
@@ -333,8 +340,8 @@ class TestBatchedSphereDecoder:
         then the first minimum-cost leaf in Schnorr-Euchner order wins."""
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
-        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        system = batch_system(g, c, ridge)
+        c, g, alphabet, _ = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = prepare_triangular(g, c)
         warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
         res = sesd_solve(system, alphabet, warm_starts=warm_starts)
         for j in range(n_targets):
@@ -349,8 +356,8 @@ class TestBatchedSphereDecoder:
         and the labels equal one-at-a-time solves."""
         rng = np.random.default_rng(RNG_SEED)
         n_targets = detect.SD_BLOCK + 300
-        c, g, alphabet, ridge = batch_instance(rng, "phase-2bit", 4, 1, n_targets, False, False)
-        system = batch_system(g, c, ridge)
+        c, g, alphabet, _ = batch_instance(rng, "phase-2bit", 4, 1, n_targets, False, False)
+        system = prepare_triangular(g, c)
         res = sesd_solve(system, alphabet)
         assert detect.SD_BLOCK < res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
         for j in range(0, n_targets, 7):
@@ -363,7 +370,7 @@ class TestBatchedSphereDecoder:
         """With an identity factor and zero targets every label vector ties;
         the rounded incumbent (first label everywhere) keeps its place."""
         alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
-        system = batch_system(np.eye(4), np.zeros((4, 3)), 0.0)
+        system = prepare_triangular(np.eye(4), np.zeros((4, 3)))
         res = sesd_solve(system, alphabet)
         np.testing.assert_array_equal(res.z, np.full((3, 4), alphabet.labels[0]))
 

@@ -10,7 +10,7 @@ import scipy
 import hybridprec.harness as harness
 from hybridprec import hybrid
 from hybridprec.channel import SystemConfig
-from hybridprec.detect import EPNumericalError, SingularGramError
+from hybridprec.detect import EPNumericalError
 from hybridprec.harness import (
     EXIT_NUMERICAL, EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
     SpecError, config_fingerprint, emit_csv, load_spec, main, oracle_check,
@@ -300,8 +300,11 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "m_rf", "values": 5}},
         {"schemes": "fully-digital"},
         {"outputs": "mse"},
+        {"n_trials": [1]},
+        {"seed": {}},
+        {"n_trials": None},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
-            "outputs"])
+            "outputs", "n_trials-array", "seed-object", "n_trials-null"])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
         """A spec, or a field of it, of the wrong JSON type is a spec error
         (exit 2), not a traceback or a silently split string."""
@@ -314,7 +317,7 @@ class TestOracleCheckAndCli:
         assert "spec error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("failure", [
-        SingularGramError(1e-9),
+        np.linalg.LinAlgError("singular matrix"),
         EPNumericalError(3, "posterior moments"),
         hybrid.InfeasiblePowerError("no step meets the budget"),
         hybrid.AnalogSolveError("analog subproblem failed"),

@@ -17,8 +17,9 @@ from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_s
 from hybridprec.detect import brute_force_ml, ep_solve, realify, residual_norm_sq
 from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
 from hybridprec.hybrid import (
-    DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, alternate, init_analog_svd, optimize_analog,
-    optimize_digital, optimize_phase_diag, optimize_switch,
+    DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
+    _power_per_subcarrier, alternate, init_analog_svd, optimize_analog, optimize_digital,
+    optimize_phase_diag, optimize_switch, rescale_to_budget,
 )
 from hybridprec.wmmse import mse_to_target, wmmse_fully_digital
 
@@ -276,6 +277,41 @@ class TestOptimizeDigital:
             optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2)
 
 
+class TestSubcarrierPower:
+    """Column k * S + s of the digital precoder is user k on sub-carrier s."""
+
+    @staticmethod
+    def loop_powers(f_rf, f_bb, n_users):
+        s_count = f_bb.shape[1] // n_users
+        eff = f_rf @ f_bb
+        return np.array([sum(np.linalg.norm(eff[:, k * s_count + s]) ** 2
+                             for k in range(n_users)) for s in range(s_count)])
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    def test_power_and_rescale_match_a_column_loop(self, n_users):
+        rng = np.random.default_rng(RNG_SEED + n_users)
+        s_count, m_rf = 4, 3
+        f_rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (6, m_rf)))
+        f_bb = (rng.standard_normal((m_rf, n_users * s_count))
+                + 1j * rng.standard_normal((m_rf, n_users * s_count)))
+        f_bb[:, 0::s_count] *= 100.0  # sub-carrier 0 over the budget below
+        f_bb[:, 1::s_count] = 0.0  # sub-carrier 1 at zero power
+        f_bb[:, 3::s_count] *= 0.01  # sub-carrier 3 under it
+        powers = _power_per_subcarrier(f_rf, f_bb, n_users)
+        np.testing.assert_allclose(powers, self.loop_powers(f_rf, f_bb, n_users), rtol=1e-12)
+        p_s = powers[2]  # sub-carrier 2 exactly at budget
+        scaled = rescale_to_budget(f_rf, f_bb, p_s, n_users)
+        for s in range(s_count):
+            cols = np.arange(s, n_users * s_count, s_count)
+            if powers[s] <= p_s:
+                assert scaled[:, cols].tobytes() == f_bb[:, cols].tobytes()
+            else:
+                np.testing.assert_allclose(scaled[:, cols],
+                                           np.sqrt(p_s / powers[s]) * f_bb[:, cols], rtol=1e-12)
+        assert np.all(self.loop_powers(f_rf, scaled, n_users) <= p_s * (1 + 1e-12))
+        assert powers[0] > p_s > powers[3]
+
+
 class TestAlternate:
     def test_rejects_degenerate_dimensions(self):
         cfg = SystemConfig(n_tx=8, m_rf=4, n_users=1, n_subcarriers=2)
@@ -456,6 +492,20 @@ class TestSwitchNetwork:
         assert all(switch[:, m].any() for m in range(2))
         assert not np.array_equal(switch[:, 0], switch[:, 1])
 
+    @pytest.mark.parametrize("columns, bad", [
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1]], set()),
+        ([[1, 0, 0], [0, 0, 0], [0, 1, 1]], {1}),
+        ([[1, 0, 1], [0, 1, 0], [1, 0, 1]], {2}),
+        ([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0]], {2, 3}),
+        ([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 0]], {0, 3}),
+        ([[0, 0, 0], [0, 0, 0]], {0, 1}),
+    ], ids=["valid", "zero", "repeat", "repeats-of-first", "zero-and-repeat", "all-zero"])
+    def test_offending_columns(self, columns, bad):
+        """Zero columns and every repeat after a column's first copy offend;
+        the first copy does not."""
+        switch = np.array(columns, dtype=float).T  # each listed row is one RF chain
+        assert _offending_columns(switch) == bad
+
     def test_rejects_non_unit_phases(self):
         with pytest.raises(ValueError):
             optimize_switch(np.ones((3, 2), dtype=complex), np.full(3, 2.0 + 0j),
@@ -463,9 +513,11 @@ class TestSwitchNetwork:
 
 
 class TestPhaseDiag:
-    def test_matches_scalar_brute_force(self):
-        rng = np.random.default_rng(RNG_SEED)
-        alphabet = make_analog_alphabet(2)
+    @pytest.mark.parametrize("seed", [RNG_SEED, RNG_SEED + 1, RNG_SEED + 2])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_matches_scalar_brute_force(self, bits, seed):
+        rng = np.random.default_rng(seed)
+        alphabet = make_analog_alphabet(bits)
         target = random_target(rng, 5, 3)
         switch = np.zeros((5, 2))
         switch[np.arange(5), np.arange(5) % 2] = 1.0

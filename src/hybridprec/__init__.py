@@ -15,8 +15,8 @@ from .channel import (
     fronthaul_accounting, noise_power_dbm, path_loss_db,
 )
 from .detect import (
-    SolveResult, TriangularSystem, brute_force_ml, ep_solve, ordered_triangular,
-    prepare_triangular, realify, sesd_solve,
+    SolveResult, TriangularSystem, brute_force_ml, ep_solve, prepare_triangular, realify,
+    sesd_solve,
 )
 from .hybrid import HybridPrecoder, alternate, init_analog_svd
 from .wmmse import FullyDigitalPrecoder, RateReport, mse_to_target, sinr, sum_rate, wmmse_fully_digital

@@ -42,14 +42,14 @@ class EPNumericalError(RuntimeError):
 
 @dataclass
 class TriangularSystem:
-    """min ||c - G z||^2 rewritten as min ||d - R z||^2 + constant_offset;
-    with ``order``, column j of R is entry ``order[j]`` of z."""
+    """min ||c - G z||^2 rewritten as min ||d - R z[order]||^2 + constant_offset:
+    column j of R is entry ``order[j]`` of z."""
 
     r: np.ndarray
     d: np.ndarray
     constant_offset: float  # or one value per target
+    order: np.ndarray
     ridge: float = 0.0
-    order: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -66,7 +66,7 @@ class SolveResult:
 
 def suggested_ridge(gram: np.ndarray) -> float:
     """Default diagonal loading when a Gram factorization fails."""
-    base = 1e-10 * float(np.real(np.trace(gram))) / max(gram.shape[0], 1)
+    base = 1e-10 * float(gram.trace().real) / max(gram.shape[0], 1)
     return base if base > 0 else 1e-12
 
 
@@ -88,39 +88,32 @@ def forward_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return trsm(1.0, r.conj(), b, lower=0, trans_a=1)
 
 
-def ordered_triangular(gram: np.ndarray, proj: np.ndarray) -> TriangularSystem:
-    """Column-ordered system for min ||c - G z||^2 from gram = G^H G and
-    proj = G^H c (one target or one per column), with constant_offset 0.
-
-    Columns go by decreasing diagonal of the inverse Gram, loaded with
-    ``suggested_ridge`` to stay finite when columns repeat, so the search
-    assigns first the entry of largest post-detection gain. The load picks
-    the order only: the factor is of the permuted Gram, ridge-loaded only if
-    its factorization fails. A permutation keeps the box alphabet, so the
-    search stays exact.
-    """
-    loaded = gram + suggested_ridge(gram) * np.eye(gram.shape[0], dtype=gram.dtype)
-    order = np.argsort(-np.real(np.diagonal(np.linalg.inv(loaded))), kind="stable")
-    r, ridge = cholesky_with_retry(gram[np.ix_(order, order)])
-    d = forward_solve(r, proj[order])
-    return TriangularSystem(r=r, d=d, constant_offset=0.0, ridge=ridge, order=order)
-
-
-def prepare_triangular(g: np.ndarray, c: np.ndarray) -> TriangularSystem:
-    """Cholesky reduction of ||c - G z||^2 to ||d - R z||^2 + constant_offset.
+def prepare_triangular(g: np.ndarray, c: np.ndarray, alphabet: Alphabet) -> TriangularSystem:
+    """Column-ordered Cholesky reduction of ||c - G z||^2 over ``alphabet``.
 
     ``c`` is one target ``(n,)`` or ``P`` targets as columns ``(n, P)``, all
-    sharing the factor of G; ``constant_offset`` is ``||c||^2 - ||d||^2`` per
-    target. A Gram matrix that does not factor is loaded with
-    ``suggested_ridge`` (``ridge > 0``), which adds ridge*||z||^2.
+    sharing one factor; ``constant_offset`` is ``||c||^2 - ||d||^2`` per target.
+    Columns go by increasing batch mean of |x - mean label|, x the solution of
+    the Gram loaded with ``suggested_ridge`` (Chang & Han, IEEE TWC 2008), so
+    the search assigns the entries furthest outside the label box first. A
+    Gram that does not factor is loaded too (``ridge > 0``; adds ridge*||z||^2).
+    The search stays exact. Tie rule: equal keys keep the natural order, and of
+    several exactly tied minimizers ``sesd_solve`` returns the first in its
+    search over the permuted columns, so the order decides only which one.
     """
-    g = np.asarray(g)
-    c = np.asarray(c)
+    g, c = np.asarray(g), np.asarray(c)
     g_h = g.conj().T
-    r, ridge = cholesky_with_retry(g_h @ g)
-    d = forward_solve(r, g_h @ c)
-    offsets = np.sum(np.abs(c) ** 2, axis=0) - np.sum(np.abs(d) ** 2, axis=0)
-    return TriangularSystem(r=r, d=d, constant_offset=offsets, ridge=ridge)
+    gram, proj = g_h @ g, g_h @ c
+    loaded = gram + suggested_ridge(gram) * np.eye(len(gram), dtype=gram.dtype)
+    # raw LAPACK as in forward_solve; a failed solve would only degrade the order
+    gesv, = get_lapack_funcs(("gesv",), (loaded, proj))
+    x = gesv(loaded, proj)[2]
+    spread = np.abs(x - alphabet.labels.sum() / len(alphabet.labels))
+    order = spread.reshape(len(gram), -1).sum(axis=1).argsort(kind="stable")  # as the mean
+    r, ridge = cholesky_with_retry(gram[order][:, order])
+    d = forward_solve(r, proj[order])
+    offsets = (np.abs(c) ** 2).sum(axis=0) - (np.abs(d) ** 2).sum(axis=0)
+    return TriangularSystem(r=r, d=d, constant_offset=offsets, order=order, ridge=ridge)
 
 
 def realify(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +180,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     ``system.d`` is one target ``(m,)`` or ``P`` targets stacked as columns
     ``(m, P)``, all sharing the factor R; ``constant_offset`` is a scalar or
     one value per target, and ``warm_starts`` an optional ``(m,)`` or
-    ``(P, m)`` array of alphabet-member vectors, in natural order when the
-    system carries an ``order``. Each problem's incumbent is
+    ``(P, m)`` array of alphabet-member vectors in natural order; ``z`` comes
+    back in natural order too. Each problem's incumbent is
     the nearest-label rounding of its unconstrained triangular solve, then its
     warm start and its Babai point (first child at every level), each only if
     strictly better.
@@ -219,9 +212,8 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     r = system.r.astype(dtype, copy=False)
     targets = targets.astype(dtype, copy=False)
     labels = labels.astype(dtype, copy=False)
-    warm = None if warm_starts is None else np.array(warm_starts, dtype=dtype).reshape(n_prob, m)
-    if warm is not None and system.order is not None:
-        warm = warm[:, system.order]
+    warm = None if warm_starts is None else (  # in the search order
+        np.array(warm_starts, dtype=dtype).reshape(n_prob, m)[:, system.order])
     if not (np.isfinite(r).all() and np.isfinite(targets).all()):
         raise ValueError("triangular system has non-finite entries")
 
@@ -293,8 +285,7 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
             _push_blocks(stack, level - 1, prob, y, cost, path)
 
     objective = best + system.constant_offset
-    if system.order is not None:
-        z_best[:, system.order] = z_best.copy()
+    z_best[:, system.order] = z_best.copy()
     return SolveResult(
         z=z_best[0] if single else z_best,
         objective=float(objective[0]) if single else objective,

@@ -28,14 +28,13 @@ import numpy as np
 import scipy
 
 from . import baselines, hybrid
-from .alphabets import make_analog_alphabet, make_digital_alphabet
+from .alphabets import make_analog_alphabet, make_digital_alphabet, make_switch_alphabet
 from .channel import (
     ChannelSet, SystemConfig, draw_channel, fronthaul_accounting,
     noise_power_mw, per_subcarrier_power_mw, supported_levels,
 )
 from .detect import (
-    EPNumericalError, brute_force_ml, ordered_triangular, prepare_triangular, residual_norm_sq,
-    sesd_solve,
+    EPNumericalError, brute_force_ml, prepare_triangular, residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target, sum_rate, wmmse_fully_digital
 
@@ -381,13 +380,12 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
         sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
     schemes = _of_type(payload["schemes"], list, "'schemes'")
     outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
-    try:
-        n_trials, seed = int(payload.get("n_trials", 20)), int(payload.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"n_trials and seed must be integers: {exc}") from exc
+    for key in ("n_trials", "seed"):
+        if type(payload.get(key, 0)) is not int:  # a JSON integer: not a float, string or bool
+            raise SpecError(f"{key} must be a JSON integer, got {payload[key]!r}")
     return ExperimentSpec(
         name=payload["name"], base=base, schemes=list(schemes),
-        n_trials=n_trials, seed=seed,
+        n_trials=payload.get("n_trials", 20), seed=payload.get("seed", 0),
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
         outputs=list(outputs),
     )
@@ -482,9 +480,9 @@ def preset_specs(preset: str) -> list:
 def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
     """Exactness sweep of the sphere decoder against full enumeration.
 
-    Half of the real digital instances are solved through the column-ordered
-    system of the digital subproblem. Returns (number of mismatches, worst
-    recomputed-objective gap).
+    Instances cycle through phase, real digital and {0, 1} switch labels, some
+    with the target outside the label box or a repeated (ridge-loaded) column
+    of G. Returns (mismatches, worst gap relative to max(1, ||c||^2)).
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -492,19 +490,27 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
     for i in range(n_instances):
         m = int(rng.integers(2, 5))
         n = m + int(rng.integers(0, 3))
-        if i % 2 == 0:
+        kind, variant = i % 3, i // 3
+        if kind == 0:
             alphabet = make_analog_alphabet(int(rng.choice([1, 2])))
-            g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-            c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        else:
+        elif kind == 1:
             alphabet = make_digital_alphabet(int(rng.choice([2, 4])), float(rng.uniform(0.5, 2.0)),
-                                kind="digital-real")
-            g = rng.standard_normal((n, m))
-            c = rng.standard_normal(n)
+                                             kind="digital-real")
+        else:
+            alphabet = make_switch_alphabet()
+        g = rng.standard_normal((n, m))
+        c = rng.standard_normal(n)
+        if kind != 1:  # the analog and switch steps are complex-valued
+            g = (g + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+            c = (c + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        if variant % 2:
+            c *= 4.0 * np.max(np.abs(alphabet.labels)) * np.sqrt(n)
+        if variant % 3 == 2:
+            g[:, -1] = g[:, 0]
         exact = brute_force_ml(c, g, alphabet)
-        system = ordered_triangular(g.T @ g, g.T @ c) if i % 4 == 3 else prepare_triangular(g, c)
-        decoded = sesd_solve(system, alphabet)
-        gap = abs(residual_norm_sq(c, g, decoded.z) - exact.objective)
+        decoded = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
+        scale = max(1.0, float(np.real(np.vdot(c, c))))
+        gap = abs(residual_norm_sq(c, g, decoded.z) - exact.objective) / scale
         worst = max(worst, gap)
         if gap > 1e-10:
             mismatches += 1
@@ -537,7 +543,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_check(args) -> int:
     mismatches, worst = oracle_check(args.instances, seed=args.seed)
     print(f"oracle-check: {args.instances} instances, {mismatches} mismatches, "
-          f"worst objective gap {worst:.3e}")
+          f"worst relative objective gap {worst:.3e}")
     return EXIT_OK if mismatches == 0 else EXIT_CHECK_FAILED
 
 

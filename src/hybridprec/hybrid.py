@@ -23,8 +23,8 @@ from .alphabets import (
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
-    EPNumericalError, SolveResult, _sq_norms, ep_solve, ordered_triangular,
-    prepare_triangular, realify, residual_norm_sq, sesd_solve,
+    EPNumericalError, SolveResult, _sq_norms, ep_solve, prepare_triangular, realify,
+    residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -131,7 +131,7 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
     cfg = config or SystemConfig()
     try:
         if solver == "sesd":
-            res = sesd_solve(prepare_triangular(b, a), alphabet, warm_starts=warm)
+            res = sesd_solve(prepare_triangular(b, a, alphabet), alphabet, warm_starts=warm)
         else:
             res = ep_solve(a, b, alphabet, damping=cfg.ep_damping,
                            max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
@@ -211,12 +211,12 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         raise ValueError(f"unknown digital solver {solver!r}")
 
     delta = choose_delta(ls_digital, levels)
+    alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
+    target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
     if solver == "sesd":
-        # one column order for every multiplier: mu only scales the factor
-        proj_r, gram_r = realify(f_rf.conj().T @ target, f_rf.conj().T @ f_rf)
-        base = ordered_triangular(gram_r, proj_r)
-    else:
-        target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
+        # one column order for every multiplier and step: mu only scales the
+        # unconstrained solutions, and every step's labels are centred on 0
+        base = prepare_triangular(f_rf_r, target_r, alphabet)
 
     def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked real solutions (one row per column) at multiplier mu, over
@@ -226,7 +226,8 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         """
         scale = math.sqrt(mu + 1.0)
         if solver == "sesd":
-            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale)
+            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
+                             constant_offset=0.0)  # the objective is not read
             res = sesd_solve(system, alphabet, warm_starts=warm)
         else:
             res = ep_solve(target_r[:, cols] / scale, scale * f_rf_r, alphabet,
@@ -235,7 +236,6 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         return res.z
 
     while True:
-        alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
         try:
             f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                                                      cfg.bisection_tol)
@@ -245,6 +245,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
                 raise InfeasiblePowerError(f"{exc} after 8 step shrinks") from exc
         stats.shrinks += 1
         delta /= 2.0
+        alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
 
 
 def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
@@ -312,8 +313,9 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
         raise ValueError("phase_diag entries must be unit modulus")
     rotated = (np.conj(phase_diag)[:, None] * target)  # diag(phase)^H F_FD
     b = f_bb.T
+    alphabet = make_switch_alphabet()
     stats = SolverStats()
-    res = sesd_solve(prepare_triangular(b, rotated.T), make_switch_alphabet())
+    res = sesd_solve(prepare_triangular(b, rotated.T, alphabet), alphabet)
     stats.absorb(res)
     switch = _repair_switch(res.z.real.copy(), rotated.T, b)
     return switch, stats

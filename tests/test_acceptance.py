@@ -84,7 +84,7 @@ class TestCriterion1OracleExactness:
             m = int(rng.integers(2, 5))
             c, g, alphabet = _mixed_instance(rng, i, m)
             exact = brute_force_ml(c, g, alphabet)
-            decoded = sesd_solve(prepare_triangular(g, c), alphabet)
+            decoded = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
             worst = max(worst, abs(residual_norm_sq(c, g, decoded.z) - exact.objective))
         elapsed = time.perf_counter() - t0
         _report(1, worst <= 1e-10 and elapsed < 60.0,
@@ -97,7 +97,7 @@ class TestCriterion2EpNearOptimality:
         hits = 0
         for i in range(200):
             c, g, alphabet = _mixed_instance(rng, i, m=4)
-            exact = sesd_solve(prepare_triangular(g, c), alphabet)
+            exact = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
             approx = ep_solve(c, g, alphabet)
             if approx.objective <= 1.05 * exact.objective + 1e-12:
                 hits += 1

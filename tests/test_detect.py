@@ -17,6 +17,7 @@ from hybridprec.detect import (
 )
 
 RNG_SEED = 31
+PHASE = make_analog_alphabet(2)  # complex labels centred on 0
 
 
 def random_instance(rng, m, n, analog_bits=None, levels=None, delta=1.0):
@@ -40,20 +41,20 @@ class TestPrepareTriangular:
         q, _ = np.linalg.qr(np.random.default_rng(RNG_SEED).standard_normal((5, 3))
                             + 1j * np.random.default_rng(RNG_SEED + 1).standard_normal((5, 3)))
         c = np.arange(1, 6).astype(complex)
-        system = prepare_triangular(q, c)
+        system = prepare_triangular(q, c, PHASE)
         np.testing.assert_allclose(system.r, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(system.d, q.conj().T @ c, atol=1e-12)
+        np.testing.assert_allclose(system.d, (q.conj().T @ c)[system.order], atol=1e-12)
 
     def test_objective_identity(self):
         """||c - G z||^2 equals ||d - R z||^2 + offset for any z."""
         rng = np.random.default_rng(RNG_SEED)
         g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        system = prepare_triangular(g, c)
+        system = prepare_triangular(g, c, PHASE)
         for _ in range(20):
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             direct = residual_norm_sq(c, g, z)
-            reduced = residual_norm_sq(system.d, system.r, z) + system.constant_offset
+            reduced = residual_norm_sq(system.d, system.r, z[system.order]) + system.constant_offset
             assert direct == pytest.approx(reduced, abs=1e-9)
 
     def test_rank_deficient_with_ridge(self):
@@ -61,40 +62,49 @@ class TestPrepareTriangular:
         ridge ||z||^2 equals ||d - R z||^2 + offset."""
         g = np.ones((4, 3), dtype=complex)  # rank one
         c = np.arange(1, 5).astype(complex)
-        system = prepare_triangular(g, c)
+        system = prepare_triangular(g, c, PHASE)
         assert system.ridge > 0
         assert np.all(np.real(np.diag(system.r)) > 0)
         z = np.array([1.0, -1.0, 1j])
         direct = residual_norm_sq(c, g, z) + system.ridge * np.linalg.norm(z) ** 2
-        reduced = residual_norm_sq(system.d, system.r, z) + system.constant_offset
+        reduced = residual_norm_sq(system.d, system.r, z[system.order]) + system.constant_offset
         assert direct == pytest.approx(reduced, abs=1e-9)
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_many_targets_equal_per_column_builds(self, rank_deficient):
-        """Targets as columns share the factor each column alone would get. A
-        zero column makes G rank deficient without amplifying rounding in d."""
+        """Targets as columns share one factor, ordered by the whole batch; each
+        column states the same objective as a build of that column alone, in
+        its own order. A zero column makes G rank deficient without amplifying
+        rounding in d."""
         rng = np.random.default_rng(RNG_SEED)
         g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         if rank_deficient:
             g[:, 1] = 0.0
         c = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        system = prepare_triangular(g, c)
+        system = prepare_triangular(g, c, PHASE)
         assert (system.ridge > 0) == rank_deficient
+        assert sorted(system.order) == [0, 1, 2]
         for j, col in enumerate(c.T):
-            single = prepare_triangular(g, col)
-            assert system.r.tobytes() == single.r.tobytes()
-            assert np.float64(system.ridge).tobytes() == np.float64(single.ridge).tobytes()
-            np.testing.assert_allclose(system.d[:, j], single.d, rtol=0, atol=1e-12)
-            assert system.constant_offset[j] == pytest.approx(single.constant_offset, abs=1e-12)
+            single = prepare_triangular(g, col, PHASE)
+            assert single.ridge == pytest.approx(system.ridge, rel=1e-12)
+            for _ in range(5):
+                z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                batch_cost = (residual_norm_sq(system.d[:, j], system.r, z[system.order])
+                              + system.constant_offset[j])
+                single_cost = (residual_norm_sq(single.d, single.r, z[single.order])
+                               + single.constant_offset)
+                assert batch_cost == pytest.approx(single_cost, abs=1e-10)
 
     def test_positive_real_diagonal(self):
         rng = np.random.default_rng(RNG_SEED)
         g = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        system = prepare_triangular(g, rng.standard_normal(5).astype(complex))
+        system = prepare_triangular(g, rng.standard_normal(5).astype(complex), PHASE)
         diag = np.diag(system.r)
         assert np.all(diag.real > 0)
         np.testing.assert_allclose(diag.imag, 0.0, atol=1e-14)
-        np.testing.assert_allclose(system.r.conj().T @ system.r, g.conj().T @ g, rtol=1e-10)
+        permuted = g[:, system.order]
+        np.testing.assert_allclose(system.r.conj().T @ system.r, permuted.conj().T @ permuted,
+                                   rtol=1e-10)
 
 
 class TestRealify:
@@ -169,7 +179,8 @@ class TestBruteForce:
 class TestSphereDecoder:
     def test_identity_system_signs(self):
         alphabet = make_digital_alphabet(2, 2.0, kind="digital-real")  # {-1, +1}
-        system = TriangularSystem(r=np.eye(2), d=np.array([0.9, -1.2]), constant_offset=0.0)
+        system = TriangularSystem(r=np.eye(2), d=np.array([0.9, -1.2]), constant_offset=0.0,
+                                  order=np.arange(2))
         res = sesd_solve(system, alphabet)
         np.testing.assert_array_equal(res.z, [1.0, -1.0])
 
@@ -186,7 +197,7 @@ class TestSphereDecoder:
                 c, g, alphabet = random_instance(rng, m, n, levels=int(rng.choice([2, 4])),
                                                  delta=float(rng.uniform(0.5, 2.0)))
             exact = brute_force_ml(c, g, alphabet)
-            decoded = sesd_solve(prepare_triangular(g, c), alphabet)
+            decoded = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
             assert residual_norm_sq(c, g, decoded.z) == pytest.approx(exact.objective, abs=1e-10)
 
     def test_visits_fewer_nodes_than_enumeration(self):
@@ -198,7 +209,7 @@ class TestSphereDecoder:
         for _ in range(n_inst):
             m = 4
             c, g, alphabet = random_instance(rng, m, m + 2, levels=2)
-            res = sesd_solve(prepare_triangular(g, c), alphabet)
+            res = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
             full_tree = sum(len(alphabet) ** i for i in range(1, m + 1))
             assert res.nodes_visited <= full_tree
             if res.nodes_visited < full_tree:
@@ -211,21 +222,21 @@ class TestSphereDecoder:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
             c, g, alphabet = random_instance(rng, 3, 5, analog_bits=2)
-            base = sesd_solve(prepare_triangular(g, c), alphabet)
-            scaled = sesd_solve(prepare_triangular(4.0 * g, 4.0 * c), alphabet)
+            base = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
+            scaled = sesd_solve(prepare_triangular(4.0 * g, 4.0 * c, alphabet), alphabet)
             np.testing.assert_array_equal(base.z, scaled.z)
 
     def test_alphabet_membership(self):
         rng = np.random.default_rng(RNG_SEED)
         c, g, alphabet = random_instance(rng, 4, 6, analog_bits=2)
-        res = sesd_solve(prepare_triangular(g, c), alphabet)
+        res = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
         assert all(z in alphabet.labels for z in res.z)
 
     def test_objective_includes_offset(self):
         """The reported objective is the original-space residual."""
         rng = np.random.default_rng(RNG_SEED)
         c, g, alphabet = random_instance(rng, 3, 6, levels=4)
-        res = sesd_solve(prepare_triangular(g, c), alphabet)
+        res = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
         assert res.objective == pytest.approx(residual_norm_sq(c, g, res.z), abs=1e-10)
 
 
@@ -238,9 +249,13 @@ ALPHABETS = {
 }
 
 
-def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_targets):
-    """P targets over one shared G: (C, G, alphabet, ridge)."""
+def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_targets,
+                   outside_box=False):
+    """P targets over one shared G: (C, G, alphabet). A repeated column makes G
+    rank deficient; ``outside_box`` scales the targets so the unconstrained
+    solutions lie mostly outside the label box."""
     make, complex_valued = ALPHABETS[kind]
+    alphabet = make()
     n = m + extra_rows
     shape_g, shape_c = (n, m), (n, n_targets)
     g = rng.standard_normal(shape_g)
@@ -252,19 +267,23 @@ def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_tar
         g[:, -1] = g[:, 0]
     if zero_targets:
         c[:] = 0.0
-    return c, g, make(), prepare_triangular(g, c[:, 0]).ridge
+    if outside_box:
+        c *= 4.0 * np.max(np.abs(alphabet.labels)) * np.sqrt(n)
+    return c, g, alphabet
 
 
 def depth_first_sd(system, alphabet, warm=None):
-    """Reference single-target Schnorr-Euchner search, recursive and depth-first:
-    the incumbent is replaced only by a strictly cheaper leaf."""
+    """Reference single-target Schnorr-Euchner search, recursive and depth-first
+    over the system's column order: the incumbent is replaced only by a
+    strictly cheaper leaf. ``warm`` and the result are in natural order."""
     labels = alphabet.labels.astype(np.result_type(system.r, system.d, alphabet.labels))
     r, d = system.r.astype(labels.dtype), system.d.astype(labels.dtype)
     unconstrained = solve_triangular(r, d, lower=False)
     z = labels[np.argmin(np.abs(unconstrained[:, None] - labels), axis=1)]
     best = {"cost": residual_norm_sq(d, r, z), "z": z}
-    if warm is not None and residual_norm_sq(d, r, warm) < best["cost"]:
-        best = {"cost": residual_norm_sq(d, r, warm), "z": warm.astype(labels.dtype)}
+    if warm is not None and residual_norm_sq(d, r, warm[system.order]) < best["cost"]:
+        best = {"cost": residual_norm_sq(d, r, warm[system.order]),
+                "z": warm[system.order].astype(labels.dtype)}
     path = np.zeros(len(d), dtype=labels.dtype)
 
     def descend(level, y, cost):
@@ -280,7 +299,9 @@ def depth_first_sd(system, alphabet, warm=None):
                 descend(level - 1, y[:level] - r[:level, level] * labels[k], child)
 
     descend(len(d) - 1, d.copy(), 0.0)
-    return best["z"]
+    z = np.empty_like(best["z"])
+    z[system.order] = best["z"]
+    return z
 
 
 batch_cases = st.tuples(
@@ -297,12 +318,13 @@ class TestBatchedSphereDecoder:
         """Each target's objective equals exhaustive enumeration's, ridge included."""
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
-        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        res = sesd_solve(prepare_triangular(g, c), alphabet)
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = prepare_triangular(g, c, alphabet)
+        res = sesd_solve(system, alphabet)
         assert res.z.shape == (n_targets, m)
         assert res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
         # a ridge adds ridge*||z||^2: enumerate over G stacked on sqrt(ridge) I
-        g_aug = np.vstack([g, np.sqrt(ridge) * np.eye(m)])
+        g_aug = np.vstack([g, np.sqrt(system.ridge) * np.eye(m)])
         for j in range(n_targets):
             c_aug = np.concatenate([c[:, j], np.zeros(m)])
             exact = brute_force_ml(c_aug, g_aug, alphabet)
@@ -315,11 +337,12 @@ class TestBatchedSphereDecoder:
     @settings(max_examples=100, deadline=None)
     def test_batch_equals_single_solves(self, case, block, warm):
         """A batch returns byte-identical labels to its targets solved one at a
-        time, also when a tiny block splits the frontier into many blocks."""
+        time over the same factor and order, also when a tiny block splits the
+        frontier into many blocks."""
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
-        c, g, alphabet, ridge = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        system = prepare_triangular(g, c)
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = prepare_triangular(g, c, alphabet)
         warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "SD_BLOCK", block)
@@ -328,7 +351,8 @@ class TestBatchedSphereDecoder:
         for j in range(n_targets):
             single = sesd_solve(
                 TriangularSystem(r=system.r, d=system.d[:, j],
-                                 constant_offset=float(system.constant_offset[j]), ridge=ridge),
+                                 constant_offset=float(system.constant_offset[j]),
+                                 order=system.order, ridge=system.ridge),
                 alphabet, warm_starts=None if warm_starts is None else warm_starts[j])
             np.testing.assert_array_equal(res.z[j], single.z)
             assert res.objective[j] == single.objective
@@ -340,12 +364,13 @@ class TestBatchedSphereDecoder:
         then the first minimum-cost leaf in Schnorr-Euchner order wins."""
         seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
-        c, g, alphabet, _ = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
-        system = prepare_triangular(g, c)
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros)
+        system = prepare_triangular(g, c, alphabet)
         warm_starts = rng.choice(alphabet.labels, size=(n_targets, m)) if warm else None
         res = sesd_solve(system, alphabet, warm_starts=warm_starts)
         for j in range(n_targets):
-            single = TriangularSystem(r=system.r, d=system.d[:, j], constant_offset=0.0)
+            single = TriangularSystem(r=system.r, d=system.d[:, j], constant_offset=0.0,
+                                      order=system.order)
             expected = depth_first_sd(single, alphabet,
                                       None if warm_starts is None else warm_starts[j])
             np.testing.assert_array_equal(res.z[j], expected)
@@ -356,28 +381,29 @@ class TestBatchedSphereDecoder:
         and the labels equal one-at-a-time solves."""
         rng = np.random.default_rng(RNG_SEED)
         n_targets = detect.SD_BLOCK + 300
-        c, g, alphabet, _ = batch_instance(rng, "phase-2bit", 4, 1, n_targets, False, False)
-        system = prepare_triangular(g, c)
+        c, g, alphabet = batch_instance(rng, "phase-2bit", 4, 1, n_targets, False, False)
+        system = prepare_triangular(g, c, alphabet)
         res = sesd_solve(system, alphabet)
         assert detect.SD_BLOCK < res.diagnostics["peak_frontier"] <= detect.SD_BLOCK * len(alphabet)
         for j in range(0, n_targets, 7):
             single = sesd_solve(
                 TriangularSystem(r=system.r, d=system.d[:, j],
-                                 constant_offset=float(system.constant_offset[j])), alphabet)
+                                 constant_offset=float(system.constant_offset[j]),
+                                 order=system.order), alphabet)
             np.testing.assert_array_equal(res.z[j], single.z)
 
     def test_full_tie_keeps_the_incumbent(self):
         """With an identity factor and zero targets every label vector ties;
         the rounded incumbent (first label everywhere) keeps its place."""
         alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
-        system = prepare_triangular(np.eye(4), np.zeros((4, 3)))
+        system = prepare_triangular(np.eye(4), np.zeros((4, 3)), alphabet)
         res = sesd_solve(system, alphabet)
         np.testing.assert_array_equal(res.z, np.full((3, 4), alphabet.labels[0]))
 
 
 def digital_instance(rng, m_rf, extra_rows, levels, n_targets, duplicate):
     """Real-form digital subproblem over a 1-bit analog matrix, optionally with a
-    repeated (sign-flipped) column: (C_r, G_r, Gram_r, proj_r, alphabet)."""
+    repeated (sign-flipped) column: (C_r, G_r, alphabet)."""
     n_t = m_rf + extra_rows
     f_rf = rng.choice(make_analog_alphabet(1).labels, size=(n_t, m_rf))
     if duplicate and m_rf > 1:
@@ -385,32 +411,24 @@ def digital_instance(rng, m_rf, extra_rows, levels, n_targets, duplicate):
     c = rng.standard_normal((n_t, n_targets)) + 1j * rng.standard_normal((n_t, n_targets))
     alphabet = make_digital_alphabet(levels, float(rng.uniform(0.3, 2.0)), kind="digital-real")
     c_r, g_r = realify(c, f_rf)
-    proj_r, gram_r = realify(f_rf.conj().T @ c, f_rf.conj().T @ f_rf)
-    return c_r, g_r, gram_r, proj_r, alphabet
-
-
-# (levels, largest m_rf): at most 4096 label vectors to enumerate
-ordered_cases = st.tuples(
-    st.integers(0, 2**31 - 1), st.sampled_from([(2, 3), (4, 3), (8, 2)]), st.integers(1, 3),
-    st.integers(0, 3), st.integers(1, 4), st.booleans(), st.booleans(), st.booleans(),
-)
+    return c_r, g_r, alphabet
 
 
 class TestOrderedSphereDecoder:
-    @given(ordered_cases)
-    @settings(max_examples=150, deadline=None)
-    def test_every_target_matches_enumeration(self, case):
-        """Each target's objective equals exhaustive enumeration's on the
-        natural-order system: single targets and batches, warm starts given in
-        natural order, and rank-deficient Grams factored with a ridge."""
-        seed, (levels, max_rf), m_rf, extra, n_targets, single, warm, duplicate = case
-        m_rf = min(m_rf, max_rf)
-        n_targets = 1 if single else n_targets
+    @given(batch_cases, st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_every_target_matches_enumeration(self, case, outside_box, single, warm):
+        """Phase, real digital and {0, 1} switch labels, targets inside and
+        outside the label box, repeated columns of G (a ridge-loaded factor):
+        each target's labels reach the enumerated optimum of ||c - G z||^2, to
+        1e-10 * max(1, ||c||^2), single targets and batches alike, with warm
+        starts given in natural order."""
+        seed, kind, m, extra, n_targets, deficient, zeros = case
         rng = np.random.default_rng(seed)
-        c_r, g_r, gram_r, proj_r, alphabet = digital_instance(
-            rng, m_rf, extra, levels, n_targets, duplicate)
-        m = 2 * m_rf
-        system = detect.ordered_triangular(gram_r, proj_r[:, 0] if single else proj_r)
+        n_targets = 1 if single else n_targets
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, zeros,
+                                        outside_box)
+        system = prepare_triangular(g, c[:, 0] if single else c, alphabet)
         assert sorted(system.order) == list(range(m))
         warm_starts = None
         if warm:
@@ -418,17 +436,18 @@ class TestOrderedSphereDecoder:
         res = sesd_solve(system, alphabet, warm_starts=warm_starts)
         assert res.z.shape == ((m,) if single else (n_targets, m))
         for j, z in enumerate(res.z[None] if single else res.z):
-            exact = brute_force_ml(c_r[:, j], g_r, alphabet)
+            exact = brute_force_ml(c[:, j], g, alphabet)
             assert all(label in alphabet.labels for label in z)
-            assert residual_norm_sq(c_r[:, j], g_r, z) == pytest.approx(
-                exact.objective, abs=1e-10)
+            scale = max(1.0, float(np.real(np.vdot(c[:, j], c[:, j]))))
+            assert residual_norm_sq(c[:, j], g, z) == pytest.approx(
+                exact.objective, abs=1e-10 * scale)
 
     def test_repeated_column_takes_the_ridge_path(self):
         """A repeated analog column makes the real Gram singular: the order
         stays finite, the factor is ridge-loaded, and the solve stays exact."""
         rng = np.random.default_rng(RNG_SEED)
-        c_r, g_r, gram_r, proj_r, alphabet = digital_instance(rng, 3, 2, 4, 3, True)
-        system = detect.ordered_triangular(gram_r, proj_r)
+        c_r, g_r, alphabet = digital_instance(rng, 3, 2, 4, 3, True)
+        system = prepare_triangular(g_r, c_r, alphabet)
         assert system.ridge > 0
         res = sesd_solve(system, alphabet)
         for j in range(3):
@@ -437,33 +456,42 @@ class TestOrderedSphereDecoder:
                 exact.objective, abs=1e-10)
 
     def test_same_search_as_the_permuted_problem(self):
-        """An ordered system searches exactly as its factor without the order
+        """An ordered system searches exactly as its factor in natural order
         would, given the warm starts permuted by hand: same labels (permuted
         back), same node count."""
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
-            c_r, g_r, gram_r, proj_r, alphabet = digital_instance(rng, 3, 1, 4, 3, False)
-            system = detect.ordered_triangular(gram_r, proj_r)
+            c_r, g_r, alphabet = digital_instance(rng, 3, 1, 4, 3, False)
+            system = prepare_triangular(g_r, c_r, alphabet)
             order = system.order
             warm = np.stack([brute_force_ml(c_r[:, j], g_r, alphabet).z for j in range(3)])
             res = sesd_solve(system, alphabet, warm_starts=warm)
-            plain = sesd_solve(TriangularSystem(r=system.r, d=system.d, constant_offset=0.0),
+            plain = sesd_solve(TriangularSystem(r=system.r, d=system.d, constant_offset=0.0,
+                                                order=np.arange(len(order))),
                                alphabet, warm_starts=warm[:, order])
             np.testing.assert_array_equal(res.z[:, order], plain.z)
             assert res.nodes_visited == plain.nodes_visited
 
     def test_labels_and_warm_starts_in_natural_order(self):
-        """Decreasing inverse-Gram diagonal puts the strongest column last (it
-        is searched first); the permuted factor still returns z in the natural
-        order, and takes a natural-order warm start."""
+        """Increasing |unconstrained solution - 0| puts the entries furthest out
+        of the label box last (they are searched first), equal keys in natural
+        order; the permuted factor still returns z in the natural order, and
+        takes a natural-order warm start."""
         alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
         g = np.diag([1.0, 4.0, 2.0])
-        z_true = alphabet.labels[[0, 3, 1]]
-        system = detect.ordered_triangular(g.T @ g, g.T @ (g @ z_true))
-        np.testing.assert_array_equal(system.order, [0, 2, 1])
+        z_true = alphabet.labels[[0, 3, 1]]  # -1.5, 1.5, -0.5
+        system = prepare_triangular(g, g @ z_true, alphabet)
+        np.testing.assert_array_equal(system.order, [2, 0, 1])
         res = sesd_solve(system, alphabet, warm_starts=z_true)
         np.testing.assert_array_equal(res.z, z_true)
         assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+    def test_switch_order_centres_on_one_half(self):
+        """The {0, 1} labels centre on 0.5: an entry at 0.5 is searched last,
+        one at -1 first, where a centre of 0 would reverse the last two."""
+        system = prepare_triangular(np.eye(3), np.array([0.5, -1.0, 1.25]),
+                                    make_switch_alphabet())
+        np.testing.assert_array_equal(system.order, [0, 2, 1])
 
 
 class TestExpectationPropagation:
@@ -495,7 +523,7 @@ class TestExpectationPropagation:
                 c, g, alphabet = random_instance(rng, 4, 6, analog_bits=int(rng.choice([1, 2])))
             else:
                 c, g, alphabet = random_instance(rng, 4, 6, levels=int(rng.choice([2, 4])))
-            exact = sesd_solve(prepare_triangular(g, c), alphabet)
+            exact = sesd_solve(prepare_triangular(g, c, alphabet), alphabet)
             approx = ep_solve(c, g, alphabet)
             assert approx.iterations <= 30
             if approx.objective <= 1.05 * exact.objective + 1e-12:
@@ -633,7 +661,7 @@ class TestBatchedExpectationPropagation:
         rank-deficient G and all-zero targets."""
         seed, kind, m, extra, n_targets, deficient, damping, max_iter, tol = case
         rng = np.random.default_rng(seed)
-        c, g, alphabet, _ = batch_instance(rng, kind, m, extra, n_targets, deficient, False)
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, False)
         c[:, rng.random(n_targets) < 0.3] = 0.0
         kwargs = dict(damping=damping, max_iter=max_iter, tol=tol)
         res = ep_solve(c, g, alphabet, **kwargs)

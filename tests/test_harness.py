@@ -303,8 +303,13 @@ class TestOracleCheckAndCli:
         {"n_trials": [1]},
         {"seed": {}},
         {"n_trials": None},
+        {"n_trials": 1.7},
+        {"n_trials": True},
+        {"seed": "3"},
+        {"seed": 1.0},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
-            "outputs", "n_trials-array", "seed-object", "n_trials-null"])
+            "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
+            "n_trials-bool", "seed-string", "seed-float"])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
         """A spec, or a field of it, of the wrong JSON type is a spec error
         (exit 2), not a traceback or a silently split string."""

@@ -191,8 +191,11 @@ def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
         t0 = time.perf_counter()
         try:
             metrics = run_scheme(scheme, channel, target, config, altmin)
-        except Exception:
+        except Exception as exc:
             rows.append(row("error", float("nan"), 0.0))
+            print(f"error row: experiment {spec.name}, scheme {scheme}, sweep value "
+                  f"{sweep_repr if sweep_repr != '' else '-'}, trial {trial}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
             continue
         # every scheme built on an AltMin pair is charged its time, in any order
         elapsed = time.perf_counter() - t0 + metrics.get("altmin_s", 0.0)

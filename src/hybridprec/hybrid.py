@@ -62,12 +62,15 @@ class SolverStats:
     solves: int = 0
     nodes: int = 0
     iterations: int = 0
+    truncated: int = 0  # EP targets stopped at max_iter
+    ridged: int = 0  # SD systems built on a ridge-loaded Gram factor
     shrinks: int = 0  # digital step halvings
 
     def absorb(self, result: SolveResult) -> None:
         self.solves += len(result.z) if result.z.ndim == 2 else 1
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
+        self.truncated += result.truncated
 
     def add(self, other: "SolverStats") -> None:
         for f in fields(self):
@@ -131,7 +134,9 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
     cfg = config or SystemConfig()
     try:
         if solver == "sesd":
-            res = sesd_solve(prepare_triangular(b, a, alphabet), alphabet, warm_starts=warm)
+            system = prepare_triangular(b, a, alphabet)
+            stats.ridged += system.ridge > 0
+            res = sesd_solve(system, alphabet, warm_starts=warm)
         else:
             res = ep_solve(a, b, alphabet, damping=cfg.ep_damping,
                            max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
@@ -217,6 +222,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         # one column order for every multiplier and step: mu only scales the
         # unconstrained solutions, and every step's labels are centred on 0
         base = prepare_triangular(f_rf_r, target_r, alphabet)
+        stats.ridged += base.ridge > 0
 
     def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked real solutions (one row per column) at multiplier mu, over
@@ -315,7 +321,9 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     b = f_bb.T
     alphabet = make_switch_alphabet()
     stats = SolverStats()
-    res = sesd_solve(prepare_triangular(b, rotated.T, alphabet), alphabet)
+    system = prepare_triangular(b, rotated.T, alphabet)
+    stats.ridged += system.ridge > 0
+    res = sesd_solve(system, alphabet)
     stats.absorb(res)
     switch = _repair_switch(res.z.real.copy(), rotated.T, b)
     return switch, stats

@@ -85,6 +85,21 @@ class TestRunExperiment:
         good = [r for r in rows if r.scheme == "fully-digital"]
         assert len(good) == 1 and np.isfinite(good[0].value)
 
+    def test_error_rows_name_their_cause(self, tiny_spec, monkeypatch, capsys):
+        """Each error row prints one stderr line with its cell and exception."""
+        def boom(*args, **kwargs):
+            raise hybrid.InfeasiblePowerError("injected failure")
+        monkeypatch.setattr(harness.hybrid, "alternate", boom)
+        spec = ExperimentSpec(name="why", base=tiny_spec.base,
+                              schemes=["sd-hybrid", "fully-digital"], n_trials=2, seed=5,
+                              sweep_parameter="total_power_dbm", sweep_values=[10.0],
+                              outputs=["sum_rate_avg"])
+        rows = run_experiment(spec, record_timing=False)
+        assert sum(r.metric == "error" for r in rows) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error row: experiment why, scheme sd-hybrid, sweep value 10.0, trial {t}: "
+            "InfeasiblePowerError: injected failure" for t in range(2)]
+
     def test_sweep_applies_parameter(self, tiny_spec):
         spec = ExperimentSpec(name="swp", base=tiny_spec.base,
                               schemes=["fully-digital"], n_trials=1, seed=5,

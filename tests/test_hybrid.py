@@ -461,6 +461,34 @@ class TestSphereDecoderCost:
         assert trace.solver_stats.nodes < 1_000_000
 
 
+class TestSolverStats:
+    def test_ep_truncations_summed(self, monkeypatch):
+        """`truncated` sums the EP targets that stopped at max_iter over every call."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            result = ep_solve(*args, **kwargs)
+            seen.append(result.truncated)
+            return result
+        monkeypatch.setattr(hybridprec.hybrid, "ep_solve", spy)
+        cfg = SystemConfig(**DESK_SMALL_CONFIG).with_updates(seed=1)
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                        max_iter=cfg.wmmse_max_iter)
+        _, trace = alternate(target, cfg, "ep")
+        assert trace.solver_stats.truncated == sum(seen) > 0
+
+    def test_reference_trial_zero_ridged(self):
+        """Reference trial 0 drops the analog Gram below full rank, so some SD
+        factors of its design are ridge-loaded."""
+        cfg = SystemConfig()
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                        max_iter=cfg.wmmse_max_iter)
+        _, trace = alternate(target, cfg, "sesd")
+        assert trace.solver_stats.ridged >= 1
+
+
 class TestSwitchNetwork:
     def test_single_chain_residual_comparison(self):
         """With one RF chain each antenna independently picks 0 or 1."""

@@ -8,7 +8,7 @@ propagation), and ships a Monte Carlo harness for link-level evaluation.
 
 from .alphabets import (
     Alphabet, choose_delta, gaussian_step_coefficient,
-    make_analog_alphabet, make_digital_alphabet, nearest_label, nearest_labels,
+    make_analog_alphabet, make_digital_alphabet, nearest_labels,
 )
 from .channel import (
     ChannelSet, LinkBudget, SystemConfig, array_response, draw_channel,

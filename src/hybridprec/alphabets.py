@@ -1,9 +1,10 @@
 """Discrete label sets for phase shifters and quantized digital precoder entries.
 
 Two families of alphabets are used throughout the package: unit-modulus
-phase labels for the analog network, and uniform real/complex quantization
-grids for the digital precoder. All solver outputs are restricted to these
-sets, so labels are constructed once and reused bit-identically.
+phase labels for the analog network, and a uniform real quantization grid
+for the digital precoder, applied to the real and imaginary parts of each
+entry. All solver outputs are restricted to these sets, so labels are
+constructed once and reused bit-identically.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.stats import norm
-
-ANALOG_PHASE = "analog-phase"
-DIGITAL_COMPLEX = "digital-complex"
-DIGITAL_REAL = "digital-real"
-SWITCH_BINARY = "switch-binary"  # internal: used by the dynamic-connected design
 
 
 class DegenerateInputError(ValueError):
@@ -35,10 +31,7 @@ class Alphabet:
     """
 
     labels: np.ndarray
-    kind: str
     resolution_bits: Optional[int] = None
-    levels_per_dim: Optional[int] = None
-    step: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -59,35 +52,29 @@ def make_analog_alphabet(bits: int) -> Alphabet:
     if bits >= 2:
         lower[half // 2] = 1.0j
     labels = np.concatenate([lower, -lower])
-    return Alphabet(labels=labels, kind=ANALOG_PHASE, resolution_bits=int(bits))
+    return Alphabet(labels=labels, resolution_bits=int(bits))
 
 
-def make_digital_alphabet(levels: int, delta: float, kind: str = DIGITAL_COMPLEX) -> Alphabet:
-    """Uniform quantization labels delta*(i - (L-1)/2), i = 0..L-1.
+def make_digital_alphabet(levels: int, delta: float) -> Alphabet:
+    """Uniform real quantization labels delta*(i - (L-1)/2), i = 0..L-1.
 
-    ``kind`` selects the real label set or its Cartesian square (ordered with
-    the real index as the major axis).
+    A complex digital entry takes one label for its real part and one for
+    its imaginary part.
     """
     if not isinstance(levels, (int, np.integer)) or levels < 2:
         raise ValueError(f"need at least 2 quantization levels, got {levels!r}")
     if not delta > 0:
         raise ValueError(f"quantization step must be positive, got {delta!r}")
-    real = delta * (np.arange(levels) - (levels - 1) / 2.0)
+    labels = delta * (np.arange(levels) - (levels - 1) / 2.0)
     # enforce exact symmetry about zero
     half = levels // 2
-    real[levels - 1 - np.arange(half)] = -real[:half]
-    if kind == DIGITAL_REAL:
-        labels = real
-    elif kind == DIGITAL_COMPLEX:
-        labels = (real[:, None] + 1j * real[None, :]).ravel()
-    else:
-        raise ValueError(f"unknown digital alphabet kind {kind!r}")
-    return Alphabet(labels=labels, kind=kind, levels_per_dim=int(levels), step=float(delta))
+    labels[levels - 1 - np.arange(half)] = -labels[:half]
+    return Alphabet(labels=labels)
 
 
 def make_switch_alphabet() -> Alphabet:
     """The {0, 1} set used for the RF-chain/antenna switch network."""
-    return Alphabet(labels=np.array([0.0, 1.0]), kind=SWITCH_BINARY)
+    return Alphabet(labels=np.array([0.0, 1.0]))
 
 
 def _gaussian_quantizer_mse(delta: float, levels: int) -> float:
@@ -136,30 +123,12 @@ def choose_delta(reference_entries: np.ndarray, levels: int) -> float:
     return gaussian_step_coefficient(levels) * sigma
 
 
-def nearest_label(value: complex, alphabet: Alphabet) -> complex:
-    """Closest label to ``value``; ties resolve to the lowest label index."""
-    if not np.isfinite(value):
-        raise ValueError(f"value must be finite, got {value!r}")
-    return alphabet.labels[int(np.argmin(np.abs(value - alphabet.labels)))]
-
-
 def nearest_labels(values: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """Vectorized nearest-label mapping, preserving the input shape.
-
-    For complex digital grids the search separates over real and imaginary
-    axes; the per-axis first-occurrence tie break reproduces the lowest
-    overall label index because labels are ordered real-major.
-    """
+    """Closest label to each value, preserving the input shape; ties resolve
+    to the lowest label index."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    if alphabet.kind == DIGITAL_COMPLEX:
-        L = alphabet.levels_per_dim
-        real_axis = alphabet.labels[::L].real
-        imag_axis = alphabet.labels[:L].imag
-        i_re = np.argmin(np.abs(values.real[..., None] - real_axis), axis=-1)
-        i_im = np.argmin(np.abs(values.imag[..., None] - imag_axis), axis=-1)
-        return alphabet.labels[i_re * L + i_im]
     flat = values.ravel()
     out = np.empty(flat.shape, dtype=alphabet.labels.dtype)
     chunk = max(1, 2**22 // max(len(alphabet), 1))

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 import scipy
@@ -297,17 +297,7 @@ def parse_csv(path) -> list:
 
 
 def config_fingerprint(spec: ExperimentSpec) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "base": dataclasses.asdict(spec.base),
-        "schemes": list(spec.schemes),
-        "n_trials": spec.n_trials,
-        "seed": spec.seed,
-        "sweep_parameter": spec.sweep_parameter,
-        "sweep_values": spec.sweep_values,
-        "outputs": list(spec.outputs),
-    }
+    payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(spec)}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -342,6 +332,8 @@ def write_manifest(spec: ExperimentSpec, path, wall_seconds: float) -> None:
 # --- experiment spec files -------------------------------------------------
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
+_INT_FIELDS = {name for name, hint in get_type_hints(SystemConfig).items()
+               if hint is int}
 _SPEC_KEYS = {"schema_version", "name", "base", "sweep", "schemes", "n_trials",
               "seed", "outputs"}
 
@@ -351,6 +343,11 @@ def _of_type(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise SpecError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
     return value
+
+
+def _check_int(value, what: str) -> None:
+    if type(value) is not int:  # a JSON integer: not a float, string or bool
+        raise SpecError(f"{what} must be a JSON integer, got {value!r}")
 
 
 def spec_from_dict(payload: dict) -> ExperimentSpec:
@@ -367,6 +364,9 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
     unknown_cfg = set(base_dict) - _CONFIG_FIELDS
     if unknown_cfg:
         raise SpecError(f"unknown config keys: {sorted(unknown_cfg)}")
+    for key, value in base_dict.items():
+        if key in _INT_FIELDS:
+            _check_int(value, f"base {key!r}")
     try:
         for key in ("distance_range_m", "angle_range_rad"):
             if key in base_dict:
@@ -381,11 +381,13 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
         sweep_parameter = sweep["parameter"]
         sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
+        if sweep_parameter in _INT_FIELDS:
+            for value in sweep_values:
+                _check_int(value, f"sweep value of {sweep_parameter!r}")
     schemes = _of_type(payload["schemes"], list, "'schemes'")
     outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
     for key in ("n_trials", "seed"):
-        if type(payload.get(key, 0)) is not int:  # a JSON integer: not a float, string or bool
-            raise SpecError(f"{key} must be a JSON integer, got {payload[key]!r}")
+        _check_int(payload.get(key, 0), key)
     return ExperimentSpec(
         name=payload["name"], base=base, schemes=list(schemes),
         n_trials=payload.get("n_trials", 20), seed=payload.get("seed", 0),
@@ -497,8 +499,7 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
         if kind == 0:
             alphabet = make_analog_alphabet(int(rng.choice([1, 2])))
         elif kind == 1:
-            alphabet = make_digital_alphabet(int(rng.choice([2, 4])), float(rng.uniform(0.5, 2.0)),
-                                             kind="digital-real")
+            alphabet = make_digital_alphabet(int(rng.choice([2, 4])), float(rng.uniform(0.5, 2.0)))
         else:
             alphabet = make_switch_alphabet()
         g = rng.standard_normal((n, m))

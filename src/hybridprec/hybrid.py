@@ -17,13 +17,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .alphabets import (
-    Alphabet, DIGITAL_REAL,
-    choose_delta, make_analog_alphabet, make_digital_alphabet,
+    Alphabet, choose_delta, make_analog_alphabet, make_digital_alphabet,
     make_switch_alphabet, nearest_labels,
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .detect import (
-    EPNumericalError, SolveResult, _sq_norms, ep_solve, prepare_triangular, realify,
+    EPNumericalError, SolveResult, ep_solve, prepare_triangular, realify,
     residual_norm_sq, sesd_solve,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
@@ -161,7 +160,8 @@ def rescale_to_budget(f_rf: np.ndarray, f_bb: np.ndarray, p_s: float,
 
 def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
                              levels: int, n_users: int) -> tuple[np.ndarray, float]:
-    """Entrywise nearest-label quantization of a continuous digital precoder.
+    """Nearest-label quantization of the real and imaginary parts of a
+    continuous digital precoder.
 
     The step is fit to the continuous entries by ``choose_delta``, then halved
     (re-quantizing) until every sub-carrier meets the power budget; after 60
@@ -170,7 +170,7 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
     delta = choose_delta(f_cont, levels)
     for _ in range(61):
         alphabet = make_digital_alphabet(levels, delta)
-        f_bb = nearest_labels(f_cont, alphabet)
+        f_bb = nearest_labels(f_cont.real, alphabet) + 1j * nearest_labels(f_cont.imag, alphabet)
         if np.all(_power_per_subcarrier(f_rf, f_bb, n_users) <= p_s * (1 + 1e-9)):
             return f_bb, delta
         delta /= 2.0
@@ -216,7 +216,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         raise ValueError(f"unknown digital solver {solver!r}")
 
     delta = choose_delta(ls_digital, levels)
-    alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
+    alphabet = make_digital_alphabet(levels, delta)
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
     if solver == "sesd":
         # one column order for every multiplier and step: mu only scales the
@@ -251,7 +251,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
                 raise InfeasiblePowerError(f"{exc} after 8 step shrinks") from exc
         stats.shrinks += 1
         delta /= 2.0
-        alphabet = make_digital_alphabet(levels, delta, kind=DIGITAL_REAL)
+        alphabet = make_digital_alphabet(levels, delta)
 
 
 def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
@@ -331,14 +331,13 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
 
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flip single entries until all columns are distinct and nonzero."""
-    n_t, m_rf = switch.shape
-    for _ in range(n_t * m_rf):
+    while True:  # every flip shrinks the offending set, so this ends
         bad = _offending_columns(switch)
         if not bad:
             return switch
         best = None
         for m in bad:
-            for n in range(n_t):
+            for n in range(len(switch)):
                 trial = switch[n].copy()
                 trial[m] = 1.0 - trial[m]
                 delta_res = (residual_norm_sq(a[:, n], b, trial)
@@ -352,10 +351,6 @@ def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
             raise RuntimeError(f"switch repair failed; offending RF chains: {sorted(bad)}")
         _, n, m = best
         switch[n, m] = 1.0 - switch[n, m]
-    bad = _offending_columns(switch)
-    if bad:
-        raise RuntimeError(f"switch repair failed; offending RF chains: {sorted(bad)}")
-    return switch
 
 
 def _offending_columns(switch: np.ndarray) -> set:
@@ -368,14 +363,14 @@ def _offending_columns(switch: np.ndarray) -> set:
 
 def optimize_phase_diag(f_fd: Union[FullyDigitalPrecoder, np.ndarray], switch: np.ndarray,
                         f_bb: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """Per-antenna phase labels by exhaustive scan over the analog alphabet."""
+    """Per-antenna phase labels for a fixed switch and digital precoder: with
+    r_n the row phase n multiplies and c_n = r_nᴴ·(target row n), the unit-modulus
+    label l nearest the phase of c_n minimizes |l|²‖r_n‖² − 2Re(l̄·c_n) (label 0
+    on a zero row)."""
     target = _as_matrix(f_fd)
     rows = np.ascontiguousarray((f_bb.T @ switch.T).T)  # row n multiplies phase n
     cross = (rows.conj()[:, None, :] @ target[:, :, None])[:, 0, 0]  # rounded as np.vdot
-    labels = alphabet.labels
-    costs = (-2.0 * np.real(np.conj(labels) * cross[:, None])
-             + np.abs(labels) ** 2 * _sq_norms(rows)[:, None])  # (N_T, L)
-    return labels[np.argmin(costs, axis=1)]
+    return nearest_labels(np.exp(1j * np.angle(cross)), alphabet)
 
 
 def _initial_switch(n_tx: int, m_rf: int) -> np.ndarray:

@@ -67,8 +67,7 @@ def _mixed_instance(rng, index, m):
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     else:
         alphabet = make_digital_alphabet(int(rng.choice([2, 4])),
-                                         float(rng.uniform(0.5, 2.0)),
-                                         kind="digital-real")
+                                         float(rng.uniform(0.5, 2.0)))
         g = rng.standard_normal((n, m))
         noise = rng.standard_normal(n)
     z_true = rng.choice(alphabet.labels, size=m)
@@ -245,8 +244,7 @@ class TestCriterion9InvariantSuite:
         analog = make_analog_alphabet(config.analog_bits)
         member_ok = power_ok = True
         for snap in trace.iterates:
-            real_alpha = make_digital_alphabet(config.quant_levels, snap["delta"],
-                                               kind="digital-real")
+            real_alpha = make_digital_alphabet(config.quant_levels, snap["delta"])
             member_ok &= is_member(snap["f_rf"], analog)
             member_ok &= is_member(snap["f_bb"].real, real_alpha)
             member_ok &= is_member(snap["f_bb"].imag, real_alpha)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridprec.alphabets import (
     Alphabet, DegenerateInputError, choose_delta,
     gaussian_step_coefficient, is_member, make_analog_alphabet,
-    make_digital_alphabet, nearest_label, nearest_labels,
+    make_digital_alphabet, nearest_labels,
 )
 
 RNG_SEED = 2024
@@ -54,24 +54,17 @@ class TestAnalogAlphabet:
 class TestDigitalAlphabet:
     def test_two_levels_unit_step(self):
         """L=2, delta=1 gives real labels {-0.5, +0.5}."""
-        labels = make_digital_alphabet(2, 1.0, kind="digital-real").labels
+        labels = make_digital_alphabet(2, 1.0).labels
         np.testing.assert_array_equal(labels, np.array([-0.5, 0.5]))
 
     def test_four_levels(self):
         """L=4, delta=2 gives {-3, -1, +1, +3}."""
-        labels = make_digital_alphabet(4, 2.0, kind="digital-real").labels
+        labels = make_digital_alphabet(4, 2.0).labels
         np.testing.assert_array_equal(labels, np.array([-3.0, -1.0, 1.0, 3.0]))
-
-    def test_complex_cartesian_square(self):
-        """The complex set is the Cartesian square of the real labels."""
-        alphabet = make_digital_alphabet(2, 1.0)
-        expected = {-0.5 - 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 0.5j}
-        assert set(alphabet.labels) == expected
-        assert len(alphabet.labels) == 4
 
     @pytest.mark.parametrize("levels", [2, 4, 8, 32])
     def test_symmetric_and_zero_sum(self, levels):
-        labels = make_digital_alphabet(levels, 0.37, kind="digital-real").labels
+        labels = make_digital_alphabet(levels, 0.37).labels
         np.testing.assert_array_equal(np.sort(-labels), labels)
         assert np.sum(labels) == 0.0
 
@@ -129,20 +122,16 @@ class TestNearestLabel:
     def test_analog_phase_example(self):
         """A phase of 0.3*pi is closer to j than to 1 on the b=2 circle."""
         alphabet = make_analog_alphabet(2)
-        assert nearest_label(np.exp(1j * 0.3 * np.pi), alphabet) == alphabet.labels[1]
-
-    def test_digital_per_component(self):
-        alphabet = make_digital_alphabet(2, 1.0)
-        assert nearest_label(0.9 + 0.1j, alphabet) == 0.5 + 0.5j
+        assert nearest_labels(np.exp(1j * 0.3 * np.pi), alphabet) == alphabet.labels[1]
 
     def test_matches_exhaustive_scan(self):
         """Vectorized mapping agrees with a per-value exhaustive scan."""
         rng = np.random.default_rng(RNG_SEED)
         for alphabet in (make_analog_alphabet(3), make_digital_alphabet(4, 0.8),
-                         make_digital_alphabet(2, 1.3, kind="digital-real")):
-            values = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-            if alphabet.kind == "digital-real":
-                values = values.real.astype(complex)
+                         make_digital_alphabet(2, 1.3)):
+            values = rng.standard_normal((5, 7))
+            if np.iscomplexobj(alphabet.labels):
+                values = values + 1j * rng.standard_normal((5, 7))
             fast = nearest_labels(values, alphabet)
             for idx in np.ndindex(values.shape):
                 best, best_d = None, np.inf
@@ -154,25 +143,18 @@ class TestNearestLabel:
 
     def test_tie_breaks_to_lowest_index(self):
         """Exact midpoints resolve to the earlier label."""
-        real = make_digital_alphabet(4, 2.0, kind="digital-real")  # {-3,-1,1,3}
-        assert nearest_label(0.0, real) == -1.0
-        assert nearest_label(2.0, real) == 1.0
-
-    def test_scalar_vector_consistency(self):
-        rng = np.random.default_rng(RNG_SEED + 1)
-        alphabet = make_digital_alphabet(4, 0.5)
-        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        fast = nearest_labels(values, alphabet)
-        slow = np.array([nearest_label(v, alphabet) for v in values])
-        np.testing.assert_array_equal(fast, slow)
+        real = make_digital_alphabet(4, 2.0)  # {-3,-1,1,3}
+        np.testing.assert_array_equal(nearest_labels(np.array([0.0, 2.0, -2.0]), real),
+                                      [-1.0, 1.0, -3.0])
 
     @given(st.floats(-4, 4), st.floats(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, re, im):
-        """nearest_label(nearest_label(v)) == nearest_label(v)."""
-        alphabet = make_digital_alphabet(4, 0.75)
-        once = nearest_label(re + 1j * im, alphabet)
-        assert nearest_label(once, alphabet) == once
+        """nearest_labels(nearest_labels(v)) == nearest_labels(v)."""
+        for alphabet, value in ((make_digital_alphabet(4, 0.75), re),
+                                (make_analog_alphabet(3), re + 1j * im)):
+            once = nearest_labels(value, alphabet)
+            assert nearest_labels(once, alphabet) == once
 
     def test_membership_bit_identity(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -182,4 +164,4 @@ class TestNearestLabel:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            nearest_label(np.inf, make_analog_alphabet(1))
+            nearest_labels(np.array([0.0, np.inf]), make_analog_alphabet(1))

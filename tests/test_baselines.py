@@ -125,7 +125,8 @@ class TestQuantizeBaseline:
         f_rf = rng.choice(analog.labels, size=(6, 2))
         f_bb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         fitted = choose_delta(f_bb, 2)
-        last = nearest_labels(f_bb, make_digital_alphabet(2, fitted / 2.0 ** 60))
+        labels = make_digital_alphabet(2, fitted / 2.0 ** 60)
+        last = nearest_labels(f_bb.real, labels) + 1j * nearest_labels(f_bb.imag, labels)
         p_last = _power_per_subcarrier(f_rf, last, 2).max()
         _, delta = nearest_quantize_digital(f_bb, f_rf, p_last, 2, 2)
         assert delta == fitted / 2.0 ** 60
@@ -133,6 +134,26 @@ class TestQuantizeBaseline:
             nearest_quantize_digital(f_bb, f_rf, p_last / 2, 2, 2)
         with pytest.raises(InfeasiblePowerError):
             quantize_baseline(f_rf, f_bb, analog, 2, p_s=1e-300, n_users=2)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4, 8])
+    def test_per_axis_matches_complex_grid_scan(self, levels):
+        """Quantizing the real and imaginary parts alike picks the nearest
+        point of the L x L complex grid, exact midpoints (zero parts at even L)
+        going to the lowest grid index, as an exhaustive scan does."""
+        rng = np.random.default_rng(RNG_SEED + levels)
+        f_rf = rng.choice(make_analog_alphabet(2).labels, size=(6, 3))
+        f_cont = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        f_cont[0, :3] = [0.0, 1.5, 1.5j]  # zero real, imaginary or both parts
+        q, delta = nearest_quantize_digital(f_cont, f_rf, p_s=1e9, levels=levels, n_users=2)
+        assert delta == choose_delta(f_cont, levels)
+        real = make_digital_alphabet(levels, delta).labels
+        grid = (real[:, None] + 1j * real[None, :]).ravel()  # real part major
+        scan = grid[np.argmin(np.abs(f_cont[..., None] - grid), axis=-1)]
+        np.testing.assert_array_equal(q, scan)
+        if levels % 2 == 0:  # zero is the midpoint of the two central labels
+            low = real[levels // 2 - 1]
+            assert q[0, 0] == low + 1j * low
+            assert q[0, 1].imag == low and q[0, 2].real == low
 
     def test_membership_and_power(self, small_config):
         ch = draw_channel(small_config)
@@ -144,7 +165,7 @@ class TestQuantizeBaseline:
                                       p_s, small_config.n_users)
         assert is_member(quantized.f_rf, analog)
         real_alpha = make_digital_alphabet(small_config.quant_levels,
-                                           quantized.delta, kind="digital-real")
+                                           quantized.delta)
         assert is_member(quantized.f_bb.real, real_alpha)
         assert is_member(quantized.f_bb.imag, real_alpha)
         powers = _power_per_subcarrier(quantized.f_rf, quantized.f_bb,

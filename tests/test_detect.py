@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 
 from hybridprec import detect
 from hybridprec.alphabets import (
-    make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
+    Alphabet, make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
 )
 from hybridprec.detect import (
     EPNumericalError, SearchSpaceError, TriangularSystem,
@@ -27,7 +27,7 @@ def random_instance(rng, m, n, analog_bits=None, levels=None, delta=1.0):
         g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     else:
-        alphabet = make_digital_alphabet(levels, delta, kind="digital-real")
+        alphabet = make_digital_alphabet(levels, delta)
         g = rng.standard_normal((n, m))
         noise = rng.standard_normal(n)
     z_true = rng.choice(alphabet.labels, size=m)
@@ -136,8 +136,9 @@ class TestRealify:
         for m in (1, 2, 3):
             g = rng.standard_normal((m + 1, m)) + 1j * rng.standard_normal((m + 1, m))
             c = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
-            complex_alpha = make_digital_alphabet(2, 0.8)
-            real_alpha = make_digital_alphabet(2, 0.8, kind="digital-real")
+            real_alpha = make_digital_alphabet(2, 0.8)
+            real = real_alpha.labels
+            complex_alpha = Alphabet(labels=(real[:, None] + 1j * real[None, :]).ravel())
             direct = brute_force_ml(c, g, complex_alpha)
             c_r = np.concatenate([c.real, c.imag])
             g_r = np.block([[g.real, -g.imag], [g.imag, g.real]])
@@ -149,7 +150,7 @@ class TestBruteForce:
     def test_scalar_equals_projection_rounding(self):
         """M=1 reduces to rounding the scalar least-squares solution."""
         rng = np.random.default_rng(RNG_SEED)
-        alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(4, 1.0)
         g = rng.standard_normal((5, 1))
         c = rng.standard_normal(5)
         res = brute_force_ml(c, g, alphabet)
@@ -158,7 +159,7 @@ class TestBruteForce:
         assert res.z[0] == by_hand
 
     def test_identity_matrix_rounds_per_entry(self):
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         c = np.array([0.9, -1.2, 0.1])
         res = brute_force_ml(c, np.eye(3), alphabet)
         np.testing.assert_array_equal(res.z, [0.5, -0.5, 0.5])
@@ -171,14 +172,14 @@ class TestBruteForce:
 
     def test_tie_breaks_lexicographically(self):
         """With a zero system every candidate ties; the first index vector wins."""
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         res = brute_force_ml(np.zeros(2), np.zeros((2, 2)), alphabet)
         np.testing.assert_array_equal(res.z, [alphabet.labels[0]] * 2)
 
 
 class TestSphereDecoder:
     def test_identity_system_signs(self):
-        alphabet = make_digital_alphabet(2, 2.0, kind="digital-real")  # {-1, +1}
+        alphabet = make_digital_alphabet(2, 2.0)  # {-1, +1}
         system = TriangularSystem(r=np.eye(2), d=np.array([0.9, -1.2]), constant_offset=0.0,
                                   order=np.arange(2))
         res = sesd_solve(system, alphabet)
@@ -243,8 +244,8 @@ class TestSphereDecoder:
 ALPHABETS = {
     "phase-1bit": (lambda: make_analog_alphabet(1), True),
     "phase-2bit": (lambda: make_analog_alphabet(2), True),
-    "real-2level": (lambda: make_digital_alphabet(2, 0.8, kind="digital-real"), False),
-    "real-8level": (lambda: make_digital_alphabet(8, 0.4, kind="digital-real"), False),
+    "real-2level": (lambda: make_digital_alphabet(2, 0.8), False),
+    "real-8level": (lambda: make_digital_alphabet(8, 0.4), False),
     "switch": (make_switch_alphabet, True),
 }
 
@@ -395,7 +396,7 @@ class TestBatchedSphereDecoder:
     def test_full_tie_keeps_the_incumbent(self):
         """With an identity factor and zero targets every label vector ties;
         the rounded incumbent (first label everywhere) keeps its place."""
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         system = prepare_triangular(np.eye(4), np.zeros((4, 3)), alphabet)
         res = sesd_solve(system, alphabet)
         np.testing.assert_array_equal(res.z, np.full((3, 4), alphabet.labels[0]))
@@ -409,7 +410,7 @@ def digital_instance(rng, m_rf, extra_rows, levels, n_targets, duplicate):
     if duplicate and m_rf > 1:
         f_rf[:, -1] = rng.choice([-1.0, 1.0]) * f_rf[:, 0]
     c = rng.standard_normal((n_t, n_targets)) + 1j * rng.standard_normal((n_t, n_targets))
-    alphabet = make_digital_alphabet(levels, float(rng.uniform(0.3, 2.0)), kind="digital-real")
+    alphabet = make_digital_alphabet(levels, float(rng.uniform(0.3, 2.0)))
     c_r, g_r = realify(c, f_rf)
     return c_r, g_r, alphabet
 
@@ -477,7 +478,7 @@ class TestOrderedSphereDecoder:
         of the label box last (they are searched first), equal keys in natural
         order; the permuted factor still returns z in the natural order, and
         takes a natural-order warm start."""
-        alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(4, 1.0)
         g = np.diag([1.0, 4.0, 2.0])
         z_true = alphabet.labels[[0, 3, 1]]  # -1.5, 1.5, -0.5
         system = prepare_triangular(g, g @ z_true, alphabet)
@@ -498,7 +499,7 @@ class TestExpectationPropagation:
     def test_decoupled_system_rounds_entries(self):
         """With an identity system and well-separated labels the first
         iteration already returns the entrywise nearest labels."""
-        alphabet = make_digital_alphabet(2, 2.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 2.0)
         c = np.array([0.9, -1.1, 0.4])
         res = ep_solve(c, np.eye(3), alphabet, max_iter=1)
         np.testing.assert_array_equal(res.z, [1.0, -1.0, 1.0])
@@ -538,14 +539,14 @@ class TestExpectationPropagation:
         assert all(z in alphabet.labels for z in res.z)
 
     def test_nonfinite_input_aborts_with_iteration(self):
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         c = np.array([np.inf, 0.0])
         with pytest.raises(EPNumericalError) as err:
             ep_solve(c, np.eye(2), alphabet)
         assert err.value.iteration >= 1
 
     def test_rejects_bad_damping(self):
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         with pytest.raises(ValueError):
             ep_solve(np.ones(2), np.eye(2), alphabet, damping=1.5)
 
@@ -676,7 +677,7 @@ class TestBatchedExpectationPropagation:
         max_iter without converging, one all-zero: each leaves at its own
         iteration with the result of its own solve."""
         rng = np.random.default_rng(3)
-        alphabet = make_digital_alphabet(4, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(4, 1.0)
         g = rng.standard_normal((6, 4))
         c = g @ rng.choice(alphabet.labels, size=(4, 6)) + 0.3 * rng.standard_normal((6, 6))
         c[:, 2] = 0.0
@@ -692,7 +693,7 @@ class TestBatchedExpectationPropagation:
         only that member is inverted with jitter, and every member still
         equals its single solve."""
         rng = np.random.default_rng(RNG_SEED)
-        alphabet = make_digital_alphabet(2, 1.0, kind="digital-real")
+        alphabet = make_digital_alphabet(2, 1.0)
         g = 1000.0 * rng.standard_normal((4, 2))
         g[:, 1] = g[:, 0]
         c = 10.0 * rng.standard_normal((4, 3))

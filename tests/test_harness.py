@@ -244,6 +244,18 @@ class TestSpecFiles:
                                n_trials=2, seed=6, outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(other) != config_fingerprint(tiny_spec)
 
+    def test_fingerprint_pinned(self):
+        """One fixed spec keeps its fingerprint, so manifests written by
+        earlier versions stay comparable (a changed SystemConfig default
+        changes it, as it should)."""
+        spec = ExperimentSpec(
+            name="pinned", base=SystemConfig(**harness.DESK_CONFIG, total_power_dbm=30.0),
+            schemes=["sd-hybrid", "altmin2-q"], n_trials=3, seed=7,
+            sweep_parameter="quant_levels", sweep_values=[2, 8],
+            outputs=["sum_rate_avg", "mse"])
+        assert config_fingerprint(spec) == (
+            "522896f8eba63ab39d170cafa4cc1043c2e3821efd0c0725b889a65a3c51fdbc")
+
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
             specs = harness.preset_specs(preset)
@@ -322,9 +334,13 @@ class TestOracleCheckAndCli:
         {"n_trials": True},
         {"seed": "3"},
         {"seed": 1.0},
+        {"base": {"n_tx": 8, "m_rf": 2.0, "n_users": 2, "n_subcarriers": 2}},
+        {"base": {"analog_bits": True}},
+        {"sweep": {"parameter": "quant_levels", "values": [2, 4.0]}},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
             "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
-            "n_trials-bool", "seed-string", "seed-float"])
+            "n_trials-bool", "seed-string", "seed-float", "base-int-float", "base-int-bool",
+            "sweep-int-float"])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
         """A spec, or a field of it, of the wrong JSON type is a spec error
         (exit 2), not a traceback or a silently split string."""
@@ -335,6 +351,19 @@ class TestOracleCheckAndCli:
         path.write_text(json.dumps(payload))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
         assert "spec error" in capsys.readouterr().err
+
+    def test_cli_integer_for_float_setting(self, tmp_path):
+        """A JSON integer is a valid value of a float setting, in the base
+        and in a sweep."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "name": "ints", "base": {**TINY_BASE, "total_power_dbm": 10},
+            "sweep": {"parameter": "total_power_dbm", "values": [10, 20]},
+            "schemes": ["fully-digital"], "n_trials": 1,
+        }))
+        assert main(["run", str(path), "--out", str(tmp_path), "--no-timing"]) == EXIT_OK
+        rows = parse_csv(tmp_path / "ints.csv")
+        assert rows and all(r.metric != "error" for r in rows)
 
     @pytest.mark.parametrize("failure", [
         np.linalg.LinAlgError("singular matrix"),

@@ -14,7 +14,7 @@ from hybridprec.alphabets import (
     choose_delta, is_member, make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.detect import brute_force_ml, ep_solve, realify, residual_norm_sq
+from hybridprec.detect import _sq_norms, brute_force_ml, ep_solve, realify, residual_norm_sq
 from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
 from hybridprec.hybrid import (
     DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
@@ -182,7 +182,7 @@ class TestOptimizeDigital:
         r20 = np.linalg.cholesky(gram_r).T
         proj = f_rf.conj().T @ a
         d2 = solve_triangular(r20.T, np.concatenate([proj.real, proj.imag]), lower=True)
-        labels = make_digital_alphabet(2, 1.0, kind="digital-real")
+        labels = make_digital_alphabet(2, 1.0)
         powers = []
         for mu in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0):
             scale = np.sqrt(mu + 1.0)
@@ -201,7 +201,7 @@ class TestOptimizeDigital:
         target = random_target(rng, 8, 4, scale=0.4)
         f_bb, delta, mu, _, _ = optimize_digital(
             target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=2)
-        real_alpha = make_digital_alphabet(2, delta, kind="digital-real")
+        real_alpha = make_digital_alphabet(2, delta)
         g_r = np.block([[f_rf.real, -f_rf.imag], [f_rf.imag, f_rf.real]])
         for col in range(4):
             c_r = np.concatenate([target[:, col].real, target[:, col].imag])
@@ -241,7 +241,8 @@ class TestOptimizeDigital:
         fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
         assert delta < fitted
         assert stats.shrinks > 0 and delta == fitted / 2 ** stats.shrinks
-        assert is_member(f_bb, make_digital_alphabet(2, delta))
+        labels = make_digital_alphabet(2, delta)
+        assert is_member(f_bb.real, labels) and is_member(f_bb.imag, labels)
         eff = f_rf @ f_bb
         for s in range(2):
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
@@ -257,7 +258,7 @@ class TestOptimizeDigital:
         target = random_target(rng, 8, 4)
         p_s = 15.0
         fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
-        labels = make_digital_alphabet(2, fitted, kind="digital-real")
+        labels = make_digital_alphabet(2, fitted)
         zero = ep_solve(*realify(np.zeros(8), f_rf), labels).z
         b = zero[:3] + 1j * zero[3:]
         assert 2 * np.linalg.norm(f_rf @ b) ** 2 > p_s * (1 + 1e-2)  # EP's smallest power
@@ -336,7 +337,7 @@ class TestAlternate:
         for snap in trace.iterates:
             assert is_member(snap["f_rf"], analog_alpha)
             real_alpha = make_digital_alphabet(
-                small_config.quant_levels, snap["delta"], kind="digital-real")
+                small_config.quant_levels, snap["delta"])
             assert is_member(snap["f_bb"].real, real_alpha)
             assert is_member(snap["f_bb"].imag, real_alpha)
             eff = snap["f_rf"] @ snap["f_bb"]
@@ -579,6 +580,27 @@ class TestPhaseDiag:
         f_bb = np.zeros((2, 2), dtype=complex)  # makes every row of B zero
         phases = optimize_phase_diag(target, switch, f_bb, alphabet)
         np.testing.assert_array_equal(phases, alphabet.labels[0])
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_matches_label_cost_scan(self, bits):
+        """The nearest label to the phase of each correlation is the argmin of
+        the per-antenna label cost |l|²‖r_n‖² − 2Re(l̄·c_n), also on zero rows
+        (where every label costs 0 and the scan takes label 0)."""
+        rng = np.random.default_rng(RNG_SEED + bits)
+        alphabet = make_analog_alphabet(bits)
+        for _ in range(20):
+            target = random_target(rng, 12, 6)
+            switch = rng.integers(0, 2, size=(12, 3)).astype(float)
+            switch[:3] = 0.0  # antennas on no RF chain: zero rows
+            f_bb = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+            rows = np.ascontiguousarray((f_bb.T @ switch.T).T)
+            cross = (rows.conj()[:, None, :] @ target[:, :, None])[:, 0, 0]
+            labels = alphabet.labels
+            costs = (-2.0 * np.real(np.conj(labels) * cross[:, None])
+                     + np.abs(labels) ** 2 * _sq_norms(rows)[:, None])
+            scan = labels[np.argmin(costs, axis=1)]
+            np.testing.assert_array_equal(
+                optimize_phase_diag(target, switch, f_bb, alphabet), scan)
 
 
 class TestDynamicConnected:

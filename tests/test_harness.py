@@ -267,6 +267,10 @@ class TestRuntimeBenchmark:
         with pytest.raises(ValueError):
             runtime_benchmark([], SystemConfig(**TINY_BASE), 1)
 
+    def test_zero_rounds_rejected(self):
+        with pytest.raises(ValueError):
+            runtime_benchmark([3], SystemConfig(**TINY_BASE), 1, rounds=0)
+
     def test_rows_shape(self):
         table = runtime_benchmark([3, 4], SystemConfig(**TINY_BASE), 1)
         assert {(r["scheme"], r["m_rf"]) for r in table} == {

@@ -165,19 +165,11 @@ def run_scheme(name: str, channel: ChannelSet, target: FullyDigitalPrecoder,
     return out
 
 
-def _apply_sweep(base: SystemConfig, parameter: Optional[str], value) -> SystemConfig:
-    if parameter is None:
-        return base
-    if not hasattr(base, parameter):
-        raise SpecError(f"unknown sweep parameter {parameter!r}")
-    return base.with_updates(**{parameter: value})
-
-
 def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
               record_timing: bool) -> list:
     """All schemes for one (sweep value, trial) cell."""
-    config = _apply_sweep(spec.base, spec.sweep_parameter, sweep_value)
-    config = config.with_updates(seed=spec.seed)
+    sweep = {} if spec.sweep_parameter is None else {spec.sweep_parameter: sweep_value}
+    config = spec.base.with_updates(**{**sweep, "seed": spec.seed})
     rows = []
     sweep_repr = "" if spec.sweep_parameter is None else sweep_value
     channel = draw_channel(config, trial)
@@ -232,48 +224,35 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1,
     return rows
 
 
-def runtime_benchmark(m_rf_list: list, config: SystemConfig, n_trials: int,
-                      rounds: int = 3) -> list:
+def runtime_benchmark(m_rf_list: list, config: SystemConfig, n_trials: int) -> list:
     """Mean full-design wall time for the exact and message-passing solvers.
 
     Returns one dict per (scheme, m_rf) with the mean seconds per design.
-    Targets are computed before any timing and one untimed design per solver
-    pays the one-off start-up costs. Every design is then timed once in each
-    of ``rounds`` rounds and its fastest round kept: a design is
-    deterministic, so a slower round only adds time taken by other processes,
-    and rounds far apart in time are rarely all disturbed. Within a round a
-    trial's designs for one solver run back to back over the chain counts,
-    so the designs a time ratio compares see the same machine speed.
+    Targets are computed before any timing. Each design is timed three times
+    and its fastest kept: a design is deterministic, so a slower timing only
+    adds one-off start-up costs or time taken by other processes. A trial's
+    designs for one solver are timed back to back over the chain counts, so
+    the designs a time ratio compares see the same machine speed.
     """
     if not m_rf_list:
         raise ValueError("m_rf list must not be empty")
-    if rounds < 1:
-        raise ValueError(f"need at least one round, got {rounds}")
     solvers = (("sd-hybrid", "sesd"), ("ep-hybrid", "ep"))
-    configs = {m_rf: config.with_updates(m_rf=m_rf) for m_rf in m_rf_list}
-    targets = {}
-    for m_rf, cfg in configs.items():
+    configs = [config.with_updates(m_rf=m_rf) for m_rf in m_rf_list]
+    targets = [[wmmse_fully_digital(draw_channel(cfg, trial), per_subcarrier_power_mw(cfg),
+                                    noise_power_mw(cfg))[0] for cfg in configs]
+               for trial in range(n_trials)]
+    fastest = np.full((len(solvers), len(configs), n_trials), np.inf)
+    for _ in range(3):
         for trial in range(n_trials):
-            channel = draw_channel(cfg, trial)
-            targets[m_rf, trial], _ = wmmse_fully_digital(
-                channel, per_subcarrier_power_mw(cfg), noise_power_mw(cfg))
-    first = m_rf_list[0]
-    for _, solver in solvers:
-        hybrid.alternate(targets[first, 0], configs[first], solver)
-    fastest = {(scheme, m_rf): np.full(n_trials, np.inf)
-               for scheme, _ in solvers for m_rf in m_rf_list}
-    for _ in range(rounds):
-        for trial in range(n_trials):
-            for scheme, solver in solvers:
-                for m_rf, cfg in configs.items():
+            for i, (_, solver) in enumerate(solvers):
+                for j, cfg in enumerate(configs):
                     t0 = time.perf_counter()
-                    hybrid.alternate(targets[m_rf, trial], cfg, solver)
-                    best = fastest[scheme, m_rf]
-                    best[trial] = min(best[trial], time.perf_counter() - t0)
-    return [{"scheme": scheme, "m_rf": m_rf,
-             "mean_seconds": float(np.mean(fastest[scheme, m_rf])),
+                    hybrid.alternate(targets[trial][j], cfg, solver)
+                    fastest[i, j, trial] = min(fastest[i, j, trial], time.perf_counter() - t0)
+    mean = fastest.mean(axis=2)
+    return [{"scheme": scheme, "m_rf": m_rf, "mean_seconds": float(mean[i, j]),
              "n_trials": n_trials}
-            for m_rf in m_rf_list for scheme, _ in solvers]
+            for j, m_rf in enumerate(m_rf_list) for i, (scheme, _) in enumerate(solvers)]
 
 
 def _format_value(value) -> str:
@@ -396,6 +375,8 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
         if set(_of_type(sweep, dict, "'sweep'")) != {"parameter", "values"}:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
         sweep_parameter = sweep["parameter"]
+        if not isinstance(sweep_parameter, str) or sweep_parameter not in _CONFIG_FIELDS:
+            raise SpecError(f"unknown sweep parameter {sweep_parameter!r}")
         sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
         if sweep_parameter in _INT_FIELDS:
             for value in sweep_values:
@@ -570,7 +551,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_bench_runtime(args) -> int:
     m_rf_list = [int(x) for x in args.rf.split(",")]
     config = SystemConfig(**(DESK_CONFIG if args.preset == "desk" else {}))
-    table = runtime_benchmark(m_rf_list, config, args.trials, rounds=args.rounds)
+    table = runtime_benchmark(m_rf_list, config, args.trials)
     print(f"{'scheme':14s} {'m_rf':>4s} {'mean_seconds':>14s}")
     for row in table:
         print(f"{row['scheme']:14s} {row['m_rf']:4d} {row['mean_seconds']:14.4f}")
@@ -617,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench-runtime", help="average design time per solver")
     p_bench.add_argument("--rf", default="4,6,8", help="comma-separated RF chain counts")
     p_bench.add_argument("--trials", type=int, default=5)
-    p_bench.add_argument("--rounds", type=int, default=3,
-                         help="timings per design; the fastest is kept")
     p_bench.add_argument("--preset", choices=["desk", "paper"], default="desk")
 
     p_budget = sub.add_parser("budget", help="print fronthaul link-budget fields")

@@ -267,10 +267,6 @@ class TestRuntimeBenchmark:
         with pytest.raises(ValueError):
             runtime_benchmark([], SystemConfig(**TINY_BASE), 1)
 
-    def test_zero_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            runtime_benchmark([3], SystemConfig(**TINY_BASE), 1, rounds=0)
-
     def test_rows_shape(self):
         table = runtime_benchmark([3, 4], SystemConfig(**TINY_BASE), 1)
         assert {(r["scheme"], r["m_rf"]) for r in table} == {
@@ -341,10 +337,12 @@ class TestOracleCheckAndCli:
         {"base": {"n_tx": 8, "m_rf": 2.0, "n_users": 2, "n_subcarriers": 2}},
         {"base": {"analog_bits": True}},
         {"sweep": {"parameter": "quant_levels", "values": [2, 4.0]}},
+        {"sweep": {"parameter": ["m_rf"], "values": [2]}},
+        {"sweep": {"parameter": "with_updates", "values": [2]}},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
             "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
             "n_trials-bool", "seed-string", "seed-float", "base-int-float", "base-int-bool",
-            "sweep-int-float"])
+            "sweep-int-float", "sweep-parameter-array", "sweep-parameter-unknown"])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
         """A spec, or a field of it, of the wrong JSON type is a spec error
         (exit 2), not a traceback or a silently split string."""

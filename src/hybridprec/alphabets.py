@@ -14,8 +14,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtr
 
 
 class DegenerateInputError(ValueError):
@@ -77,14 +76,19 @@ def make_switch_alphabet() -> Alphabet:
     return Alphabet(labels=np.array([0.0, 1.0]))
 
 
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density, in the arithmetic of ``scipy.stats.norm.pdf``."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _gaussian_quantizer_mse(delta: float, levels: int) -> float:
     """E[(q(x) - x)^2] for x ~ N(0,1) under the L-level uniform quantizer."""
     labels = delta * (np.arange(levels) - (levels - 1) / 2.0)
     cuts = delta * (np.arange(1, levels) - levels / 2.0)
     a = np.concatenate(([-np.inf], cuts))
     b = np.concatenate((cuts, [np.inf]))
-    mass = norm.cdf(b) - norm.cdf(a)
-    pa, pb = norm.pdf(a), norm.pdf(b)
+    mass = ndtr(b) - ndtr(a)
+    pa, pb = _norm_pdf(a), _norm_pdf(b)
     aa = np.where(np.isfinite(a), a, 0.0)
     bb = np.where(np.isfinite(b), b, 0.0)
     seg = labels**2 * mass - 2 * labels * (pa - pb) + mass + aa * pa - bb * pb
@@ -96,14 +100,68 @@ def gaussian_step_coefficient(levels: int) -> float:
     """Step size minimizing Gaussian quantization MSE at unit variance.
 
     c(2) = 1.595769..., c(4) = 0.995687..., decreasing roughly as 1/L.
+    The result is bit-identical to ``scipy.optimize.minimize_scalar`` with
+    ``method="bounded"``, ``bounds=(1e-6, 4.0)`` and ``xatol=1e-10``.
     """
     if levels < 2:
         raise ValueError("need at least 2 levels")
-    res = minimize_scalar(
-        _gaussian_quantizer_mse, args=(levels,), bounds=(1e-6, 4.0),
-        method="bounded", options={"xatol": 1e-10},
-    )
-    return float(res.x)
+    return float(_bounded_brent(lambda d: _gaussian_quantizer_mse(d, levels), 1e-6, 4.0, 1e-10))
+
+
+def _bounded_brent(func, a: float, b: float, xatol: float) -> float:
+    """Minimizer of ``func`` on [a, b] by Brent's golden-section/parabolic search
+    (Brent 1973, ch. 5), with the arithmetic and operation order of scipy's
+    ``_minimize_scalar_bounded`` so that it returns the same bits, including
+    its cap of 500 evaluations."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+            return xf
+        parabolic = False
+        if np.abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                parabolic = True
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if not parabolic:  # golden-section step into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
 
 
 def choose_delta(reference_entries: np.ndarray, levels: int) -> float:

@@ -194,6 +194,9 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
         raise ValueError("per-sub-carrier power must be positive")
     hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
     n_t = hm.shape[0]
+    if k_count > n_t:  # the K x K precoder systems would be singular
+        raise ValueError(f"WMMSE needs n_users <= n_tx, got {k_count} users on a channel "
+                         f"of shape {hm.shape}")
     ht = _stack(hm, k_count, s_count)
     norms = np.linalg.norm(ht, axis=2)
     ft = np.zeros(ht.shape, dtype=complex)  # rows f_k^T

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec.alphabets import (
-    Alphabet, DegenerateInputError, choose_delta,
+    Alphabet, DegenerateInputError, _gaussian_quantizer_mse, choose_delta,
     gaussian_step_coefficient, is_member, make_analog_alphabet,
     make_digital_alphabet, nearest_labels,
 )
@@ -116,6 +116,40 @@ class TestChooseDelta:
     def test_coefficients_decrease_with_levels(self):
         cs = [gaussian_step_coefficient(L) for L in (2, 4, 8, 16, 32)]
         assert all(a > b for a, b in zip(cs, cs[1:]))
+
+
+class TestStepCoefficientMatchesScipy:
+    """c(L) and its MSE are bit-identical to the scipy.stats / scipy.optimize
+    form they replace; the oracles are imported here only, so the package
+    itself never loads them."""
+
+    @staticmethod
+    def norm_mse(delta, levels):
+        from scipy.stats import norm
+        labels = delta * (np.arange(levels) - (levels - 1) / 2.0)
+        cuts = delta * (np.arange(1, levels) - levels / 2.0)
+        a = np.concatenate(([-np.inf], cuts))
+        b = np.concatenate((cuts, [np.inf]))
+        mass = norm.cdf(b) - norm.cdf(a)
+        pa, pb = norm.pdf(a), norm.pdf(b)
+        aa = np.where(np.isfinite(a), a, 0.0)
+        bb = np.where(np.isfinite(b), b, 0.0)
+        seg = labels**2 * mass - 2 * labels * (pa - pb) + mass + aa * pa - bb * pb
+        return float(np.sum(seg))
+
+    @pytest.mark.parametrize("levels", [*range(2, 65), 128, 256, 512])
+    def test_coefficient_bits(self, levels):
+        from scipy.optimize import minimize_scalar
+        res = minimize_scalar(self.norm_mse, args=(levels,), bounds=(1e-6, 4.0),
+                              method="bounded", options={"xatol": 1e-10})
+        assert gaussian_step_coefficient(levels) == float(res.x)
+
+    def test_mse_bits(self):
+        rng = np.random.default_rng(RNG_SEED)
+        steps = np.concatenate([[1e-6, 4.0], rng.uniform(1e-6, 4.0, 300)])
+        for delta, levels in zip(steps, rng.integers(2, 513, len(steps))):
+            levels = int(levels)
+            assert _gaussian_quantizer_mse(delta, levels) == self.norm_mse(delta, levels)
 
 
 class TestNearestLabel:

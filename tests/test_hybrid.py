@@ -647,16 +647,43 @@ for solver in ("ep", "sesd"):
 """
 
 
+# Tiny SD and EP designs and one nearest-point quantization in a fresh
+# interpreter; prints the heavy scipy subpackages that were loaded.
+COLD_IMPORTS = """
+import sys
+from hybridprec import channel, hybrid, wmmse
+cfg = channel.SystemConfig(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2)
+ch = channel.draw_channel(cfg, 0)
+p_s = channel.per_subcarrier_power_mw(cfg)
+target, _ = wmmse.wmmse_fully_digital(ch, p_s, channel.noise_power_mw(cfg))
+for solver in ("sesd", "ep"):
+    precoder, _ = hybrid.alternate(target, cfg, solver)
+hybrid.nearest_quantize_digital(target.f_fd[:3], precoder.f_rf, p_s, 4, cfg.n_users)
+heavy = ("optimize", "stats", "sparse", "spatial", "integrate", "interpolate")
+print(" ".join(sorted(name for name in heavy if "scipy." + name in sys.modules)))
+"""
+
+
+def run_fresh(script: str, **env: str) -> str:
+    """Stdout of ``script`` in a new interpreter that imports this checkout."""
+    src = str(Path(hybridprec.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
 class TestBlasThreadDeterminism:
     def test_designs_identical_at_one_and_two_blas_threads(self):
         """F_RF and F_BB do not depend on the OpenBLAS thread count."""
-        src = str(Path(hybridprec.__file__).resolve().parent.parent)
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run([sys.executable, "-c", DESIGN_HASHES], env=env,
-                                  capture_output=True, text=True, timeout=300, check=True)
-            outputs.append(done.stdout)
+        outputs = [run_fresh(DESIGN_HASHES, OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
         assert [line.split()[0] for line in outputs[0].splitlines()] == ["ep", "sesd"]
         assert outputs[0] == outputs[1]
+
+
+class TestColdImport:
+    def test_designs_load_no_heavy_scipy_subpackage(self):
+        """Designing never loads scipy.optimize, scipy.stats or what they pull in;
+        a fresh interpreter is needed because other tests import them."""
+        assert run_fresh(COLD_IMPORTS).strip() == ""

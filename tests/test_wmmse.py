@@ -404,6 +404,11 @@ class TestLockstepMatchesLoop:
             hm[:, rng.random(k_count * s_count) < silent] = 0.0  # silent users
             p_s, n0 = float(rng.uniform(0.1, 10.0)), 1.0
             p_s *= 10 ** (snr_db / 10)
+            if k_count > n_t:
+                with pytest.raises(ValueError, match=rf"{k_count} users .* shape \({n_t}, "):
+                    wmmse_fully_digital(hm, p_s, n0, tol=tol, max_iter=max_iter,
+                                        n_users=k_count, n_subcarriers=s_count)
+                return
             with np.errstate(all="ignore"):
                 try:
                     trace, feasible, cond = assert_matches_loop(

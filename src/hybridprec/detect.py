@@ -82,8 +82,8 @@ def cholesky_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 def forward_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """R^H x = b for upper-triangular R: the trsm call of ``solve_triangular(r.conj().T,
-    b, lower=True)``, without its checks and the thread dispatch of LAPACK trtrs, which
-    dominate at these sizes and stall when the other cores are busy."""
+    b, lower=True)``, without its checks and the thread dispatch of its LAPACK routine,
+    which dominate at these sizes and stall when the other cores are busy."""
     trsm, = get_blas_funcs(("trsm",), (r, b))
     return trsm(1.0, r.conj(), b, lower=0, trans_a=1)
 
@@ -181,10 +181,9 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     ``(m, P)``, all sharing the factor R; ``constant_offset`` is a scalar or
     one value per target, and ``warm_starts`` an optional ``(m,)`` or
     ``(P, m)`` array of alphabet-member vectors in natural order; ``z`` comes
-    back in natural order too. Each problem's incumbent is
-    the nearest-label rounding of its unconstrained triangular solve, then its
-    warm start and its Babai point (first child at every level), each only if
-    strictly better.
+    back in natural order too. Each problem's incumbent is its warm start, if
+    given, then its Babai point (the nearest label at every level, the first
+    leaf of a depth-first Schnorr-Euchner search) if strictly better.
 
     The search runs breadth-first within blocks of at most ``SD_BLOCK`` nodes
     and depth-first across blocks. A block is expanded one level at once;
@@ -193,8 +192,9 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     its own problem's incumbent, and the survivors are split into blocks
     pushed so the earliest is expanded first. Leaves therefore appear in
     depth-first visit order, and the first leaf strictly below a problem's
-    incumbent replaces it: ties go to the incumbent, then to the first
-    minimum-cost leaf. Incumbents affect speed only, never optimality.
+    incumbent replaces it. Tie rule: the warm start if it ties the optimum,
+    else the first minimum-cost leaf in depth-first Schnorr-Euchner order.
+    Incumbents affect speed only, never optimality.
 
     Returns ``z`` of shape ``(m,)`` or ``(P, m)``, the objective (scalar or
     per target), ``nodes_visited`` summed over the batch (search nodes kept;
@@ -217,42 +217,26 @@ def sesd_solve(system: TriangularSystem, alphabet: Alphabet,
     if not (np.isfinite(r).all() and np.isfinite(targets).all()):
         raise ValueError("triangular system has non-finite entries")
 
-    # Per-target incumbents, with the arithmetic of a single-target solve: a
-    # many-column triangular solve or residual rounds differently, and the
-    # incumbent decides near-ties. This is the LAPACK call solve_triangular
-    # makes, without its per-call validation.
-    trtrs, = get_lapack_funcs(("trtrs",), (r,))
-    a, lower, trans = (r, False, 0) if r.flags.f_contiguous else (r.T, True, 1)
-    unconstrained = np.empty((n_prob, m), dtype=dtype)
-    for j in range(n_prob):
-        unconstrained[j], info = trtrs(a, targets[:, j], lower=lower, trans=trans)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
-    z_best = _nearest(unconstrained, labels)
     roots = np.ascontiguousarray(targets.T)
-    best = _residuals(roots, r, z_best)
-
-    def offer(cost: np.ndarray, z: np.ndarray) -> None:
-        better = cost < best
-        best[better] = cost[better]
-        z_best[better] = z[better]
-
-    if warm is not None:
-        offer(_residuals(roots, r, warm), warm)
     scaled = np.real(np.diag(r))[:, None] * labels  # R_ii times every label
     cols = [r[:i, i].copy() for i in range(m)]
     index_type = np.min_scalar_type(len(labels) - 1)
     # the Babai point is the first leaf a depth-first search reaches, so
     # taking it first keeps the tie rule and tightens every incumbent early
-    y, cost, every = roots, np.zeros(n_prob), np.arange(n_prob)
+    y, best, every = roots, np.zeros(n_prob), np.arange(n_prob)
     path = np.empty((n_prob, m), dtype=index_type)
     for level in range(m - 1, -1, -1):
         increments = np.abs(y[:, level, None] - scaled[level]) ** 2
         k = increments.argmin(axis=1)
-        cost = cost + increments[every, k]
+        best = best + increments[every, k]
         path[:, level] = k
         y = y[:, :level] - cols[level] * labels[k][:, None]
-    offer(cost, labels[path])
+    z_best = labels[path]
+    if warm is not None:
+        warm_cost = _residuals(roots, r, warm)
+        kept = warm_cost <= best
+        best[kept] = warm_cost[kept]
+        z_best[kept] = warm[kept]
     # a block: (level to assign, problem ids, residual prefixes, partial costs, label-index paths)
     stack: list = []
     _push_blocks(stack, m - 1, every, roots, np.zeros(n_prob),

@@ -66,7 +66,7 @@ class SolverStats:
     shrinks: int = 0  # digital step halvings
 
     def absorb(self, result: SolveResult) -> None:
-        self.solves += len(result.z) if result.z.ndim == 2 else 1
+        self.solves += len(result.z)
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
         self.truncated += result.truncated
@@ -81,10 +81,13 @@ class AlternateTrace:
     objective_per_outer_iter: list = field(default_factory=list)
     solver_stats: SolverStats = field(default_factory=SolverStats)
     wall_times: dict = field(default_factory=dict)
-    truncated: bool = False
     stop: str = "max-iter"  # or "tolerance", or "fixed-point": an iterate repeated its input
     n_outer: int = 0
     iterates: Optional[list] = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop == "max-iter"
 
 
 def _as_matrix(f_fd: Union[FullyDigitalPrecoder, np.ndarray]) -> np.ndarray:
@@ -109,6 +112,36 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int) ->
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
 
+def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet,
+          config: Optional[SystemConfig], stats: SolverStats):
+    """The one finite-alphabet least-squares path: min ||c_p - G z||^2 for the
+    columns c_p of ``c`` by ``solver``, the SD factor built once. Returns
+    ``solve(cols, scale, warm, labels)``: the labels (one row per column in
+    ``cols``) of min ||c_p / scale - scale G z||^2 over ``labels``, centred as
+    ``alphabet`` is (the centre sets the SD column order); every call is added
+    to ``stats``."""
+    if solver not in ("sesd", "ep"):
+        raise ValueError(f"unknown FALS solver {solver!r}")
+    cfg = config or SystemConfig()
+    if solver == "sesd":
+        base = prepare_triangular(g, c, alphabet)
+        stats.ridged += base.ridge > 0
+
+    def solve(cols, scale: float = 1.0, warm: Optional[np.ndarray] = None,
+              labels: Alphabet = alphabet) -> np.ndarray:
+        if solver == "sesd":
+            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
+                             constant_offset=base.constant_offset[cols] / scale**2)
+            res = sesd_solve(system, labels, warm_starts=warm)
+        else:
+            res = ep_solve(c[:, cols] / scale, scale * g, labels, damping=cfg.ep_damping,
+                           max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+        stats.absorb(res)
+        return res.z
+
+    return solve
+
+
 def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndarray,
                     solver: str, alphabet: Alphabet,
                     config: Optional[SystemConfig] = None,
@@ -128,22 +161,12 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
         stats.solves += target.shape[0]
         return f_rf, stats
 
-    if solver not in ("sesd", "ep"):
-        raise ValueError(f"unknown analog solver {solver!r}")
-    cfg = config or SystemConfig()
+    solve = _fals(b, a, solver, alphabet, config, stats)
     try:
-        if solver == "sesd":
-            system = prepare_triangular(b, a, alphabet)
-            stats.ridged += system.ridge > 0
-            res = sesd_solve(system, alphabet, warm_starts=warm)
-        else:
-            res = ep_solve(a, b, alphabet, damping=cfg.ep_damping,
-                           max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+        return solve(slice(None), warm=warm), stats
     except Exception as exc:
         where = f" at antenna {exc.index}" if isinstance(exc, EPNumericalError) else ""
         raise AnalogSolveError("analog subproblem failed" + where) from exc
-    stats.absorb(res)
-    return res.z, stats
 
 
 def _power_per_subcarrier(f_rf: np.ndarray, f_bb: np.ndarray, n_users: int) -> np.ndarray:
@@ -212,34 +235,17 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
         f_bb, delta = nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users)
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
-    if solver not in ("sesd", "ep"):
-        raise ValueError(f"unknown digital solver {solver!r}")
 
     delta = choose_delta(ls_digital, levels)
     alphabet = make_digital_alphabet(levels, delta)
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
-    if solver == "sesd":
-        # one column order for every multiplier and step: mu only scales the
-        # unconstrained solutions, and every step's labels are centred on 0
-        base = prepare_triangular(f_rf_r, target_r, alphabet)
-        stats.ridged += base.ridge > 0
+    # one factor and column order for every multiplier and step: every step's
+    # labels are centred on 0, and mu only scales the system
+    fals = _fals(f_rf_r, target_r, solver, alphabet, cfg, stats)
 
     def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
-        """Stacked real solutions (one row per column) at multiplier mu, over
-        the labels of the current step.
-
-        mu enters only as a scale: R(mu) = sqrt(mu+1) R0, d(mu) = d0 / sqrt(mu+1).
-        """
-        scale = math.sqrt(mu + 1.0)
-        if solver == "sesd":
-            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
-                             constant_offset=0.0)  # the objective is not read
-            res = sesd_solve(system, alphabet, warm_starts=warm)
-        else:
-            res = ep_solve(target_r[:, cols] / scale, scale * f_rf_r, alphabet,
-                           damping=cfg.ep_damping, max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
-        stats.absorb(res)
-        return res.z
+        """R(mu) = sqrt(mu+1) R0, d(mu) = d0 / sqrt(mu+1), the current step's labels."""
+        return fals(cols, math.sqrt(mu + 1.0), warm, alphabet)
 
     while True:
         try:
@@ -321,11 +327,8 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     b = f_bb.T
     alphabet = make_switch_alphabet()
     stats = SolverStats()
-    system = prepare_triangular(b, rotated.T, alphabet)
-    stats.ridged += system.ridge > 0
-    res = sesd_solve(system, alphabet)
-    stats.absorb(res)
-    switch = _repair_switch(res.z.real.copy(), rotated.T, b)
+    z = _fals(b, rotated.T, "sesd", alphabet, None, stats)(slice(None))
+    switch = _repair_switch(z.real.copy(), rotated.T, b)
     return switch, stats
 
 
@@ -461,8 +464,6 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
             trace.stop = "fixed-point"
             break
         prev_obj, prev_state = obj, state
-    else:
-        trace.truncated = True
 
     trace.n_outer = len(trace.objective_per_outer_iter)
     precoder = HybridPrecoder(**best, mode=mode, n_users=k_count, n_subcarriers=s_count)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 
 from hybridprec import detect
 from hybridprec.alphabets import (
@@ -275,14 +274,13 @@ def batch_instance(rng, kind, m, extra_rows, n_targets, rank_deficient, zero_tar
 
 def depth_first_sd(system, alphabet, warm=None):
     """Reference single-target Schnorr-Euchner search, recursive and depth-first
-    over the system's column order: the incumbent is replaced only by a
-    strictly cheaper leaf. ``warm`` and the result are in natural order."""
+    over the system's column order, from the warm start (or from +inf without
+    one): the incumbent is replaced only by a strictly cheaper leaf. ``warm``
+    and the result are in natural order."""
     labels = alphabet.labels.astype(np.result_type(system.r, system.d, alphabet.labels))
     r, d = system.r.astype(labels.dtype), system.d.astype(labels.dtype)
-    unconstrained = solve_triangular(r, d, lower=False)
-    z = labels[np.argmin(np.abs(unconstrained[:, None] - labels), axis=1)]
-    best = {"cost": residual_norm_sq(d, r, z), "z": z}
-    if warm is not None and residual_norm_sq(d, r, warm[system.order]) < best["cost"]:
+    best = {"cost": np.inf, "z": None}
+    if warm is not None:
         best = {"cost": residual_norm_sq(d, r, warm[system.order]),
                 "z": warm[system.order].astype(labels.dtype)}
     path = np.zeros(len(d), dtype=labels.dtype)
@@ -395,7 +393,8 @@ class TestBatchedSphereDecoder:
 
     def test_full_tie_keeps_the_incumbent(self):
         """With an identity factor and zero targets every label vector ties;
-        the rounded incumbent (first label everywhere) keeps its place."""
+        the Babai point (first label everywhere), which is the first leaf of
+        the depth-first search, keeps its place."""
         alphabet = make_digital_alphabet(2, 1.0)
         system = prepare_triangular(np.eye(4), np.zeros((4, 3)), alphabet)
         res = sesd_solve(system, alphabet)

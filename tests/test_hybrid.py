@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hybridprec
 
@@ -209,6 +211,40 @@ class TestOptimizeDigital:
             ours = residual_norm_sq(
                 c_r, g_r, np.concatenate([f_bb[:, col].real, f_bb[:, col].imag]))
             assert ours == pytest.approx(exact.objective, abs=1e-9)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 2),
+           st.sampled_from([4, 8]), st.integers(1, 2), st.integers(1, 2),
+           st.floats(0.4, 0.9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_binding_multiplier_matches_brute_force(self, seed, m_rf, extra, levels,
+                                                    n_users, s_count, fraction, duplicate):
+        """With a budget that binds (mu > 0), each sphere-decoded column is an
+        exact minimizer of the scaled subproblem ||c_r / sqrt(mu+1) -
+        sqrt(mu+1) G_r z||^2 over the returned step's labels, also with one
+        target far outside the label box and a repeated analog column (a
+        ridge-loaded factor)."""
+        rng = np.random.default_rng(seed)
+        n_tx = m_rf + extra
+        f_rf = rng.choice(make_analog_alphabet(1).labels, size=(n_tx, m_rf))
+        if duplicate and m_rf > 1:
+            f_rf[:, -1] = rng.choice([-1.0, 1.0]) * f_rf[:, 0]
+        target = random_target(rng, n_tx, n_users * s_count)
+        target[:, 0] *= 8.0  # its unconstrained solution lies outside the label box
+        free, *_ = optimize_digital(target, f_rf, p_s=1e9, solver="sesd",
+                                    levels=levels, n_users=n_users)
+        p_s = fraction * float(_power_per_subcarrier(f_rf, free, n_users).max())
+        f_bb, delta, mu, _, _ = optimize_digital(
+            target, f_rf, p_s=p_s, solver="sesd", levels=levels, n_users=n_users)
+        assume(np.any(mu > 0))  # else only step halvings met the budget
+        labels = make_digital_alphabet(levels, delta)
+        c_r, g_r = realify(target, f_rf)
+        for col in range(f_bb.shape[1]):
+            scale = np.sqrt(mu[col % s_count] + 1.0)
+            c, g = c_r[:, col] / scale, scale * g_r
+            exact = brute_force_ml(c, g, labels)
+            ours = residual_norm_sq(c, g, np.concatenate([f_bb[:, col].real,
+                                                          f_bb[:, col].imag]))
+            assert ours == pytest.approx(exact.objective, abs=1e-9 * max(1.0, c @ c))
 
     def test_power_feasible_when_constraint_binds(self):
         rng = np.random.default_rng(RNG_SEED)

@@ -9,12 +9,12 @@ constructed once and reused bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class DegenerateInputError(ValueError):
@@ -79,6 +79,66 @@ def make_switch_alphabet() -> Alphabet:
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
     """Standard normal density, in the arithmetic of ``scipy.stats.norm.pdf``."""
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
+# Cephes ndtr.c (S. L. Moshier): erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8) and
+# exp(-x^2) R(x)/S(x) on [8, inf), erf(x) = x T(x^2)/U(x^2) on [-1, 1]. The
+# leading 1 of Q, S and U is written out: Cephes' p1evl rounds as polevl on it.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp(-x*x) underflows past it
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """coef[0]*x^N + ... + coef[N] in Horner order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| <= 1, all that ndtr asks of it."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc for x >= 0, all that ndtr asks of it; nan stays nan."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if -x * x < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
+
+
+def _ndtr(a: float) -> float:
+    x = a * math.sqrt(0.5)
+    z = abs(x)
+    if z < math.sqrt(0.5):
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, bit-identical to ``scipy.special.ndtr``: a port of
+    Cephes ``ndtr``, ``erf`` and ``erfc``, one entry at a time."""
+    a = np.asarray(a, dtype=float)
+    return np.array([_ndtr(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def _gaussian_quantizer_mse(delta: float, levels: int) -> float:

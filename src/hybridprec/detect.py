@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .alphabets import Alphabet, _nearest
 
@@ -81,11 +80,10 @@ def cholesky_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def forward_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """R^H x = b for upper-triangular R: the trsm call of ``solve_triangular(r.conj().T,
-    b, lower=True)``, without its checks and the thread dispatch of its LAPACK routine,
-    which dominate at these sizes and stall when the other cores are busy."""
-    trsm, = get_blas_funcs(("trsm",), (r, b))
-    return trsm(1.0, r.conj(), b, lower=0, trans_a=1)
+    """R^H x = b for upper-triangular R, as the row- and column-reversed system,
+    which is upper triangular: LU with partial pivoting leaves it unpivoted and
+    unchanged, so the solve is one back substitution."""
+    return np.linalg.solve(r[::-1, ::-1].conj().T, b[::-1])[::-1]
 
 
 def prepare_triangular(g: np.ndarray, c: np.ndarray, alphabet: Alphabet) -> TriangularSystem:
@@ -104,14 +102,15 @@ def prepare_triangular(g: np.ndarray, c: np.ndarray, alphabet: Alphabet) -> Tria
     g, c = np.asarray(g), np.asarray(c)
     g_h = g.conj().T
     gram, proj = g_h @ g, g_h @ c
-    loaded = gram + suggested_ridge(gram) * np.eye(len(gram), dtype=gram.dtype)
-    # raw LAPACK as in forward_solve; a failed solve would only degrade the order
-    gesv, = get_lapack_funcs(("gesv",), (loaded, proj))
-    x = gesv(loaded, proj)[2]
+    m = len(gram)
+    loaded = gram.copy()
+    loaded.flat[::m + 1] += suggested_ridge(gram)
+    # positive definite once loaded: a LinAlgError here means a non-finite Gram
+    x = np.linalg.solve(loaded, proj)
     spread = np.abs(x - alphabet.labels.sum() / len(alphabet.labels))
-    order = spread.reshape(len(gram), -1).sum(axis=1).argsort(kind="stable")  # as the mean
-    r, ridge = cholesky_with_retry(gram[order][:, order])
-    d = forward_solve(r, proj[order])
+    order = spread.reshape(m, -1).sum(axis=1).argsort(kind="stable")  # as the mean
+    r, ridge = cholesky_with_retry(gram.take(order, 0).take(order, 1))
+    d = forward_solve(r, proj.take(order, 0))
     offsets = (np.abs(c) ** 2).sum(axis=0) - (np.abs(d) ** 2).sum(axis=0)
     return TriangularSystem(r=r, d=d, constant_offset=offsets, order=order, ridge=ridge)
 

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import baselines, hybrid
 from .alphabets import make_analog_alphabet, make_digital_alphabet, make_switch_alphabet
@@ -309,6 +308,14 @@ def _git_describe() -> str:
 
 
 def write_manifest(spec: ExperimentSpec, path, wall_seconds: float) -> None:
+    # scipy is a test dependency only: its version comes from package metadata,
+    # without importing it, and is null when it is not installed; the import of
+    # importlib.metadata (about 20 ms) waits for the first manifest
+    from importlib import metadata
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "experiment": spec.name,
@@ -318,7 +325,7 @@ def write_manifest(spec: ExperimentSpec, path, wall_seconds: float) -> None:
         "git_describe": _git_describe(),
         "wall_clock_seconds": wall_seconds,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

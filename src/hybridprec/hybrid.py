@@ -64,16 +64,20 @@ class SolverStats:
     truncated: int = 0  # EP targets stopped at max_iter
     ridged: int = 0  # SD systems built on a ridge-loaded Gram factor
     shrinks: int = 0  # digital step halvings
+    peak_frontier: int = 0  # most children one SD block expansion kept; a maximum, not a sum
 
     def absorb(self, result: SolveResult) -> None:
         self.solves += len(result.z)
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
         self.truncated += result.truncated
+        self.peak_frontier = max(self.peak_frontier,
+                                 (result.diagnostics or {}).get("peak_frontier", 0))
 
     def add(self, other: "SolverStats") -> None:
         for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(mine, theirs) if f.name == "peak_frontier" else mine + theirs)
 
 
 @dataclass
@@ -98,17 +102,13 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int) ->
     """Phase pattern of the top singular pairs of the fully-digital target.
 
     Entries are continuous unit-modulus values; label quantization happens
-    in the first analog solve. Falls back to random phases if the SVD fails.
+    in the first analog solve.
     """
     target = _as_matrix(f_fd)
     n_t, ks = target.shape
     if m_rf > min(n_t, ks):
         raise ValueError(f"m_rf={m_rf} exceeds min(n_tx, K*S)={min(n_t, ks)}")
-    try:
-        u, sv, _ = np.linalg.svd(target, full_matrices=False)
-    except np.linalg.LinAlgError:
-        rng = np.random.default_rng(0)
-        return np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_t, m_rf)))
+    u, sv, _ = np.linalg.svd(target, full_matrices=False)
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
 

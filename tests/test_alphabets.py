@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hybridprec.alphabets import (
     Alphabet, DegenerateInputError, _gaussian_quantizer_mse, choose_delta,
     gaussian_step_coefficient, is_member, make_analog_alphabet,
-    make_digital_alphabet, nearest_labels,
+    make_digital_alphabet, ndtr, nearest_labels,
 )
 
 RNG_SEED = 2024
@@ -147,6 +147,36 @@ class TestStepCoefficientMatchesScipy:
         for delta, levels in zip(steps, rng.integers(2, 513, len(steps))):
             levels = int(levels)
             assert _gaussian_quantizer_mse(delta, levels) == self.norm_mse(delta, levels)
+
+
+class TestNdtrMatchesScipy:
+    """The in-package normal CDF is bit-identical to ``scipy.special.ndtr``,
+    imported here only as the oracle."""
+
+    def test_bits(self):
+        from scipy.special import ndtr as scipy_ndtr
+        rng = np.random.default_rng(RNG_SEED)
+        sqrt2 = np.sqrt(2.0)
+        # branch edges, x = a / sqrt(2): |a| = 1 (erf / erfc), x = 1 (erfc by erf), x = 8
+        # (erfc's two fits), exp(-x^2) underflow at |a| ~ 37.7
+        edges = np.array([1.0, sqrt2, 8.0 * sqrt2, np.sqrt(2 * 7.09782712893383996843e2),
+                          37.5, 38.0])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        points = np.concatenate([
+            rng.uniform(-40.0, 40.0, 60_000), 3.0 * rng.standard_normal(40_000),
+            rng.uniform(-1.5, 1.5, 20_000), near, -near,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308],
+        ])
+        ours, theirs = ndtr(points), scipy_ndtr(points)
+        assert ours.shape == points.shape
+        np.testing.assert_array_equal(np.isnan(ours), np.isnan(points))
+        finite = ~np.isnan(points)
+        np.testing.assert_array_equal(ours[finite].view(np.int64), theirs[finite].view(np.int64))
+
+    def test_shape_and_special_values(self):
+        np.testing.assert_array_equal(ndtr(np.array([[-np.inf, 0.0], [-0.0, np.inf]])),
+                                      [[0.0, 0.5], [0.5, 1.0]])
+        assert ndtr(np.array(0.0)).shape == ()
 
 
 class TestNearestLabel:

@@ -11,8 +11,8 @@ from hybridprec.alphabets import (
 )
 from hybridprec.detect import (
     EPNumericalError, SearchSpaceError, TriangularSystem,
-    brute_force_ml, ep_solve, prepare_triangular, realify, residual_norm_sq,
-    sesd_solve,
+    brute_force_ml, ep_solve, forward_solve, prepare_triangular, realify,
+    residual_norm_sq, sesd_solve,
 )
 
 RNG_SEED = 31
@@ -104,6 +104,26 @@ class TestPrepareTriangular:
         permuted = g[:, system.order]
         np.testing.assert_allclose(system.r.conj().T @ system.r, permuted.conj().T @ permuted,
                                    rtol=1e-10)
+
+
+class TestForwardSolve:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("rhs", [None, 1, 16])
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_matches_scipy_solve_triangular(self, m, rhs, complex_valued):
+        """R^H x = b agrees with scipy's triangular solve, the test-only oracle."""
+        from scipy.linalg import solve_triangular
+        rng = np.random.default_rng(RNG_SEED + m)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_valued else x
+        g = draw(m + 3, m)
+        r = np.linalg.cholesky(g.conj().T @ g).conj().T
+        b = draw(m) if rhs is None else draw(m, rhs)
+        x = forward_solve(r, b)
+        assert x.shape == b.shape and x.dtype == b.dtype
+        np.testing.assert_allclose(x, solve_triangular(r.conj().T, b, lower=True), rtol=1e-12)
 
 
 class TestRealify:

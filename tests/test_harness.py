@@ -312,6 +312,22 @@ class TestOracleCheckAndCli:
         assert threads["OPENBLAS_NUM_THREADS"] == "1"
         assert threads["MKL_NUM_THREADS"] is None
 
+    def test_manifest_scipy_null_when_not_installed(self, tmp_path, tiny_spec, monkeypatch):
+        """The scipy version comes from package metadata: null without scipy."""
+        from importlib import metadata
+        version = metadata.version
+
+        def without_scipy(name):
+            if name == "scipy":
+                raise metadata.PackageNotFoundError(name)
+            return version(name)
+        monkeypatch.setattr(metadata, "version", without_scipy)
+        path = tmp_path / "tiny.manifest.json"
+        harness.write_manifest(tiny_spec, path, 0.0)
+        manifest = json.loads(path.read_text())
+        assert manifest["scipy"] is None
+        assert manifest["numpy"] == np.__version__
+
     def test_cli_bad_spec_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "name": "x",

@@ -16,12 +16,14 @@ from hybridprec.alphabets import (
     choose_delta, is_member, make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.detect import _sq_norms, brute_force_ml, ep_solve, realify, residual_norm_sq
+from hybridprec.detect import (
+    SolveResult, _sq_norms, brute_force_ml, ep_solve, realify, residual_norm_sq, sesd_solve,
+)
 from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
 from hybridprec.hybrid import (
     DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
-    _power_per_subcarrier, alternate, init_analog_svd, optimize_analog, optimize_digital,
-    optimize_phase_diag, optimize_switch, rescale_to_budget,
+    SolverStats, _power_per_subcarrier, alternate, init_analog_svd, optimize_analog,
+    optimize_digital, optimize_phase_diag, optimize_switch, rescale_to_budget,
 )
 from hybridprec.wmmse import mse_to_target, wmmse_fully_digital
 
@@ -64,6 +66,14 @@ class TestSvdInit:
         rng = np.random.default_rng(RNG_SEED)
         with pytest.raises(ValueError):
             init_analog_svd(random_target(rng, 8, 2), m_rf=3)
+
+    def test_svd_failure_propagates(self, monkeypatch):
+        """A failed SVD raises, as the SVD of the dynamic-connected start does."""
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            init_analog_svd(random_target(np.random.default_rng(RNG_SEED), 8, 6), m_rf=3)
 
     def test_beats_random_init_on_most_seeds(self):
         """The singular-pair initialization reaches a final objective at least
@@ -515,6 +525,31 @@ class TestSolverStats:
         _, trace = alternate(target, cfg, "ep")
         assert trace.solver_stats.truncated == sum(seen) > 0
 
+    def test_peak_frontier_is_a_maximum(self, monkeypatch):
+        """`peak_frontier` is the largest SD block of any call, not a sum, and
+        `add` keeps the maximum while it sums every other count."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            result = sesd_solve(*args, **kwargs)
+            seen.append(result.diagnostics["peak_frontier"])
+            return result
+        monkeypatch.setattr(hybridprec.hybrid, "sesd_solve", spy)
+        cfg = SystemConfig(**DESK_SMALL_CONFIG).with_updates(seed=1)
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                        max_iter=cfg.wmmse_max_iter)
+        _, trace = alternate(target, cfg, "sesd")
+        assert len(seen) > 1 and sum(seen) > max(seen) > 0
+        assert trace.solver_stats.peak_frontier == max(seen)
+
+        total = SolverStats(solves=2, peak_frontier=7)
+        total.add(SolverStats(solves=3, nodes=4, peak_frontier=5))
+        assert (total.solves, total.nodes, total.peak_frontier) == (5, 4, 7)
+        total.absorb(SolveResult(z=np.zeros((1, 2)), objective=0.0,
+                                 diagnostics={"iterations": np.ones(1)}))
+        assert total.peak_frontier == 7
+
     def test_reference_trial_zero_ridged(self):
         """Reference trial 0 drops the analog Gram below full rank, so some SD
         factors of its design are ridge-loaded."""
@@ -683,20 +718,24 @@ for solver in ("ep", "sesd"):
 """
 
 
-# Tiny SD and EP designs and one nearest-point quantization in a fresh
-# interpreter; prints the heavy scipy subpackages that were loaded.
+# Tiny SD, EP and dynamic-connected designs, one nearest-point quantization and
+# one manifest in a fresh interpreter; prints every scipy module then loaded.
 COLD_IMPORTS = """
-import sys
-from hybridprec import channel, hybrid, wmmse
+import sys, tempfile
+from pathlib import Path
+from hybridprec import channel, harness, hybrid, wmmse
 cfg = channel.SystemConfig(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2)
 ch = channel.draw_channel(cfg, 0)
 p_s = channel.per_subcarrier_power_mw(cfg)
 target, _ = wmmse.wmmse_fully_digital(ch, p_s, channel.noise_power_mw(cfg))
 for solver in ("sesd", "ep"):
     precoder, _ = hybrid.alternate(target, cfg, solver)
+hybrid.alternate(target, cfg, "sesd", mode=hybrid.DYNAMIC_CONNECTED)
 hybrid.nearest_quantize_digital(target.f_fd[:3], precoder.f_rf, p_s, 4, cfg.n_users)
-heavy = ("optimize", "stats", "sparse", "spatial", "integrate", "interpolate")
-print(" ".join(sorted(name for name in heavy if "scipy." + name in sys.modules)))
+spec = harness.ExperimentSpec(name="cold", base=cfg, schemes=["sd-hybrid"])
+with tempfile.TemporaryDirectory() as out:
+    harness.write_manifest(spec, Path(out) / "cold.manifest.json", 0.0)
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
@@ -719,7 +758,7 @@ class TestBlasThreadDeterminism:
 
 
 class TestColdImport:
-    def test_designs_load_no_heavy_scipy_subpackage(self):
-        """Designing never loads scipy.optimize, scipy.stats or what they pull in;
-        a fresh interpreter is needed because other tests import them."""
+    def test_designs_load_no_scipy(self):
+        """Importing, designing and writing a manifest load no scipy module; a
+        fresh interpreter is needed because other tests import scipy as an oracle."""
         assert run_fresh(COLD_IMPORTS).strip() == ""

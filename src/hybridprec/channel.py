@@ -36,7 +36,6 @@ class SystemConfig:
     bisection_tol: float = 1e-2
     wmmse_tol: float = 1e-4
     wmmse_max_iter: int = 200
-    power_convention: str = "equal-split"  # or "per-subcarrier"
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class SystemConfig:
             raise ValueError("bandwidth and carrier frequency must be positive")
         if not 0.0 <= self.ep_damping <= 1.0:
             raise ValueError("ep_damping must lie in [0, 1]")
-        if self.power_convention not in ("equal-split", "per-subcarrier"):
-            raise ValueError(f"unknown power convention {self.power_convention!r}")
         if self.n_taps_minus_one < 0:
             raise ValueError("tap count cannot be negative")
         if self.outer_max_iter < 1 or self.wmmse_max_iter < 1 or self.ep_max_iter < 1:
@@ -88,11 +85,8 @@ def mw_from_dbm(dbm: float) -> float:
 
 
 def per_subcarrier_power_mw(config: SystemConfig) -> float:
-    """Per-sub-carrier transmit budget in mW under the configured convention."""
-    total = mw_from_dbm(config.total_power_dbm)
-    if config.power_convention == "equal-split":
-        return total / config.n_subcarriers
-    return total
+    """Per-sub-carrier transmit budget in mW: the total split equally over the sub-carriers."""
+    return mw_from_dbm(config.total_power_dbm) / config.n_subcarriers
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:

@@ -334,7 +334,7 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
 
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flip single entries until all columns are distinct and nonzero."""
-    while True:  # every flip shrinks the offending set, so this ends
+    while True:  # each flip shrinks the offending set; raises once no single flip does
         bad = _offending_columns(switch)
         if not bad:
             return switch

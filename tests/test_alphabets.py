@@ -110,6 +110,15 @@ class TestChooseDelta:
         with pytest.raises(DegenerateInputError):
             choose_delta(np.zeros(8, dtype=complex), 2)
 
+    def test_zero_spread_entries(self):
+        """Nonzero entries whose real and imaginary parts are all equal."""
+        with pytest.raises(DegenerateInputError, match="zero spread"):
+            choose_delta(np.full(8, 1.0 + 1.0j), 2)
+
+    def test_coefficient_needs_two_levels(self):
+        with pytest.raises(ValueError, match="at least 2 levels"):
+            gaussian_step_coefficient(1)
+
     def test_coefficients_decrease_with_levels(self):
         cs = [gaussian_step_coefficient(L) for L in (2, 4, 8, 16, 32)]
         assert all(a > b for a, b in zip(cs, cs[1:]))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from hybridprec import baselines
 from hybridprec.alphabets import (
     choose_delta, is_member, make_analog_alphabet, make_digital_alphabet, nearest_labels,
 )
 from hybridprec.baselines import (
-    altmin1, altmin2, quantize_baseline, retract, tangent_project,
+    AltminTrace, altmin1, altmin2, quantize_baseline, retract, tangent_project,
     unit_modulus_gradient,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
@@ -47,6 +48,13 @@ class TestAltmin2:
         assert np.all(powers <= p_s * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("altmin", [altmin1, altmin2])
+def test_more_rf_chains_than_target_columns_rejected(altmin):
+    config = SystemConfig(n_tx=8, m_rf=4, n_users=1, n_subcarriers=2)
+    with pytest.raises(ValueError, match="m_rf exceeds K\\*S"):
+        altmin(np.ones((8, 2), dtype=complex), config)
+
+
 class TestAltmin1:
     def test_projected_gradient_matches_finite_differences(self):
         """Directional derivatives along random tangents agree with central
@@ -65,6 +73,18 @@ class TestAltmin1:
             minus = mse_to_target(target, retract(f_rf - h * direction), f_bb)
             numeric = (plus - minus) / (2 * h)
             assert numeric == pytest.approx(analytic, rel=1e-5, abs=1e-8)
+
+    def test_failed_line_search_stops_the_descent(self, monkeypatch):
+        """A retraction that returns the current point makes no step meet the
+        Armijo condition: the descent stops there and counts one failure."""
+        rng = np.random.default_rng(RNG_SEED)
+        target = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        f_bb = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        f_rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 2)))
+        monkeypatch.setattr(baselines, "retract", lambda point: f_rf)
+        trace = AltminTrace()
+        assert baselines._manifold_descent(target, f_rf, f_bb, trace) is f_rf
+        assert trace.line_search_failures == 1
 
     def test_tangent_has_no_radial_component(self):
         rng = np.random.default_rng(RNG_SEED)

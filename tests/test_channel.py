@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hybridprec.channel import (
-    SystemConfig, array_response, draw_channel, fronthaul_accounting,
-    noise_power_dbm, path_loss_db, supported_levels, taps_to_frequency,
+    SystemConfig, array_response, draw_channel, fronthaul_accounting, mw_from_dbm,
+    noise_power_dbm, path_loss_db, per_subcarrier_power_mw, supported_levels,
+    taps_to_frequency,
 )
 
 
@@ -74,6 +75,22 @@ class TestSystemConfig:
     def test_damping_range(self):
         with pytest.raises(ValueError):
             SystemConfig(ep_damping=1.5)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_subcarriers": 0}, "sub-carrier"),
+        ({"subcarrier_bandwidth_hz": 0.0}, "bandwidth"),
+        ({"carrier_ghz": -28.0}, "carrier frequency"),
+        ({"n_taps_minus_one": -1}, "tap count"),
+        ({"outer_max_iter": 0}, "iteration caps"),
+        ({"wmmse_max_iter": 0}, "iteration caps"),
+        ({"ep_max_iter": 0}, "iteration caps"),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
+    def test_out_of_range_setting_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**setting)
+
+    def test_power_split_equally_over_subcarriers(self, paper_config):
+        assert per_subcarrier_power_mw(paper_config) == mw_from_dbm(35.0) / 64
 
     def test_with_updates(self, paper_config):
         updated = paper_config.with_updates(total_power_dbm=50.0)
@@ -148,6 +165,14 @@ class TestFronthaulAccounting:
         assert supported_levels(paper_config) == 2
         cfg30 = paper_config.with_updates(fronthaul_budget_bits_per_symbol=30.0)
         assert supported_levels(cfg30) == 4
+        # under one bit per real dimension: a single label
+        cfg5 = paper_config.with_updates(fronthaul_budget_bits_per_symbol=5.0)
+        assert supported_levels(cfg5) == 1
+
+    @pytest.mark.parametrize("modulation_order, iq_bits", [(1, 12), (16, 0)])
+    def test_rejects_bad_signalling_arguments(self, paper_config, modulation_order, iq_bits):
+        with pytest.raises(ValueError, match="modulation order"):
+            fronthaul_accounting(paper_config, modulation_order, iq_bits)
 
     @pytest.mark.parametrize("levels", [2, 4, 8])
     def test_budget_constraint_iff(self, paper_config, levels):

@@ -204,6 +204,20 @@ class TestSphereDecoder:
         res = sesd_solve(system, alphabet)
         np.testing.assert_array_equal(res.z, [1.0, -1.0])
 
+    def test_empty_system_rejected(self):
+        system = TriangularSystem(r=np.zeros((0, 0)), d=np.zeros(0), constant_offset=0.0,
+                                  order=np.arange(0))
+        with pytest.raises(ValueError, match="empty system"):
+            sesd_solve(system, make_digital_alphabet(2, 2.0))
+
+    @pytest.mark.parametrize("where", ["r", "d"])
+    def test_nonfinite_system_rejected(self, where):
+        r, d = np.eye(2), np.array([0.9, -1.2])
+        {"r": r, "d": d}[where][1] = np.nan
+        system = TriangularSystem(r=r, d=d, constant_offset=0.0, order=np.arange(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            sesd_solve(system, make_digital_alphabet(2, 2.0))
+
     def test_matches_brute_force(self):
         """Exact oracle agreement across alphabets and sizes (subset of the
         acceptance sweep)."""
@@ -475,6 +489,36 @@ class TestOrderedSphereDecoder:
             assert residual_norm_sq(c_r[:, j], g_r, res.z[j]) == pytest.approx(
                 exact.objective, abs=1e-10)
 
+    @given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(2, 4), st.integers(0, 2),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_ridge_moves_the_objective_by_at_most_its_bound(self, seed, switch, m, extra,
+                                                           outside_box):
+        """A repeated column of G makes the Gram singular, and most such factors
+        are ridge-loaded: the search then minimizes ||c - G z||^2 + ridge ||z||^2
+        exactly. For {0, 1} switch and 4-level digital labels ||z||^2 varies, so
+        the argmin may move, but its objective on the unloaded problem stays
+        within ridge * max ||z||^2 of the enumerated optimum. (A Gram that
+        factors with a rounding-sized pivot has ridge 0: the bound is exactness.)"""
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        if switch:
+            alphabet = make_switch_alphabet()
+            g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        else:
+            alphabet = make_digital_alphabet(4, float(rng.uniform(0.3, 2.0)))
+            g, c = rng.standard_normal((n, m)), rng.standard_normal(n)
+        if outside_box:
+            c *= 4.0 * np.max(np.abs(alphabet.labels)) * np.sqrt(n)
+        g[:, -1] = g[:, 0]
+        system = prepare_triangular(g, c, alphabet)
+        found = residual_norm_sq(c, g, sesd_solve(system, alphabet).z)
+        optimum = brute_force_ml(c, g, alphabet).objective
+        bound = system.ridge * m * np.max(np.abs(alphabet.labels)) ** 2
+        rounding = 1e-10 * max(1.0, float(np.real(np.vdot(c, c))))
+        assert optimum - rounding <= found <= optimum + bound + rounding
+
     def test_same_search_as_the_permuted_problem(self):
         """An ordered system searches exactly as its factor in natural order
         would, given the warm starts permuted by hand: same labels (permuted
@@ -734,6 +778,31 @@ class TestBatchedExpectationPropagation:
             z, objective, _, _ = reference_ep(c[:, j].copy(), g, alphabet, 1.0, 30, 1e-4)
             np.testing.assert_array_equal(res.z[j], z)
             assert res.objective[j] == objective
+
+    def test_singular_precision_raises_once_the_jitter_reaches_its_cap(self, monkeypatch):
+        """When no jitter restores the inverse, the jitter grows 100x per retry
+        up to 1e-3 of the largest diagonal entry, then the solve raises naming
+        the iteration and the target."""
+        tried = []
+
+        def singular(a):
+            tried.append(a.copy())
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        # the first posterior precision is 2 I
+        with pytest.raises(EPNumericalError,
+                           match="posterior covariance at iteration 1 for target 0"):
+            ep_solve(np.ones(3), np.eye(3), make_digital_alphabet(2, 1.0))
+        jitters = [np.diagonal(a[0] - tried[0][0]) for a in tried[1:]]
+        expected = 2.0 * 10.0 ** np.arange(-14.0, -3.0, 2.0)
+        np.testing.assert_allclose(jitters, np.repeat(expected[:, None], 3, axis=1), rtol=0.05)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_factor_rejected(self, value):
+        g = np.eye(3)
+        g[1, 2] = value
+        with pytest.raises(EPNumericalError, match="non-finite inputs at iteration 1"):
+            ep_solve(np.ones(3), g, make_digital_alphabet(2, 1.0))
 
     @pytest.mark.parametrize("bad", [0, 3, 4])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -1,6 +1,8 @@
 """Tests for experiment orchestration, CSV emission, and the CLI."""
 
 import json
+import runpy
+import sys
 import time
 
 import numpy as np
@@ -10,11 +12,11 @@ import scipy
 import hybridprec.harness as harness
 from hybridprec import hybrid
 from hybridprec.channel import SystemConfig
-from hybridprec.detect import EPNumericalError
+from hybridprec.detect import EPNumericalError, SolveResult
 from hybridprec.harness import (
-    EXIT_NUMERICAL, EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
+    EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
     SpecError, config_fingerprint, emit_csv, load_spec, main, oracle_check,
-    parse_csv, run_experiment, runtime_benchmark, spec_from_dict,
+    parse_csv, run_experiment, run_scheme, runtime_benchmark, spec_from_dict,
 )
 
 TINY_BASE = dict(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2, total_power_dbm=10.0)
@@ -42,6 +44,16 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE),
                            schemes=["fully-digital"], sweep_parameter="m_rf")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"outputs": ["speed"]}, "unknown metric"),
+        ({"n_trials": 0}, "n_trials"),
+        ({"sweep_parameter": "m_rf", "sweep_values": []}, "sweep values"),
+    ], ids=["metric", "n_trials", "sweep-values"])
+    def test_rejects_bad_field(self, fields, message):
+        with pytest.raises(SpecError, match=message):
+            ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE),
+                           schemes=["fully-digital"], **fields)
 
 
 class TestRunExperiment:
@@ -99,6 +111,11 @@ class TestRunExperiment:
         assert capsys.readouterr().err.splitlines() == [
             f"error row: experiment why, scheme sd-hybrid, sweep value 10.0, trial {t}: "
             "InfeasiblePowerError: injected failure" for t in range(2)]
+
+    def test_run_scheme_rejects_unknown_name(self, tiny_spec):
+        # the name is checked before the channel or the target is read
+        with pytest.raises(SpecError, match="unknown scheme 'psycho'"):
+            run_scheme("psycho", None, None, tiny_spec.base)
 
     def test_sweep_applies_parameter(self, tiny_spec):
         spec = ExperimentSpec(name="swp", base=tiny_spec.base,
@@ -179,6 +196,12 @@ class TestEmitCsv:
         for row, back in zip(sorted(rows, key=ResultRow.sort_key), recovered):
             assert back.value == pytest.approx(row.value, rel=1e-9)
 
+    def test_error_row_value_written_as_nan(self, tmp_path):
+        path = tmp_path / "error.csv"
+        emit_csv([ResultRow("e", "s", "", 0, 0, "error", float("nan"), 0.0)], path)
+        assert path.read_text().splitlines()[1] == "e,s,,0,0,error,nan,0.000000000e+00"
+        assert np.isnan(parse_csv(path)[0].value)
+
     def test_canonical_sort_stable_under_shuffle(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [ResultRow("e", f"s{i%3}", i % 2, i, 0, "m", float(i), 0.0)
@@ -224,6 +247,13 @@ class TestSpecFiles:
                             "schemes": ["fully-digital"],
                             "base": {"n_tx": 8, "volume": 11}})
 
+    @pytest.mark.parametrize("missing", ["name", "schemes"])
+    def test_required_key_missing(self, missing):
+        payload = {"schema_version": 1, "name": "x", "schemes": ["fully-digital"]}
+        del payload[missing]
+        with pytest.raises(SpecError, match="spec requires 'name' and 'schemes'"):
+            spec_from_dict(payload)
+
     def test_schema_version_enforced(self):
         with pytest.raises(SpecError, match="schema_version"):
             spec_from_dict({"name": "x", "schemes": ["fully-digital"]})
@@ -246,20 +276,22 @@ class TestSpecFiles:
 
     def test_fingerprint_pinned(self):
         """One fixed spec keeps its fingerprint, so manifests written by
-        earlier versions stay comparable (a changed SystemConfig default
-        changes it, as it should)."""
+        earlier versions stay comparable (a changed SystemConfig field or
+        default changes it, as it should)."""
         spec = ExperimentSpec(
             name="pinned", base=SystemConfig(**harness.DESK_CONFIG, total_power_dbm=30.0),
             schemes=["sd-hybrid", "altmin2-q"], n_trials=3, seed=7,
             sweep_parameter="quant_levels", sweep_values=[2, 8],
             outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(spec) == (
-            "522896f8eba63ab39d170cafa4cc1043c2e3821efd0c0725b889a65a3c51fdbc")
+            "686dae234116291e68275c68f0462657bf04db058bb6935f04778c68ea76ce6d")
 
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
             specs = harness.preset_specs(preset)
             assert {s.name for s in specs} >= {"convergence", "rate-vs-power"}
+        with pytest.raises(SpecError, match="unknown preset 'huge'"):
+            harness.preset_specs("huge")
 
 
 class TestRuntimeBenchmark:
@@ -328,6 +360,65 @@ class TestOracleCheckAndCli:
         assert manifest["scipy"] is None
         assert manifest["numpy"] == np.__version__
 
+    @pytest.mark.parametrize("git, described", [
+        (None, "unknown"),
+        ("#!/bin/sh\nexit 128\n", "unknown"),
+        ("#!/bin/sh\necho abc1234-dirty\n", "abc1234-dirty"),
+    ], ids=["no-git", "not-a-repository", "described"])
+    def test_manifest_git_describe(self, git, described, tmp_path, tiny_spec, monkeypatch):
+        """The manifest takes git's description, or "unknown" when git is
+        missing or fails, whether or not the tests run in a checkout."""
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        if git is not None:
+            (bin_dir / "git").write_text(git)
+            (bin_dir / "git").chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        path = tmp_path / "tiny.manifest.json"
+        harness.write_manifest(tiny_spec, path, 0.0)
+        assert json.loads(path.read_text())["git_describe"] == described
+
+    def test_cli_run_preset_suite(self, tmp_path, tiny_spec, monkeypatch):
+        """Without a spec file, run takes the --preset suite (desk by default)."""
+        presets = []
+
+        def tiny_suite(preset):
+            presets.append(preset)
+            return [tiny_spec]
+        monkeypatch.setattr(harness, "preset_specs", tiny_suite)
+        assert main(["run", "--out", str(tmp_path), "--no-timing"]) == EXIT_OK
+        assert presets == ["desk"]
+        assert (tmp_path / "tiny.csv").exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+    def test_cli_unreadable_spec_exit_code(self, content, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
+        assert "cannot read spec file" in capsys.readouterr().err
+
+    def test_cli_oracle_check_mismatch_exit_code(self, monkeypatch, capsys):
+        """A decoder that misses the enumerated optimum fails the check: exit 4."""
+        def first_label(system, alphabet):
+            return SolveResult(z=np.full(len(system.order), alphabet.labels[0]), objective=0.0)
+        monkeypatch.setattr(harness, "sesd_solve", first_label)
+        assert main(["oracle-check", "--instances", "10"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "10 instances," in out and " 0 mismatches" not in out
+
+    # runpy re-executes the already imported harness module as __main__
+    @pytest.mark.filterwarnings("ignore:'hybridprec.harness' found in sys.modules:RuntimeWarning")
+    @pytest.mark.parametrize("module", ["hybridprec", "hybridprec.harness"])
+    def test_module_entry_points(self, module, monkeypatch, capsys):
+        """python -m hybridprec and python -m hybridprec.harness run the CLI and
+        exit with its code."""
+        monkeypatch.setattr(sys, "argv", [module, "budget", "--levels", "2"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module(module, run_name="__main__")
+        assert exit_info.value.code == EXIT_OK
+        assert "supported_levels" in capsys.readouterr().out
+
     def test_cli_bad_spec_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "name": "x",
@@ -355,10 +446,12 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "quant_levels", "values": [2, 4.0]}},
         {"sweep": {"parameter": ["m_rf"], "values": [2]}},
         {"sweep": {"parameter": "with_updates", "values": [2]}},
+        {"sweep": {"parameter": "m_rf", "values": [3], "step": 1}},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
             "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
             "n_trials-bool", "seed-string", "seed-float", "base-int-float", "base-int-bool",
-            "sweep-int-float", "sweep-parameter-array", "sweep-parameter-unknown"])
+            "sweep-int-float", "sweep-parameter-array", "sweep-parameter-unknown",
+            "sweep-extra-key"])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
         """A spec, or a field of it, of the wrong JSON type is a spec error
         (exit 2), not a traceback or a silently split string."""

@@ -154,6 +154,11 @@ class TestOptimizeAnalog:
         with pytest.raises(AnalogSolveError, match="antenna 2$"):
             optimize_analog(target, f_bb, "ep", make_analog_alphabet(1))
 
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="unknown FALS solver 'x'"):
+            optimize_analog(np.ones((3, 2), dtype=complex), np.eye(2, dtype=complex), "x",
+                            make_analog_alphabet(1))
+
     def test_ep_rows_equal_per_antenna_solves(self):
         """One batched EP call gives each antenna the row a solve of that
         antenna alone gives."""
@@ -620,6 +625,13 @@ class TestSwitchNetwork:
         the first copy does not."""
         switch = np.array(columns, dtype=float).T  # each listed row is one RF chain
         assert _offending_columns(switch) == bad
+
+    def test_repair_fails_when_no_flip_helps(self):
+        """One antenna cannot give two RF chains distinct nonzero columns: every
+        single flip leaves one chain offending, so the repair raises."""
+        with pytest.raises(RuntimeError, match=r"switch repair failed; offending RF chains: \[1\]"):
+            optimize_switch(np.ones((1, 2), dtype=complex), np.ones(1, dtype=complex),
+                            np.eye(2, dtype=complex))
 
     def test_rejects_non_unit_phases(self):
         with pytest.raises(ValueError):

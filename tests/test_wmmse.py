@@ -33,6 +33,12 @@ class TestSinr:
         f = np.array([[1.0 + 0j], [1j]])  # h^T f = 1 + j^2 = 0
         assert sinr(h, f, 0, 0, 1.0, 1, 1) == 0.0
 
+    @pytest.mark.parametrize("n0", [0.0, -1.0])
+    def test_nonpositive_noise_rejected(self, n0):
+        h = np.ones((2, 1), dtype=complex)
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            sinr(h, h, 0, 0, n0, 1, 1)
+
     def test_matches_direct_recomputation(self):
         """Agrees with an independent loop over the defining formula."""
         rng = np.random.default_rng(RNG_SEED)

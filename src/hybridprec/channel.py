@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+
+def has_setting_type(kind: str, value) -> bool:
+    """Whether ``value`` is of a setting's declared type, the annotation's string: "int"
+    takes an integer (numpy's too), "float" any real and "tuple" a pair of reals; no bool."""
+    if kind == "tuple":
+        return (isinstance(value, tuple) and len(value) == 2
+                and all(has_setting_type("float", v) for v in value))
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if kind == "int" else numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not has_setting_type(f.type, getattr(self, f.name)):
+                raise ValueError(f"{f.name} is not a valid {f.type} setting: {getattr(self, f.name)!r}")
         if not self.n_users <= self.m_rf < self.n_tx:
             raise ValueError(
                 f"need n_users <= m_rf < n_tx, got K={self.n_users}, "

@@ -348,7 +348,8 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     ``G``. Each target leaves the batch when it converges, so it gets the result
     of a solve of it alone. ``iterations`` is summed over targets,
     ``diagnostics["iterations"]`` holds each target's own, shape ``(P,)`` or
-    ``(1,)``, and ``truncated`` counts the targets that reached ``max_iter``.
+    ``(1,)``, ``diagnostics["found"]`` the iteration whose decision it returns,
+    and ``truncated`` counts the targets that reached ``max_iter``.
     """
     if not 0.0 <= damping <= 1.0:
         raise ValueError(f"damping must be in [0, 1], got {damping}")
@@ -377,13 +378,16 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     sigma2 = np.ones(n_prob)
     z_best = np.full((n_prob, m), labels[0])
     best = np.full(n_prob, np.inf)
+    found = np.zeros(n_prob, int)  # the iteration of each z_best
     prev = None
-    # labels, objective and iteration count of every target, filled as it leaves
-    z_out, obj_out, iters_out = np.empty_like(z_best), np.empty(n_prob), np.empty(n_prob, int)
+    # labels, objective, iteration count and found-at iteration of every target, filled as it leaves
+    z_out, obj_out = np.empty_like(z_best), np.empty(n_prob)
+    iters_out, found_out = np.empty(n_prob, int), np.empty(n_prob, int)
 
     def finish(idx: np.ndarray, iteration: int) -> None:
         ids = active[idx]
         z_out[ids], obj_out[ids], iters_out[ids] = z_best[idx], best[idx], iteration
+        found_out[ids] = found[idx]
 
     for iteration in range(1, max_iter + 1):
         cov = _robust_inverse(gram / sigma2[:, None, None] + lam[:, None, :] * eye,
@@ -399,6 +403,7 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         better = obj < best
         np.copyto(best, obj, where=better)
         np.copyto(z_best, z, where=better[:, None])
+        found[better] = iteration
 
         if prev is not None:
             # ||change|| / max(||previous||, 1e-30) of mu and var as np.linalg.norm rounds it
@@ -409,9 +414,9 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
             if done.any():
                 finish(np.flatnonzero(done), iteration)
                 keep = np.flatnonzero(~done)
-                active, targets, gc, lam, gam, sigma2, z_best, best, mu, var, state = (
-                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, mu,
-                                      var, state))
+                active, targets, gc, lam, gam, sigma2, z_best, best, found, mu, var, state = (
+                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, found,
+                                      mu, var, state))
                 if not len(active):
                     break
         prev = state
@@ -446,5 +451,5 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
         objective=float(obj_out[0]) if single else obj_out,
         iterations=int(np.sum(iters_out)),
         truncated=truncated,
-        diagnostics={"iterations": iters_out},
+        diagnostics={"iterations": iters_out, "found": found_out},
     )

@@ -22,14 +22,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from . import baselines, hybrid
 from .alphabets import make_analog_alphabet, make_digital_alphabet, make_switch_alphabet
 from .channel import (
-    ChannelSet, SystemConfig, draw_channel, fronthaul_accounting,
+    ChannelSet, SystemConfig, draw_channel, fronthaul_accounting, has_setting_type,
     noise_power_mw, per_subcarrier_power_mw, supported_levels,
 )
 from .detect import (
@@ -58,6 +58,8 @@ ALTERNATE_SCHEMES = {
     "dynamic-ep": ("ep", hybrid.DYNAMIC_CONNECTED, None, None),
 }
 METRICS = ("sum_rate_avg", "sum_rate_total", "mse", "runtime", "trace")
+# the settings a spec sets or sweeps; the seed is the spec's own
+SETTINGS = tuple(f.name for f in dataclasses.fields(SystemConfig) if f.name != "seed")
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -89,12 +91,18 @@ class ExperimentSpec:
         for m in self.outputs:
             if m not in METRICS:
                 raise SpecError(f"unknown metric {m!r}; choose from {METRICS}")
-        if self.n_trials < 1:
-            raise SpecError("n_trials must be at least 1")
+        if not has_setting_type("int", self.seed):
+            raise SpecError(f"seed must be an integer, got {self.seed!r}")
+        if not has_setting_type("int", self.n_trials) or self.n_trials < 1:
+            raise SpecError(f"n_trials must be an integer of at least 1, got {self.n_trials!r}")
         if (self.sweep_parameter is None) != (self.sweep_values is None):
             raise SpecError("sweep parameter and values must be given together")
+        if self.sweep_parameter is not None and self.sweep_parameter not in SETTINGS:
+            raise SpecError(f"sweep parameter {self.sweep_parameter!r} is not a setting other than 'seed'")
         if self.sweep_values is not None and len(self.sweep_values) == 0:
             raise SpecError("sweep values must not be empty")
+        for value in self.sweep_values or ():  # every cell's config, before the first trial
+            self.base.with_updates(**{self.sweep_parameter: value})
 
 
 @dataclass
@@ -333,9 +341,6 @@ def write_manifest(spec: ExperimentSpec, path, wall_seconds: float) -> None:
 
 # --- experiment spec files -------------------------------------------------
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
-_INT_FIELDS = {name for name, hint in get_type_hints(SystemConfig).items()
-               if hint is int}
 _SPEC_KEYS = {"schema_version", "name", "base", "sweep", "schemes", "n_trials",
               "seed", "outputs"}
 
@@ -347,9 +352,8 @@ def _of_type(value, kind: type, what: str):
     return value
 
 
-def _check_int(value, what: str) -> None:
-    if type(value) is not int:  # a JSON integer: not a float, string or bool
-        raise SpecError(f"{what} must be a JSON integer, got {value!r}")
+def _tuple(value):  # a JSON array as the tuple a range setting takes
+    return tuple(value) if isinstance(value, list) else value
 
 
 def spec_from_dict(payload: dict) -> ExperimentSpec:
@@ -363,41 +367,23 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
     if "name" not in payload or "schemes" not in payload:
         raise SpecError("spec requires 'name' and 'schemes'")
     base_dict = _of_type(payload.get("base", {}), dict, "'base'")
-    unknown_cfg = set(base_dict) - _CONFIG_FIELDS
+    unknown_cfg = set(base_dict) - set(SETTINGS)
     if unknown_cfg:
         raise SpecError(f"unknown config keys: {sorted(unknown_cfg)}")
-    for key, value in base_dict.items():
-        if key in _INT_FIELDS:
-            _check_int(value, f"base {key!r}")
-    try:
-        for key in ("distance_range_m", "angle_range_rad"):
-            if key in base_dict:
-                base_dict[key] = tuple(base_dict[key])
-        base = SystemConfig(**base_dict)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid base config: {exc}") from exc
     sweep = payload.get("sweep")
     sweep_parameter = sweep_values = None
     if sweep is not None:
         if set(_of_type(sweep, dict, "'sweep'")) != {"parameter", "values"}:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
         sweep_parameter = sweep["parameter"]
-        if not isinstance(sweep_parameter, str) or sweep_parameter not in _CONFIG_FIELDS:
-            raise SpecError(f"unknown sweep parameter {sweep_parameter!r}")
-        sweep_values = list(_of_type(sweep["values"], list, "sweep 'values'"))
-        if sweep_parameter in _INT_FIELDS:
-            for value in sweep_values:
-                _check_int(value, f"sweep value of {sweep_parameter!r}")
+        sweep_values = [_tuple(v) for v in _of_type(sweep["values"], list, "sweep 'values'")]
     schemes = _of_type(payload["schemes"], list, "'schemes'")
     outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
-    for key in ("n_trials", "seed"):
-        _check_int(payload.get(key, 0), key)
     return ExperimentSpec(
-        name=payload["name"], base=base, schemes=list(schemes),
+        name=payload["name"], schemes=list(schemes), outputs=list(outputs),
+        base=SystemConfig(**{key: _tuple(value) for key, value in base_dict.items()}),
         n_trials=payload.get("n_trials", 20), seed=payload.get("seed", 0),
-        sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-        outputs=list(outputs),
-    )
+        sweep_parameter=sweep_parameter, sweep_values=sweep_values)
 
 
 def load_spec(path) -> ExperimentSpec:

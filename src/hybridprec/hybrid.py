@@ -61,6 +61,7 @@ class SolverStats:
     solves: int = 0
     nodes: int = 0
     iterations: int = 0
+    found: int = 0  # EP iterations up to each target's returned decision
     truncated: int = 0  # EP targets stopped at max_iter
     ridged: int = 0  # SD systems built on a ridge-loaded Gram factor
     shrinks: int = 0  # digital step halvings
@@ -71,8 +72,9 @@ class SolverStats:
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
         self.truncated += result.truncated
-        self.peak_frontier = max(self.peak_frontier,
-                                 (result.diagnostics or {}).get("peak_frontier", 0))
+        diagnostics = result.diagnostics or {}
+        self.found += int(np.sum(diagnostics.get("found", 0)))
+        self.peak_frontier = max(self.peak_frontier, diagnostics.get("peak_frontier", 0))
 
     def add(self, other: "SolverStats") -> None:
         for f in fields(self):

@@ -89,6 +89,29 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=message):
             SystemConfig(**setting)
 
+    @pytest.mark.parametrize("setting", [
+        {"n_tx": 8.0}, {"m_rf": True}, {"n_subcarriers": np.float64(4.0)},
+        {"total_power_dbm": "35"}, {"total_power_dbm": True}, {"ep_tol": None},
+        {"distance_range_m": (1.0,)}, {"distance_range_m": (1.0, 2.0, 3.0)},
+        {"distance_range_m": (100.0, "200")}, {"angle_range_rad": [-1.0, 1.0]},
+        {"angle_range_rad": (False, 1.0)},
+    ], ids=["n_tx-float", "m_rf-bool", "n_subcarriers-numpy-float", "power-string",
+            "power-bool", "ep_tol-null", "range-length-1", "range-length-3", "range-string",
+            "angle-list", "angle-bool"])
+    def test_setting_of_wrong_type_rejected(self, setting):
+        """An int setting takes integers, a float setting any real number, a
+        tuple setting a pair of reals; a bool is never accepted."""
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} is not a valid"):
+            SystemConfig(**setting)
+
+    def test_numpy_integers_and_integer_power_accepted(self):
+        cfg = SystemConfig(n_tx=np.int64(16), m_rf=np.int32(4), n_users=np.int64(2),
+                           n_subcarriers=np.uint8(4), total_power_dbm=30,
+                           distance_range_m=(np.float64(50.0), 150))
+        assert (cfg.n_tx, cfg.m_rf, cfg.total_power_dbm) == (16, 4, 30)
+        assert draw_channel(cfg).h.shape == (16, 8)
+        assert cfg.with_updates(ep_tol=np.float32(1e-3)).ep_tol == np.float32(1e-3)
+
     def test_power_split_equally_over_subcarriers(self, paper_config):
         assert per_subcarrier_power_mw(paper_config) == mw_from_dbm(35.0) / 64
 

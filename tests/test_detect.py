@@ -624,7 +624,7 @@ ep_cases = st.tuples(
 
 def assert_matches_single_solves(res, c, g, alphabet, **kwargs):
     """Every target of a batched EP result equals a solve of that column alone:
-    labels, objective and iteration count, byte for byte."""
+    labels, objective, iteration count and found-at iteration, byte for byte."""
     singles = [ep_solve(c[:, j], g, alphabet, **kwargs) for j in range(c.shape[1])]
     iterations = res.diagnostics["iterations"]
     assert res.z.shape == (c.shape[1], g.shape[1])
@@ -634,6 +634,7 @@ def assert_matches_single_solves(res, c, g, alphabet, **kwargs):
         assert res.z[j].dtype == single.z.dtype
         assert res.objective[j] == single.objective
         assert iterations[j] == single.iterations == single.diagnostics["iterations"][0]
+        assert res.diagnostics["found"][j] == single.diagnostics["found"][0]
         assert single.truncated in (0, 1)
     assert res.iterations == sum(s.iterations for s in singles)
     assert res.truncated == sum(s.truncated for s in singles)
@@ -734,6 +735,24 @@ class TestBatchedExpectationPropagation:
             z, objective, iterations, truncated = reference_ep(c[:, j].copy(), g, alphabet, **kwargs)
             np.testing.assert_array_equal(res.z[j], z)
             assert (res.objective[j], res.diagnostics["iterations"][j]) == (objective, iterations)
+
+    @given(ep_cases)
+    @settings(max_examples=40, deadline=None)
+    def test_found_iteration_returns_the_same_decision(self, case):
+        """Re-running a batch with max_iter set to a target's found-at
+        iteration returns that target's labels and objective unchanged, and
+        found never exceeds the target's iteration count."""
+        seed, kind, m, extra, n_targets, deficient, damping, max_iter, tol = case
+        rng = np.random.default_rng(seed)
+        c, g, alphabet = batch_instance(rng, kind, m, extra, n_targets, deficient, False)
+        res = ep_solve(c, g, alphabet, damping=damping, max_iter=max_iter, tol=tol)
+        found = res.diagnostics["found"]
+        assert found.shape == (n_targets,)
+        assert (1 <= found).all() and (found <= res.diagnostics["iterations"]).all()
+        for j in range(n_targets):
+            cut = ep_solve(c, g, alphabet, damping=damping, max_iter=int(found[j]), tol=tol)
+            np.testing.assert_array_equal(cut.z[j], res.z[j])
+            assert cut.objective[j] == res.objective[j]
 
     def test_targets_leave_the_batch_at_their_own_iteration(self):
         """A batch whose targets converge at different iterations, some at

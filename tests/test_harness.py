@@ -1,9 +1,12 @@
 """Tests for experiment orchestration, CSV emission, and the CLI."""
 
+import dataclasses
 import json
+import re
 import runpy
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,11 +52,34 @@ class TestExperimentSpec:
         ({"outputs": ["speed"]}, "unknown metric"),
         ({"n_trials": 0}, "n_trials"),
         ({"sweep_parameter": "m_rf", "sweep_values": []}, "sweep values"),
-    ], ids=["metric", "n_trials", "sweep-values"])
+        ({"n_trials": 2.0}, "n_trials"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"sweep_parameter": "seed", "sweep_values": [0, 5]}, "'seed'"),
+        ({"sweep_parameter": "volume", "sweep_values": [1]}, "'volume'"),
+    ], ids=["metric", "n_trials", "sweep-values", "n_trials-float", "seed-float", "seed-bool",
+            "sweep-seed", "sweep-unknown"])
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(SpecError, match=message):
             ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE),
                            schemes=["fully-digital"], **fields)
+
+    @pytest.mark.parametrize("parameter, values, message", [
+        ("m_rf", [3, 9], "M_T=9"),
+        ("total_power_dbm", [10.0, "35"], "total_power_dbm is not a valid float"),
+        ("distance_range_m", [(50.0, 100.0), (50.0,)], "distance_range_m is not a valid tuple"),
+    ], ids=["range", "float-string", "tuple-length"])
+    def test_every_sweep_value_checked_at_construction(self, parameter, values, message):
+        """Each sweep value's config is built when the spec is, so a bad value
+        fails before the first trial, not mid-run."""
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE), schemes=["fully-digital"],
+                           sweep_parameter=parameter, sweep_values=values)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE), schemes=["fully-digital"],
+                              n_trials=np.int64(2), seed=np.int64(5))
+        assert (spec.n_trials, spec.seed) == (2, 5)
 
 
 class TestRunExperiment:
@@ -254,6 +280,53 @@ class TestSpecFiles:
         with pytest.raises(SpecError, match="spec requires 'name' and 'schemes'"):
             spec_from_dict(payload)
 
+    def test_readme_example_parses_to_the_hand_built_spec(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        assert spec_from_dict(json.loads(example)) == ExperimentSpec(
+            name="rate-vs-power", base=SystemConfig(**harness.DESK_CONFIG),
+            schemes=["sd-hybrid", "ep-hybrid", "altmin2-q", "fully-digital"],
+            n_trials=20, seed=1, sweep_parameter="total_power_dbm",
+            sweep_values=[20, 30, 40, 50], outputs=["sum_rate_avg", "mse", "runtime"])
+
+    def test_every_setting_parses_to_the_hand_built_spec(self):
+        """A spec that sets every setting but the seed, in JSON form, parses
+        to the spec built in Python: JSON arrays become tuples, in the base
+        and in sweep values."""
+        settings = dict(
+            n_tx=16, m_rf=4, n_users=2, n_subcarriers=4, analog_bits=2, quant_levels=4,
+            total_power_dbm=30.5, carrier_ghz=3.5, noise_figure_db=7,
+            subcarrier_bandwidth_hz=2e6, rician_k_db=5.0, n_taps_minus_one=2,
+            distance_range_m=(50.0, 150), angle_range_rad=(-1.0, 1.0), n_sym=100,
+            fronthaul_budget_bits_per_symbol=20.0, ep_damping=0.3, ep_max_iter=20,
+            ep_tol=1e-3, outer_tol=0.02, outer_max_iter=10, bisection_tol=0.05,
+            wmmse_tol=1e-3, wmmse_max_iter=50)
+        assert set(settings) == set(harness.SETTINGS) == set(
+            f.name for f in dataclasses.fields(SystemConfig)) - {"seed"}
+        sweep_values = [(-0.5, 0.5), (-1, 1)]
+        payload = json.loads(json.dumps({
+            "schema_version": 1, "name": "all", "base": settings, "schemes": ["fully-digital"],
+            "n_trials": 3, "seed": 4, "outputs": ["mse"],
+            "sweep": {"parameter": "angle_range_rad", "values": sweep_values}}))
+        assert isinstance(payload["base"]["distance_range_m"], list)
+        spec = spec_from_dict(payload)
+        assert spec == ExperimentSpec(
+            name="all", base=SystemConfig(**settings), schemes=["fully-digital"], n_trials=3,
+            seed=4, sweep_parameter="angle_range_rad", sweep_values=sweep_values,
+            outputs=["mse"])
+        assert type(spec.base.distance_range_m) is tuple
+        assert all(type(value) is tuple for value in spec.sweep_values)
+
+    def test_top_level_seed_draws_the_channels(self):
+        """The spec's top-level seed is its only seed (a seed in the base or a
+        swept seed is a spec error, see the malformed-spec cases), and it is
+        the one the channels are drawn from: two seeds give two rates."""
+        payload = {"schema_version": 1, "name": "seeds", "base": TINY_BASE,
+                   "schemes": ["fully-digital"], "n_trials": 1, "outputs": ["sum_rate_avg"]}
+        rates = [run_experiment(spec_from_dict({**payload, "seed": seed}), record_timing=False)
+                 for seed in (0, 5)]
+        assert rates[0][0].value != rates[1][0].value
+
     def test_schema_version_enforced(self):
         with pytest.raises(SpecError, match="schema_version"):
             spec_from_dict({"name": "x", "schemes": ["fully-digital"]})
@@ -447,14 +520,35 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": ["m_rf"], "values": [2]}},
         {"sweep": {"parameter": "with_updates", "values": [2]}},
         {"sweep": {"parameter": "m_rf", "values": [3], "step": 1}},
+        {"base": {"total_power_dbm": "35"}},
+        {"base": {"ep_tol": None}},
+        {"base": {"total_power_dbm": True}},
+        {"sweep": {"parameter": "total_power_dbm", "values": [10, "20"]}},
+        {"sweep": {"parameter": "ep_tol", "values": [None]}},
+        {"sweep": {"parameter": "total_power_dbm", "values": [True]}},
+        {"base": {"distance_range_m": [100]}},
+        {"base": {"distance_range_m": [100, 150, 200]}},
+        {"base": {"distance_range_m": [100, "200"]}},
+        {"sweep": {"parameter": "distance_range_m", "values": [[100, 200], [100]]}},
+        {"base": {"seed": 5}},
+        {"sweep": {"parameter": "seed", "values": [0, 5]}},
+        {"base": {"n_tx": 8, "m_rf": 3, "n_users": 2, "n_subcarriers": 2},
+         "sweep": {"parameter": "m_rf", "values": [3, 9]}},
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
             "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
             "n_trials-bool", "seed-string", "seed-float", "base-int-float", "base-int-bool",
             "sweep-int-float", "sweep-parameter-array", "sweep-parameter-unknown",
-            "sweep-extra-key"])
-    def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys):
-        """A spec, or a field of it, of the wrong JSON type is a spec error
-        (exit 2), not a traceback or a silently split string."""
+            "sweep-extra-key", "base-float-string", "base-float-null", "base-float-bool",
+            "sweep-float-string", "sweep-float-null", "sweep-float-bool", "range-length-1",
+            "range-length-3", "range-string", "sweep-range-length-1", "base-seed",
+            "sweep-seed", "sweep-m_rf-above-antennas"])
+    def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys, monkeypatch):
+        """A spec, or a field of it, of the wrong JSON type, or a setting out of
+        range in the base or in any sweep value, is a spec error (exit 2), not
+        a traceback or a silently split string, and no cell runs and no CSV is
+        written."""
+        cells = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
         if isinstance(payload, dict):
             payload = {"schema_version": 1, "name": "x", "schemes": ["fully-digital"],
                        **payload}
@@ -462,6 +556,7 @@ class TestOracleCheckAndCli:
         path.write_text(json.dumps(payload))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
         assert "spec error" in capsys.readouterr().err
+        assert not cells and not list(tmp_path.glob("*.csv"))
 
     def test_cli_integer_for_float_setting(self, tmp_path):
         """A JSON integer is a valid value of a float setting, in the base

@@ -530,6 +530,27 @@ class TestSolverStats:
         _, trace = alternate(target, cfg, "ep")
         assert trace.solver_stats.truncated == sum(seen) > 0
 
+    def test_ep_found_iterations_summed(self, monkeypatch):
+        """`found` sums, over every EP call of a design, the iteration at which
+        each target's returned decision was found; it is at most `iterations`."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            result = ep_solve(*args, **kwargs)
+            seen.append(int(result.diagnostics["found"].sum()))
+            return result
+        monkeypatch.setattr(hybridprec.hybrid, "ep_solve", spy)
+        cfg = SystemConfig(**DESK_SMALL_CONFIG).with_updates(seed=1)
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                        max_iter=cfg.wmmse_max_iter)
+        _, trace = alternate(target, cfg, "ep")
+        stats = trace.solver_stats
+        assert stats.found == sum(seen) > 0
+        assert stats.solves <= stats.found < stats.iterations
+        _, sd_trace = alternate(target, cfg, "sesd")
+        assert sd_trace.solver_stats.found == 0
+
     def test_peak_frontier_is_a_maximum(self, monkeypatch):
         """`peak_frontier` is the largest SD block of any call, not a sum, and
         `add` keeps the maximum while it sums every other count."""

@@ -20,8 +20,8 @@ from .alphabets import (  # noqa: F401
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, HybridPrecoder, _as_matrix, init_analog_svd, nearest_quantize_digital,
-    rescale_to_budget,
+    FULLY_CONNECTED, OUTER_TOL, HybridPrecoder, _as_matrix, init_analog_svd,
+    nearest_quantize_digital, rescale_to_budget,
 )
 from .wmmse import FullyDigitalPrecoder, mse_to_target
 
@@ -56,7 +56,7 @@ def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
         f_rf = analog_step(target, f_rf, f_bb, trace)
         obj = mse_to_target(target, f_rf, f_bb)
         trace.objective_per_iter.append(obj)
-        if prev is not None and abs(prev - obj) <= config.outer_tol * max(prev, 1e-30):
+        if prev is not None and abs(prev - obj) <= OUTER_TOL * max(prev, 1e-30):
             break
         prev = obj
     trace.n_outer = len(trace.objective_per_iter)
@@ -150,7 +150,4 @@ def quantize_baseline(f_rf: np.ndarray, f_bb: np.ndarray, analog_alphabet: Alpha
         raise ValueError("precoders must be finite")
     q_rf = nearest_labels(f_rf, analog_alphabet)
     q_bb, delta = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users)
-    return HybridPrecoder(
-        f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED,
-        n_users=n_users, n_subcarriers=f_bb.shape[1] // n_users,
-    )
+    return HybridPrecoder(f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED)

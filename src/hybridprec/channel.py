@@ -11,12 +11,18 @@ import numpy as np
 
 def has_setting_type(kind: str, value) -> bool:
     """Whether ``value`` is of a setting's declared type, the annotation's string: "int"
-    takes an integer (numpy's too), "float" any real and "tuple" a pair of reals; no bool."""
+    takes an integer (numpy's too), "float" any real a float holds finitely (no NaN, no
+    infinity, no integer past the float range) and "tuple" a pair of those; no bool."""
     if kind == "tuple":
         return (isinstance(value, tuple) and len(value) == 2
                 and all(has_setting_type("float", v) for v in value))
-    return not isinstance(value, bool) and isinstance(
-        value, numbers.Integral if kind == "int" else numbers.Real)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind == "int" else numbers.Real):
+        return False
+    try:  # math.isfinite overflows on an integer past the float range
+        return kind == "int" or math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,6 @@ class SystemConfig:
     angle_range_rad: tuple = (-np.pi / 3, np.pi / 3)
     n_sym: int = 140
     fronthaul_budget_bits_per_symbol: float = 15.0
-    ep_damping: float = 0.2
-    ep_max_iter: int = 30
-    ep_tol: float = 1e-4
-    outer_tol: float = 0.01
-    outer_max_iter: int = 50
     bisection_tol: float = 1e-2
     wmmse_tol: float = 1e-4
     wmmse_max_iter: int = 200
@@ -62,11 +63,9 @@ class SystemConfig:
             raise ValueError("need at least one sub-carrier")
         if self.subcarrier_bandwidth_hz <= 0 or self.carrier_ghz <= 0:
             raise ValueError("bandwidth and carrier frequency must be positive")
-        if not 0.0 <= self.ep_damping <= 1.0:
-            raise ValueError("ep_damping must lie in [0, 1]")
         if self.n_taps_minus_one < 0:
             raise ValueError("tap count cannot be negative")
-        if self.outer_max_iter < 1 or self.wmmse_max_iter < 1 or self.ep_max_iter < 1:
+        if self.wmmse_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
 
     def with_updates(self, **kwargs) -> "SystemConfig":
@@ -90,7 +89,6 @@ class LinkBudget:
     precoder_update_bits_per_symbol: float
     proposed_total: float
     conventional_total: float
-    iq_bits: int
     max_levels_log2: float
 
 
@@ -199,7 +197,6 @@ def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: i
         precoder_update_bits_per_symbol=update,
         proposed_total=data + update,
         conventional_total=float(s * m_rf * iq_bits),
-        iq_bits=int(iq_bits),
         max_levels_log2=max_levels_log2,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -83,6 +84,10 @@ class ExperimentSpec:
     outputs: list = field(default_factory=lambda: ["sum_rate_avg", "mse"])
 
     def __post_init__(self):
+        # the name is the output file stem, so it stays inside the output directory
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise SpecError(f"name must be a plain file name, got {self.name!r}")
         if not self.schemes:
             raise SpecError("scheme list must not be empty")
         for s in self.schemes:
@@ -272,30 +277,23 @@ def _format_value(value) -> str:
 
 def emit_csv(rows: list, path) -> None:
     """Write canonically sorted rows; floats carry nine fractional digits in
-    scientific notation so a parse-back recovers them to 1e-9 relative."""
-    path = Path(path)
-    ordered = sorted(rows, key=ResultRow.sort_key)
-    lines = [",".join(ResultRow.CSV_FIELDS)]
-    for row in ordered:
-        lines.append(",".join(_format_value(getattr(row, name))
-                              for name in ResultRow.CSV_FIELDS))
-    path.write_text("\n".join(lines) + "\n")
+    scientific notation so a parse-back recovers them to 1e-9 relative, and a
+    field with a comma (a range sweep value) is quoted."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(ResultRow.CSV_FIELDS)
+        writer.writerows([_format_value(getattr(row, name)) for name in ResultRow.CSV_FIELDS]
+                         for row in sorted(rows, key=ResultRow.sort_key))
 
 
 def parse_csv(path) -> list:
-    """Read back rows written by emit_csv."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = dict(zip(header, line.split(",")))
-        rows.append(ResultRow(
-            experiment=parts["experiment"], scheme=parts["scheme"],
-            sweep_value=parts["sweep_value"], trial=int(parts["trial"]),
-            seed=int(parts["seed"]), metric=parts["metric"],
-            value=float(parts["value"]), wall_time_ms=float(parts["wall_time_ms"]),
-        ))
-    return rows
+    """Read back rows written by emit_csv; the sweep value stays a string."""
+    with open(path, newline="") as f:
+        return [ResultRow(
+            experiment=r["experiment"], scheme=r["scheme"], sweep_value=r["sweep_value"],
+            trial=int(r["trial"]), seed=int(r["seed"]), metric=r["metric"],
+            value=float(r["value"]), wall_time_ms=float(r["wall_time_ms"]),
+        ) for r in csv.DictReader(f)]
 
 
 def config_fingerprint(spec: ExperimentSpec) -> str:

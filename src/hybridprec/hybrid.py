@@ -31,6 +31,9 @@ FULLY_CONNECTED = "fully-connected"
 DYNAMIC_CONNECTED = "dynamic-connected"
 
 SOLVERS = ("sesd", "ep", "np")
+# the alternation stops at this relative objective change, or after OUTER_MAX_ITER iterations
+OUTER_TOL = 0.01
+OUTER_MAX_ITER = 50
 
 
 class InfeasiblePowerError(RuntimeError):
@@ -49,8 +52,6 @@ class HybridPrecoder:
     mode: str = FULLY_CONNECTED
     switch: Optional[np.ndarray] = None
     phase_diag: Optional[np.ndarray] = None
-    n_users: int = 1
-    n_subcarriers: int = 1
 
     def effective(self) -> np.ndarray:
         return self.f_rf @ self.f_bb
@@ -114,17 +115,15 @@ def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int) ->
     return np.exp(1j * np.angle(u[:, :m_rf] * sv[None, :m_rf]))
 
 
-def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet,
-          config: Optional[SystemConfig], stats: SolverStats):
+def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: SolverStats):
     """The one finite-alphabet least-squares path: min ||c_p - G z||^2 for the
     columns c_p of ``c`` by ``solver``, the SD factor built once. Returns
     ``solve(cols, scale, warm, labels)``: the labels (one row per column in
     ``cols``) of min ||c_p / scale - scale G z||^2 over ``labels``, centred as
-    ``alphabet`` is (the centre sets the SD column order); every call is added
-    to ``stats``."""
+    ``alphabet`` is (the centre sets the SD column order); EP runs at
+    ``ep_solve``'s defaults, and every call is added to ``stats``."""
     if solver not in ("sesd", "ep"):
         raise ValueError(f"unknown FALS solver {solver!r}")
-    cfg = config or SystemConfig()
     if solver == "sesd":
         base = prepare_triangular(g, c, alphabet)
         stats.ridged += base.ridge > 0
@@ -136,8 +135,7 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet,
                              constant_offset=base.constant_offset[cols] / scale**2)
             res = sesd_solve(system, labels, warm_starts=warm)
         else:
-            res = ep_solve(c[:, cols] / scale, scale * g, labels, damping=cfg.ep_damping,
-                           max_iter=cfg.ep_max_iter, tol=cfg.ep_tol)
+            res = ep_solve(c[:, cols] / scale, scale * g, labels)
         stats.absorb(res)
         return res.z
 
@@ -146,7 +144,6 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet,
 
 def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndarray,
                     solver: str, alphabet: Alphabet,
-                    config: Optional[SystemConfig] = None,
                     warm: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverStats]:
     """Best analog matrix for a fixed digital precoder.
 
@@ -163,12 +160,12 @@ def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndar
         stats.solves += target.shape[0]
         return f_rf, stats
 
-    solve = _fals(b, a, solver, alphabet, config, stats)
+    solve = _fals(b, a, solver, alphabet, stats)
     try:
         return solve(slice(None), warm=warm), stats
     except Exception as exc:
         where = f" at antenna {exc.index}" if isinstance(exc, EPNumericalError) else ""
-        raise AnalogSolveError("analog subproblem failed" + where) from exc
+        raise AnalogSolveError(f"analog subproblem failed{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _power_per_subcarrier(f_rf: np.ndarray, f_bb: np.ndarray, n_users: int) -> np.ndarray:
@@ -243,7 +240,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
     # one factor and column order for every multiplier and step: every step's
     # labels are centred on 0, and mu only scales the system
-    fals = _fals(f_rf_r, target_r, solver, alphabet, cfg, stats)
+    fals = _fals(f_rf_r, target_r, solver, alphabet, stats)
 
     def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
         """R(mu) = sqrt(mu+1) R0, d(mu) = d0 / sqrt(mu+1), the current step's labels."""
@@ -329,7 +326,7 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     b = f_bb.T
     alphabet = make_switch_alphabet()
     stats = SolverStats()
-    z = _fals(b, rotated.T, "sesd", alphabet, None, stats)(slice(None))
+    z = _fals(b, rotated.T, "sesd", alphabet, stats)(slice(None))
     switch = _repair_switch(z.real.copy(), rotated.T, b)
     return switch, stats
 
@@ -392,9 +389,9 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     """Alternating digital/analog optimization of the hybrid precoder.
 
     Runs digital-then-analog updates until the relative objective change
-    drops below ``config.outer_tol``, the analog state (``f_rf``, or switch
+    drops below ``OUTER_TOL``, the analog state (``f_rf``, or switch
     and phases) repeats byte for byte, so every later iteration would repeat
-    this one, or the iteration cap is reached (``trace.stop`` says which),
+    this one, or ``OUTER_MAX_ITER`` iterations ran (``trace.stop`` says which),
     and returns the best-objective iterate seen. ``analog_method`` and
     ``digital_method`` override the solver per subproblem (e.g. to mix
     nearest-point quantization with message passing); ``digital_method="ls"``
@@ -407,8 +404,6 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     digital_method = digital_method or solver
     target = _as_matrix(f_fd)
     n_t, ks = target.shape
-    k_count = config.n_users
-    s_count = ks // k_count
     if config.m_rf > ks:
         raise ValueError(
             f"m_rf={config.m_rf} exceeds K*S={ks}; digital subproblems would be rank deficient"
@@ -430,10 +425,10 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
 
     best = best_obj = None
     prev_obj = prev_state = None
-    for it in range(1, config.outer_max_iter + 1):
+    for it in range(1, OUTER_MAX_ITER + 1):
         t0 = time.perf_counter()
         f_bb, delta, _, _, dstats = optimize_digital(
-            target, f_rf, p_s, digital_method, config.quant_levels, k_count, config=config)
+            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users, config=config)
         t1 = time.perf_counter()
         if dynamic:
             switch, astats = optimize_switch(target, phase_diag, f_bb)
@@ -441,7 +436,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
             f_rf = phase_diag[:, None] * switch
         else:
             f_rf, astats = optimize_analog(target, f_bb, analog_method, analog_alphabet,
-                                           config=config, warm=f_rf if analog_method == "sesd" and it > 1 else None)
+                                           warm=f_rf if analog_method == "sesd" and it > 1 else None)
         t2 = time.perf_counter()
 
         obj = mse_to_target(target, f_rf, f_bb)
@@ -459,7 +454,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
             best, best_obj = snapshot, obj
         # what the next iteration reads; the SD warm start is f_rf itself
         state = (switch.tobytes() + phase_diag.tobytes()) if dynamic else f_rf.tobytes()
-        if prev_obj is not None and abs(prev_obj - obj) <= config.outer_tol * max(prev_obj, 1e-30):
+        if prev_obj is not None and abs(prev_obj - obj) <= OUTER_TOL * max(prev_obj, 1e-30):
             trace.stop = "tolerance"
             break
         if state == prev_state:
@@ -468,5 +463,4 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         prev_obj, prev_state = obj, state
 
     trace.n_outer = len(trace.objective_per_outer_iter)
-    precoder = HybridPrecoder(**best, mode=mode, n_users=k_count, n_subcarriers=s_count)
-    return precoder, trace
+    return HybridPrecoder(**best, mode=mode), trace

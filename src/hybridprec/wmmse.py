@@ -22,8 +22,6 @@ class FullyDigitalPrecoder:
     """Unquantized precoder of shape (n_tx, n_users * n_subcarriers)."""
 
     f_fd: np.ndarray
-    n_users: int
-    n_subcarriers: int
 
 
 @dataclass
@@ -230,8 +228,7 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
         if not run.size:
             break
     f = ft.transpose(2, 1, 0).reshape(n_t, k_count * s_count)
-    precoder = FullyDigitalPrecoder(f_fd=f, n_users=k_count, n_subcarriers=s_count)
-    return precoder, WmmseTrace(
+    return FullyDigitalPrecoder(f_fd=f), WmmseTrace(
         utilities=[np.array(v) for v in utilities],
         iterations=[len(v) for v in utilities], truncated=bool(run.size),
         solves=solves.tolist())

@@ -72,18 +72,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(n_users=9, m_rf=8)
 
-    def test_damping_range(self):
-        with pytest.raises(ValueError):
-            SystemConfig(ep_damping=1.5)
-
     @pytest.mark.parametrize("setting, message", [
         ({"n_subcarriers": 0}, "sub-carrier"),
         ({"subcarrier_bandwidth_hz": 0.0}, "bandwidth"),
         ({"carrier_ghz": -28.0}, "carrier frequency"),
         ({"n_taps_minus_one": -1}, "tap count"),
-        ({"outer_max_iter": 0}, "iteration caps"),
         ({"wmmse_max_iter": 0}, "iteration caps"),
-        ({"ep_max_iter": 0}, "iteration caps"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
     def test_out_of_range_setting_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
@@ -91,12 +85,12 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("setting", [
         {"n_tx": 8.0}, {"m_rf": True}, {"n_subcarriers": np.float64(4.0)},
-        {"total_power_dbm": "35"}, {"total_power_dbm": True}, {"ep_tol": None},
+        {"total_power_dbm": "35"}, {"total_power_dbm": True}, {"bisection_tol": None},
         {"distance_range_m": (1.0,)}, {"distance_range_m": (1.0, 2.0, 3.0)},
         {"distance_range_m": (100.0, "200")}, {"angle_range_rad": [-1.0, 1.0]},
         {"angle_range_rad": (False, 1.0)},
     ], ids=["n_tx-float", "m_rf-bool", "n_subcarriers-numpy-float", "power-string",
-            "power-bool", "ep_tol-null", "range-length-1", "range-length-3", "range-string",
+            "power-bool", "bisection_tol-null", "range-length-1", "range-length-3", "range-string",
             "angle-list", "angle-bool"])
     def test_setting_of_wrong_type_rejected(self, setting):
         """An int setting takes integers, a float setting any real number, a
@@ -104,13 +98,33 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{next(iter(setting))} is not a valid"):
             SystemConfig(**setting)
 
+    @pytest.mark.parametrize("setting", [
+        {"total_power_dbm": float("nan")}, {"total_power_dbm": float("inf")},
+        {"rician_k_db": -float("inf")}, {"total_power_dbm": 10**400},
+        {"angle_range_rad": (-float("inf"), 1.0)}, {"distance_range_m": (100.0, float("nan"))},
+        {"bisection_tol": np.float32("nan")},
+    ], ids=["nan", "inf", "minus-inf", "int-past-float", "range-minus-inf", "range-nan",
+            "numpy-nan"])
+    def test_non_finite_float_setting_rejected(self, setting):
+        """A float setting, or a range entry, is a finite real; an integer too
+        large for a float is a ValueError too, not an OverflowError."""
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} is not a valid"):
+            SystemConfig(**setting)
+
+    @pytest.mark.parametrize("removed", ["ep_damping", "ep_max_iter", "ep_tol", "outer_tol",
+                                         "outer_max_iter"])
+    def test_solver_constants_are_not_settings(self, removed):
+        """EP's and the alternation's tuning values are constants of the code that reads them."""
+        with pytest.raises(TypeError, match=removed):
+            SystemConfig(**{removed: 0.3})
+
     def test_numpy_integers_and_integer_power_accepted(self):
         cfg = SystemConfig(n_tx=np.int64(16), m_rf=np.int32(4), n_users=np.int64(2),
                            n_subcarriers=np.uint8(4), total_power_dbm=30,
                            distance_range_m=(np.float64(50.0), 150))
         assert (cfg.n_tx, cfg.m_rf, cfg.total_power_dbm) == (16, 4, 30)
         assert draw_channel(cfg).h.shape == (16, 8)
-        assert cfg.with_updates(ep_tol=np.float32(1e-3)).ep_tol == np.float32(1e-3)
+        assert cfg.with_updates(bisection_tol=np.float32(1e-3)).bisection_tol == np.float32(1e-3)
 
     def test_power_split_equally_over_subcarriers(self, paper_config):
         assert per_subcarrier_power_mw(paper_config) == mw_from_dbm(35.0) / 64

@@ -22,6 +22,7 @@ from hybridprec.harness import (
     parse_csv, run_experiment, run_scheme, runtime_benchmark, spec_from_dict,
 )
 
+SOLVER_CONSTANTS = ("ep_damping", "ep_max_iter", "ep_tol", "outer_tol", "outer_max_iter")
 TINY_BASE = dict(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2, total_power_dbm=10.0)
 
 
@@ -228,6 +229,21 @@ class TestEmitCsv:
         assert path.read_text().splitlines()[1] == "e,s,,0,0,error,nan,0.000000000e+00"
         assert np.isnan(parse_csv(path)[0].value)
 
+    def test_range_sweep_round_trips(self, tmp_path):
+        """A range sweep value holds a comma: its field is quoted, and every
+        row reads back with the value written, the sweep value as its string."""
+        spec = ExperimentSpec(name="ranges", base=SystemConfig(**TINY_BASE),
+                              schemes=["fully-digital"], n_trials=1, outputs=["sum_rate_avg"],
+                              sweep_parameter="angle_range_rad",
+                              sweep_values=[(-0.5, 0.5), (-1, 1)])
+        rows = run_experiment(spec, record_timing=False)
+        path = tmp_path / "ranges.csv"
+        emit_csv(rows, path)
+        assert path.read_text().splitlines()[1].startswith('ranges,fully-digital,"(-0.5, 0.5)",0,')
+        recovered = parse_csv(path)
+        assert [dataclasses.replace(r, sweep_value=str(r.sweep_value)) for r in rows] == [
+            dataclasses.replace(r, value=pytest.approx(r.value, rel=1e-9)) for r in recovered]
+
     def test_canonical_sort_stable_under_shuffle(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [ResultRow("e", f"s{i%3}", i % 2, i, 0, "m", float(i), 0.0)
@@ -298,8 +314,7 @@ class TestSpecFiles:
             total_power_dbm=30.5, carrier_ghz=3.5, noise_figure_db=7,
             subcarrier_bandwidth_hz=2e6, rician_k_db=5.0, n_taps_minus_one=2,
             distance_range_m=(50.0, 150), angle_range_rad=(-1.0, 1.0), n_sym=100,
-            fronthaul_budget_bits_per_symbol=20.0, ep_damping=0.3, ep_max_iter=20,
-            ep_tol=1e-3, outer_tol=0.02, outer_max_iter=10, bisection_tol=0.05,
+            fronthaul_budget_bits_per_symbol=20.0, bisection_tol=0.05,
             wmmse_tol=1e-3, wmmse_max_iter=50)
         assert set(settings) == set(harness.SETTINGS) == set(
             f.name for f in dataclasses.fields(SystemConfig)) - {"seed"}
@@ -357,7 +372,7 @@ class TestSpecFiles:
             sweep_parameter="quant_levels", sweep_values=[2, 8],
             outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(spec) == (
-            "686dae234116291e68275c68f0462657bf04db058bb6935f04778c68ea76ce6d")
+            "bdba3710ffba67018f2f38978d1265f03cf475ea0fddcbdb178acbcee32f3458")
 
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
@@ -521,10 +536,10 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "with_updates", "values": [2]}},
         {"sweep": {"parameter": "m_rf", "values": [3], "step": 1}},
         {"base": {"total_power_dbm": "35"}},
-        {"base": {"ep_tol": None}},
+        {"base": {"bisection_tol": None}},
         {"base": {"total_power_dbm": True}},
         {"sweep": {"parameter": "total_power_dbm", "values": [10, "20"]}},
-        {"sweep": {"parameter": "ep_tol", "values": [None]}},
+        {"sweep": {"parameter": "bisection_tol", "values": [None]}},
         {"sweep": {"parameter": "total_power_dbm", "values": [True]}},
         {"base": {"distance_range_m": [100]}},
         {"base": {"distance_range_m": [100, 150, 200]}},
@@ -534,6 +549,9 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "seed", "values": [0, 5]}},
         {"base": {"n_tx": 8, "m_rf": 3, "n_users": 2, "n_subcarriers": 2},
          "sweep": {"parameter": "m_rf", "values": [3, 9]}},
+        # EP's and the alternation's tuning values are constants, not settings
+        *({"base": {key: 1}} for key in SOLVER_CONSTANTS),
+        *({"sweep": {"parameter": key, "values": [1]}} for key in SOLVER_CONSTANTS),
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
             "outputs", "n_trials-array", "seed-object", "n_trials-null", "n_trials-float",
             "n_trials-bool", "seed-string", "seed-float", "base-int-float", "base-int-bool",
@@ -541,7 +559,9 @@ class TestOracleCheckAndCli:
             "sweep-extra-key", "base-float-string", "base-float-null", "base-float-bool",
             "sweep-float-string", "sweep-float-null", "sweep-float-bool", "range-length-1",
             "range-length-3", "range-string", "sweep-range-length-1", "base-seed",
-            "sweep-seed", "sweep-m_rf-above-antennas"])
+            "sweep-seed", "sweep-m_rf-above-antennas",
+            *(f"base-{key}" for key in SOLVER_CONSTANTS),
+            *(f"sweep-{key}" for key in SOLVER_CONSTANTS)])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys, monkeypatch):
         """A spec, or a field of it, of the wrong JSON type, or a setting out of
         range in the base or in any sweep value, is a spec error (exit 2), not
@@ -557,6 +577,34 @@ class TestOracleCheckAndCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
         assert "spec error" in capsys.readouterr().err
         assert not cells and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("where", ["base", "sweep"])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_cli_non_finite_float_setting_exit_code(self, number, where, tmp_path, capsys):
+        """JSON numbers Python reads as NaN or an infinity (1e400 reads as inf)
+        are spec errors naming the setting, in the base and in a sweep."""
+        body = ('"base": {"total_power_dbm": %s}' % number if where == "base" else
+                '"sweep": {"parameter": "total_power_dbm", "values": [30, %s]}' % number)
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1, "name": "x", "schemes": ["fully-digital"], %s}'
+                        % body)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
+        assert "total_power_dbm is not a valid float setting" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["../escaped", 5, None, "", ".", "..", "a/b", "a\\b"])
+    def test_cli_spec_name_not_a_plain_file_name_exit_code(self, name, tmp_path, capsys):
+        """The spec name is the output file stem: one that is not a plain file
+        name is a spec error, and nothing is written under or above --out."""
+        spec_dir, out = tmp_path / "spec", tmp_path / "runs" / "out"
+        spec_dir.mkdir()
+        path = spec_dir / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1, "name": name, "n_trials": 1,
+                                    "base": TINY_BASE, "schemes": ["fully-digital"]}))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
+        assert "name must be a plain file name" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "spec", "spec/bad.json"]
 
     def test_cli_integer_for_float_setting(self, tmp_path):
         """A JSON integer is a valid value of a float setting, in the base

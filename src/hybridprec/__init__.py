@@ -19,6 +19,6 @@ from .detect import (
     sesd_solve,
 )
 from .hybrid import HybridPrecoder, alternate, init_analog_svd
-from .wmmse import FullyDigitalPrecoder, RateReport, mse_to_target, sinr, sum_rate, wmmse_fully_digital
+from .wmmse import FullyDigitalPrecoder, RateReport, mse_to_target, sum_rate, wmmse_fully_digital
 
 __version__ = "0.1.0"

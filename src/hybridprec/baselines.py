@@ -20,10 +20,10 @@ from .alphabets import (  # noqa: F401
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, OUTER_TOL, HybridPrecoder, _as_matrix, init_analog_svd,
-    nearest_quantize_digital, rescale_to_budget,
+    FULLY_CONNECTED, OUTER_TOL, HybridPrecoder, init_analog_svd, nearest_quantize_digital,
+    phase_projection, rescale_to_budget,
 )
-from .wmmse import FullyDigitalPrecoder, mse_to_target
+from .wmmse import FullyDigitalPrecoder, as_matrix, mse_to_target
 
 ALTMIN_MAX_OUTER = 50
 MANIFOLD_MAX_STEPS = 100
@@ -44,7 +44,7 @@ def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
     digital updates and ``analog_step(target, f_rf, f_bb, trace)`` analog
     updates until the objective settles. The digital precoder is refit and
     rescaled to the budget at exit."""
-    target = _as_matrix(f_fd)
+    target = as_matrix(f_fd)
     if config.m_rf > target.shape[1]:
         raise ValueError("m_rf exceeds K*S")
     p_s = per_subcarrier_power_mw(config)
@@ -65,13 +65,6 @@ def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
     return f_rf, f_bb, trace
 
 
-def _phase_projection(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
-                      trace: AltminTrace) -> np.ndarray:
-    """Phases of the least-squares analog matrix for the fixed digital precoder."""
-    x_ls = np.linalg.lstsq(f_bb.T, target.T, rcond=None)[0]
-    return np.exp(1j * np.angle(x_ls.T))
-
-
 def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
             ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
     """Alternating least squares with phase projection for the analog step.
@@ -79,7 +72,7 @@ def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
     The phase projection breaks monotonicity, so the trace is recorded but
     not asserted anywhere.
     """
-    return _altmin(f_fd, config, _phase_projection)
+    return _altmin(f_fd, config, lambda target, f_rf, f_bb, trace: phase_projection(target, f_bb))
 
 
 def unit_modulus_gradient(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray) -> np.ndarray:

@@ -67,6 +67,15 @@ class SystemConfig:
             raise ValueError("tap count cannot be negative")
         if self.wmmse_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
+        # the linear values of the dB quantities the channel and the designs use
+        near_gain = mw_from_dbm(-path_loss_db(min(self.distance_range_m), self.carrier_ghz))
+        for what, value, positive in (
+                ("total power (total_power_dbm)", per_subcarrier_power_mw(self), True),
+                ("noise power (noise_figure_db, subcarrier_bandwidth_hz)", noise_power_mw(self), True),
+                ("Rician K (rician_k_db)", mw_from_dbm(self.rician_k_db), False),
+                ("path gain at the near end of distance_range_m", near_gain, False)):
+            if not math.isfinite(value) or (positive and value <= 0):
+                raise ValueError(f"{what} is {value:g} in linear units, out of range")
 
     def with_updates(self, **kwargs) -> "SystemConfig":
         return replace(self, **kwargs)
@@ -93,7 +102,11 @@ class LinkBudget:
 
 
 def mw_from_dbm(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
+    """10^(dbm/10); infinite where that overflows a float."""
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def per_subcarrier_power_mw(config: SystemConfig) -> float:

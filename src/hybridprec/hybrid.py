@@ -10,7 +10,6 @@ per-antenna phase diagonal and a binary switch matrix.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
@@ -25,7 +24,7 @@ from .detect import (
     EPNumericalError, SolveResult, ep_solve, prepare_triangular, realify,
     residual_norm_sq, sesd_solve,
 )
-from .wmmse import FullyDigitalPrecoder, mse_to_target
+from .wmmse import FullyDigitalPrecoder, as_matrix, mse_to_target
 
 FULLY_CONNECTED = "fully-connected"
 DYNAMIC_CONNECTED = "dynamic-connected"
@@ -87,7 +86,6 @@ class SolverStats:
 class AlternateTrace:
     objective_per_outer_iter: list = field(default_factory=list)
     solver_stats: SolverStats = field(default_factory=SolverStats)
-    wall_times: dict = field(default_factory=dict)
     stop: str = "max-iter"  # or "tolerance", or "fixed-point": an iterate repeated its input
     n_outer: int = 0
     iterates: Optional[list] = None
@@ -97,17 +95,12 @@ class AlternateTrace:
         return self.stop == "max-iter"
 
 
-def _as_matrix(f_fd: Union[FullyDigitalPrecoder, np.ndarray]) -> np.ndarray:
-    return f_fd.f_fd if isinstance(f_fd, FullyDigitalPrecoder) else np.asarray(f_fd)
-
-
-def init_analog_svd(f_fd: Union[FullyDigitalPrecoder, np.ndarray], m_rf: int) -> np.ndarray:
+def init_analog_svd(target: np.ndarray, m_rf: int) -> np.ndarray:
     """Phase pattern of the top singular pairs of the fully-digital target.
 
     Entries are continuous unit-modulus values; label quantization happens
     in the first analog solve.
     """
-    target = _as_matrix(f_fd)
     n_t, ks = target.shape
     if m_rf > min(n_t, ks):
         raise ValueError(f"m_rf={m_rf} exceeds min(n_tx, K*S)={min(n_t, ks)}")
@@ -142,25 +135,25 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: 
     return solve
 
 
-def optimize_analog(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_bb: np.ndarray,
-                    solver: str, alphabet: Alphabet,
+def phase_projection(target: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
+    """Phases of the least-squares analog matrix for the fixed digital precoder."""
+    x_ls = np.linalg.lstsq(f_bb.T, target.T, rcond=None)[0]
+    return np.exp(1j * np.angle(x_ls.T))
+
+
+def optimize_analog(target: np.ndarray, f_bb: np.ndarray, solver: str, alphabet: Alphabet,
                     warm: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverStats]:
     """Best analog matrix for a fixed digital precoder.
 
     The Frobenius objective decouples into one finite-alphabet least-squares
     problem per transmit antenna, all sharing the digital Gram factor.
     """
-    target = _as_matrix(f_fd)
-    b = f_bb.T  # (K*S, M_T)
-    a = target.T  # (K*S, N_T)
     stats = SolverStats()
     if solver == "np":
-        x_ls, *_ = np.linalg.lstsq(b, a, rcond=None)
-        f_rf = nearest_labels(np.exp(1j * np.angle(x_ls.T)), alphabet)
         stats.solves += target.shape[0]
-        return f_rf, stats
+        return nearest_labels(phase_projection(target, f_bb), alphabet), stats
 
-    solve = _fals(b, a, solver, alphabet, stats)
+    solve = _fals(f_bb.T, target.T, solver, alphabet, stats)  # (K*S, M_T), (K*S, N_T)
     try:
         return solve(slice(None), warm=warm), stats
     except Exception as exc:
@@ -199,24 +192,21 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
     raise InfeasiblePowerError("quantized digital precoder cannot meet the power budget")
 
 
-def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.ndarray,
-                     p_s: float, solver: str, levels: int, n_users: int,
-                     config: Optional[SystemConfig] = None,
+def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: str,
+                     levels: int, n_users: int, bisection_tol: float = SystemConfig.bisection_tol,
                      ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, SolverStats]:
     """Best quantized digital precoder for a fixed analog matrix.
 
     Per sub-carrier, a non-negative multiplier scales the Gram factor so the
     power constraint holds; for each candidate multiplier the K per-user
     problems are solved independently in stacked real form. The multiplier
-    is bisected, to ``config.bisection_tol``, from an infeasible lower end to a
+    is bisected, to ``bisection_tol``, from an infeasible lower end to a
     feasible upper end and the feasible-side solution is returned
     (immediately, when the unconstrained solution already fits). The step is
     halved while some sub-carrier cannot meet the budget at any multiplier;
     ``stats.shrinks`` counts the halvings.
     Returns (f_bb, delta, mu, bisection_iters, stats).
     """
-    cfg = config or SystemConfig()
-    target = _as_matrix(f_fd)
     ks = target.shape[1]
     s_count = ks // n_users
     stats = SolverStats()
@@ -225,13 +215,11 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     # quantized analog matrix is rank deficient
     ls_digital = np.linalg.lstsq(f_rf, target, rcond=None)[0]
 
-    if solver == "ls":
-        # unquantized digital entries: the ideal-resolution reference case
-        f_bb = rescale_to_budget(f_rf, ls_digital, p_s, n_users)
-        stats.solves += ks
-        return f_bb, float("nan"), np.zeros(s_count), np.zeros(s_count, dtype=int), stats
-    if solver == "np":
-        f_bb, delta = nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users)
+    if solver in ("ls", "np"):
+        # "ls" keeps the digital entries unquantized: the ideal-resolution reference case
+        f_bb, delta = ((rescale_to_budget(f_rf, ls_digital, p_s, n_users), float("nan"))
+                       if solver == "ls" else
+                       nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users))
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
 
@@ -249,7 +237,7 @@ def optimize_digital(f_fd: Union[FullyDigitalPrecoder, np.ndarray], f_rf: np.nda
     while True:
         try:
             f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
-                                                     cfg.bisection_tol)
+                                                     bisection_tol)
             return f_bb, delta, mu, iters, stats
         except InfeasiblePowerError as exc:
             if stats.shrinks == 8:
@@ -310,7 +298,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
     return f_bb, mu_out, iters_out
 
 
-def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: np.ndarray,
+def optimize_switch(target: np.ndarray, phase_diag: np.ndarray,
                     f_bb: np.ndarray) -> tuple[np.ndarray, SolverStats]:
     """Best binary RF-chain/antenna switch matrix for fixed phases and digital precoder.
 
@@ -319,16 +307,13 @@ def optimize_switch(f_fd: Union[FullyDigitalPrecoder, np.ndarray], phase_diag: n
     ``dynamic-ep`` too). The result is repaired, if necessary, so columns
     are distinct and nonzero (entry flips with least residual increase).
     """
-    target = _as_matrix(f_fd)
     if not np.allclose(np.abs(phase_diag), 1.0, atol=1e-9):
         raise ValueError("phase_diag entries must be unit modulus")
     rotated = (np.conj(phase_diag)[:, None] * target)  # diag(phase)^H F_FD
     b = f_bb.T
-    alphabet = make_switch_alphabet()
     stats = SolverStats()
-    z = _fals(b, rotated.T, "sesd", alphabet, stats)(slice(None))
-    switch = _repair_switch(z.real.copy(), rotated.T, b)
-    return switch, stats
+    z = _fals(b, rotated.T, "sesd", make_switch_alphabet(), stats)(slice(None))
+    return _repair_switch(z.real.copy(), rotated.T, b), stats
 
 
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -363,13 +348,12 @@ def _offending_columns(switch: np.ndarray) -> set:
     return set(np.flatnonzero(repeated | ~switch.any(axis=0)).tolist())
 
 
-def optimize_phase_diag(f_fd: Union[FullyDigitalPrecoder, np.ndarray], switch: np.ndarray,
-                        f_bb: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+def optimize_phase_diag(target: np.ndarray, switch: np.ndarray, f_bb: np.ndarray,
+                        alphabet: Alphabet) -> np.ndarray:
     """Per-antenna phase labels for a fixed switch and digital precoder: with
     r_n the row phase n multiplies and c_n = r_nᴴ·(target row n), the unit-modulus
     label l nearest the phase of c_n minimizes |l|²‖r_n‖² − 2Re(l̄·c_n) (label 0
     on a zero row)."""
-    target = _as_matrix(f_fd)
     rows = np.ascontiguousarray((f_bb.T @ switch.T).T)  # row n multiplies phase n
     cross = (rows.conj()[:, None, :] @ target[:, :, None])[:, 0, 0]  # rounded as np.vdot
     return nearest_labels(np.exp(1j * np.angle(cross)), alphabet)
@@ -402,7 +386,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     analog_method = analog_method or solver
     digital_method = digital_method or solver
-    target = _as_matrix(f_fd)
+    target = as_matrix(f_fd)
     n_t, ks = target.shape
     if config.m_rf > ks:
         raise ValueError(
@@ -426,10 +410,9 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     best = best_obj = None
     prev_obj = prev_state = None
     for it in range(1, OUTER_MAX_ITER + 1):
-        t0 = time.perf_counter()
         f_bb, delta, _, _, dstats = optimize_digital(
-            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users, config=config)
-        t1 = time.perf_counter()
+            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users,
+            config.bisection_tol)
         if dynamic:
             switch, astats = optimize_switch(target, phase_diag, f_bb)
             phase_diag = optimize_phase_diag(target, switch, f_bb, analog_alphabet)
@@ -437,14 +420,11 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
         else:
             f_rf, astats = optimize_analog(target, f_bb, analog_method, analog_alphabet,
                                            warm=f_rf if analog_method == "sesd" and it > 1 else None)
-        t2 = time.perf_counter()
 
         obj = mse_to_target(target, f_rf, f_bb)
         trace.objective_per_outer_iter.append(obj)
         trace.solver_stats.add(dstats)
         trace.solver_stats.add(astats)
-        trace.wall_times["digital_s"] = trace.wall_times.get("digital_s", 0.0) + (t1 - t0)
-        trace.wall_times["analog_s"] = trace.wall_times.get("analog_s", 0.0) + (t2 - t1)
         # every step returns new arrays, so the record holds them without copies
         snapshot = {"f_rf": f_rf, "f_bb": f_bb, "delta": delta, "switch": switch,
                     "phase_diag": phase_diag}

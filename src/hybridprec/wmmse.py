@@ -24,6 +24,11 @@ class FullyDigitalPrecoder:
     f_fd: np.ndarray
 
 
+def as_matrix(f_fd: Union[FullyDigitalPrecoder, np.ndarray]) -> np.ndarray:
+    """The matrix of a WMMSE result; an array passes through as an array."""
+    return f_fd.f_fd if isinstance(f_fd, FullyDigitalPrecoder) else np.asarray(f_fd)
+
+
 @dataclass
 class RateReport:
     per_user_per_subcarrier: np.ndarray  # (K, S) in bits/s/Hz
@@ -65,17 +70,11 @@ def _stack(m: np.ndarray, k_count: int, s_count: int) -> np.ndarray:
     return np.ascontiguousarray(m.reshape(m.shape[0], k_count, s_count).transpose(2, 1, 0))
 
 
-def sinr(h: Union[ChannelSet, np.ndarray], f: np.ndarray, k: int, s: int,
-         n0: float, n_users: int = None, n_subcarriers: int = None) -> float:
-    """Signal-to-interference-plus-noise ratio of user k on sub-carrier s."""
-    if n0 <= 0:
-        raise ValueError("noise power must be positive")
-    hm, n_users, n_subcarriers = _dims(h, n_users, n_subcarriers)
-    hk = hm[:, k * n_subcarriers + s]
-    gains = np.array([hk @ f[:, i * n_subcarriers + s] for i in range(n_users)])
-    signal = abs(gains[k]) ** 2
-    interference = float(np.sum(np.abs(gains) ** 2) - signal)
-    return signal / (interference + n0)
+def _rates(e: np.ndarray, n0: float) -> np.ndarray:
+    """(S, K) rates log2(1 + SINR) of the (S, K, K) gains E[s, k, i] = h_k^T f_i."""
+    p = np.abs(e) ** 2
+    signal = np.diagonal(p, axis1=1, axis2=2)
+    return np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0))
 
 
 def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
@@ -83,9 +82,7 @@ def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
     """Achievable rates log2(1 + SINR), aggregated per sub-carrier and in total."""
     hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
     e = _stack(hm, k_count, s_count) @ _stack(f, k_count, s_count).transpose(0, 2, 1)
-    p = np.abs(e) ** 2
-    signal = np.diagonal(p, axis1=1, axis2=2)
-    rates = np.ascontiguousarray(np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0)).T)
+    rates = np.ascontiguousarray(_rates(e, n0).T)
     total = float(rates.sum())
     return RateReport(
         per_user_per_subcarrier=rates,
@@ -97,8 +94,7 @@ def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
 def mse_to_target(f_fd: Union[FullyDigitalPrecoder, np.ndarray],
                   f_rf: np.ndarray, f_bb: np.ndarray) -> float:
     """Squared Frobenius distance between the target and the hybrid product."""
-    target = f_fd.f_fd if isinstance(f_fd, FullyDigitalPrecoder) else np.asarray(f_fd)
-    diff = target - f_rf @ f_bb
+    diff = as_matrix(f_fd) - f_rf @ f_bb
     return float(np.real(np.sum(diff * diff.conj())))
 
 
@@ -217,9 +213,7 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
         ft[run], n = _precoder_update(ht[run], 1.0 / np.maximum(mmse, 1e-15), u, p_s)
         solves[run] += n
         gains[run] = e = ht[run] @ ft[run].transpose(0, 2, 1)
-        p = np.abs(e) ** 2
-        signal = np.diagonal(p, axis1=1, axis2=2)
-        util = np.sum(np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0)), axis=1)
+        util = np.sum(_rates(e, n0), axis=1)
         for s, value in zip(run, util):
             utilities[s].append(float(value))
         done = np.abs(util - prev[run]) <= tol * np.maximum(np.abs(prev[run]), 1.0)

@@ -78,6 +78,7 @@ class TestSystemConfig:
         ({"carrier_ghz": -28.0}, "carrier frequency"),
         ({"n_taps_minus_one": -1}, "tap count"),
         ({"wmmse_max_iter": 0}, "iteration caps"),
+        ({"distance_range_m": (0.0, 100.0)}, "distance and carrier frequency must be positive"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
     def test_out_of_range_setting_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):

@@ -592,6 +592,30 @@ class TestOracleCheckAndCli:
         assert "total_power_dbm is not a valid float setting" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("setting, value, quantity", [
+        ("rician_k_db", 1e300, "Rician K"),
+        ("total_power_dbm", 1e308, "total power"),
+        ("total_power_dbm", -1e308, "total power"),
+        ("noise_figure_db", 1e308, "noise power"),
+        ("noise_figure_db", -1e308, "noise power"),
+        ("distance_range_m", [1e-300, 1.0], "path gain at the near end of distance_range_m"),
+    ], ids=["rician-overflow", "power-overflow", "power-zero", "noise-overflow", "noise-zero",
+            "near-gain-overflow"])
+    def test_cli_db_setting_out_of_linear_range_exit_code(self, setting, value, quantity,
+                                                         tmp_path, capsys, monkeypatch):
+        """A finite dB setting whose linear value overflows a float, or makes
+        the total or noise power 0 mW, is a spec error: exit 2 before any
+        trial and before --out is made."""
+        cells = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(json.dumps({"schema_version": 1, "name": "x", "n_trials": 1,
+                                    "base": {**TINY_BASE, setting: value},
+                                    "schemes": ["fully-digital"]}))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
+        assert f"spec error: {quantity}" in capsys.readouterr().err
+        assert not cells and not out.exists()
+
     @pytest.mark.parametrize("name", ["../escaped", 5, None, "", ".", "..", "a/b", "a\\b"])
     def test_cli_spec_name_not_a_plain_file_name_exit_code(self, name, tmp_path, capsys):
         """The spec name is the output file stem: one that is not a plain file

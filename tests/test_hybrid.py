@@ -21,12 +21,13 @@ from hybridprec.detect import (
     SolveResult, _sq_norms, brute_force_ml, ep_solve, realify, residual_norm_sq, sesd_solve,
 )
 from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
+from hybridprec import baselines
 from hybridprec.hybrid import (
-    DYNAMIC_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
+    DYNAMIC_CONNECTED, FULLY_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
     SolverStats, _power_per_subcarrier, alternate, init_analog_svd, optimize_analog,
     optimize_digital, optimize_phase_diag, optimize_switch, rescale_to_budget,
 )
-from hybridprec.wmmse import mse_to_target, wmmse_fully_digital
+from hybridprec.wmmse import FullyDigitalPrecoder, mse_to_target, wmmse_fully_digital
 
 RNG_SEED = 55
 
@@ -451,6 +452,37 @@ class TestAlternate:
         assert (trace.stop, trace.truncated, trace.n_outer) == ("max-iter", True, 1)
 
 
+class TestTargetUnwrapping:
+    """The entry points take the WMMSE result or its matrix and design the same."""
+
+    @pytest.mark.parametrize("design", ["sesd", "ep", "dynamic-ep", "altmin1", "altmin2"])
+    def test_result_and_matrix_give_identical_designs(self, small_config, design):
+        target, _ = wmmse_fully_digital(draw_channel(small_config),
+                                        per_subcarrier_power_mw(small_config),
+                                        noise_power_mw(small_config))
+
+        def run(f_fd) -> list:
+            if design.startswith("altmin"):
+                f_rf, f_bb, trace = getattr(baselines, design)(f_fd, small_config)
+                return [f_rf.tobytes(), f_bb.tobytes(),
+                        np.array(trace.objective_per_iter).tobytes()]
+            mode = DYNAMIC_CONNECTED if design.startswith("dynamic") else FULLY_CONNECTED
+            precoder, trace = alternate(f_fd, small_config, design.removeprefix("dynamic-"),
+                                        mode=mode)
+            return _iterate_bytes(precoder.f_rf, precoder.f_bb, precoder.delta, precoder.switch,
+                                  precoder.phase_diag) + [
+                np.array(trace.objective_per_outer_iter).tobytes()]
+
+        assert run(target) == run(target.f_fd)
+
+    def test_mse_to_target_of_result_and_matrix(self):
+        rng = np.random.default_rng(RNG_SEED)
+        target = random_target(rng, 8, 4)
+        f_rf, f_bb = random_target(rng, 8, 3), random_target(rng, 3, 4)
+        mse = mse_to_target(FullyDigitalPrecoder(f_fd=target), f_rf, f_bb)
+        assert np.float64(mse).tobytes() == np.float64(mse_to_target(target, f_rf, f_bb)).tobytes()
+
+
 def _iterate_bytes(f_rf, f_bb, delta, switch, phase_diag) -> list:
     return [None if a is None else (a.dtype, a.shape, a.tobytes())
             for a in (f_rf, f_bb, np.float64(delta), switch, phase_diag)]
@@ -484,7 +516,7 @@ class TestFixedPointStop:
                 assert all(last[k].tobytes() == before[k].tobytes() for k in state)
                 f_bb, delta, *_ = optimize_digital(
                     target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users,
-                    config=cfg)
+                    cfg.bisection_tol)
                 switch = phase_diag = None
                 if mode == DYNAMIC_CONNECTED:
                     switch, _ = optimize_switch(target, last["phase_diag"], f_bb)

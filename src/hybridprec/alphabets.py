@@ -258,9 +258,3 @@ def nearest_labels(values: np.ndarray, alphabet: Alphabet) -> np.ndarray:
 def _nearest(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Closest label per entry, lowest index on ties; unchecked, for solver loops."""
     return labels[np.argmin(np.abs(values[..., None] - labels), axis=-1)]
-
-
-def is_member(values: np.ndarray, alphabet: Alphabet) -> bool:
-    """True if every entry equals some label bit-identically."""
-    values = np.asarray(values).ravel()
-    return bool(np.all(np.isin(values, alphabet.labels)))

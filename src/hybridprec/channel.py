@@ -68,12 +68,14 @@ class SystemConfig:
         if self.wmmse_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
         # the linear values of the dB quantities the channel and the designs use
-        near_gain = mw_from_dbm(-path_loss_db(min(self.distance_range_m), self.carrier_ghz))
+        near_gain, far_gain = (mw_from_dbm(-path_loss_db(d, self.carrier_ghz))
+                               for d in (min(self.distance_range_m), max(self.distance_range_m)))
         for what, value, positive in (
                 ("total power (total_power_dbm)", per_subcarrier_power_mw(self), True),
                 ("noise power (noise_figure_db, subcarrier_bandwidth_hz)", noise_power_mw(self), True),
                 ("Rician K (rician_k_db)", mw_from_dbm(self.rician_k_db), False),
-                ("path gain at the near end of distance_range_m", near_gain, False)):
+                ("path gain at the near end of distance_range_m", near_gain, False),
+                ("path gain at the far end of distance_range_m", far_gain, True)):
             if not math.isfinite(value) or (positive and value <= 0):
                 raise ValueError(f"{what} is {value:g} in linear units, out of range")
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .alphabets import (
-    Alphabet, choose_delta, make_analog_alphabet, make_digital_alphabet,
+    Alphabet, _nearest, choose_delta, make_analog_alphabet, make_digital_alphabet,
     make_switch_alphabet, nearest_labels,
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
@@ -114,21 +114,32 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: 
     ``solve(cols, scale, warm, labels)``: the labels (one row per column in
     ``cols``) of min ||c_p / scale - scale G z||^2 over ``labels``, centred as
     ``alphabet`` is (the centre sets the SD column order); EP runs at
-    ``ep_solve``'s defaults, and every call is added to ``stats``."""
+    ``ep_solve``'s defaults, and every call is added to ``stats``. SD searches
+    real labels of a complex system (1-bit phases, switches) on the stacked
+    real pair [Re G; Im G], [Re c; Im c], since ||c - G z||^2 = ||Re c - Re G z||^2
+    + ||Im c - Im G z||^2 for real z, and maps them back to the alphabet's values."""
     if solver not in ("sesd", "ep"):
         raise ValueError(f"unknown FALS solver {solver!r}")
     if solver == "sesd":
-        base = prepare_triangular(g, c, alphabet)
+        real_form = (np.iscomplexobj(g) or np.iscomplexobj(c)) and not np.any(alphabet.labels.imag)
+        if real_form:
+            g, c = np.concatenate([g.real, g.imag]), np.concatenate([c.real, c.imag])
+        base = prepare_triangular(g, c, Alphabet(alphabet.labels.real) if real_form else alphabet)
         stats.ridged += base.ridge > 0
 
     def solve(cols, scale: float = 1.0, warm: Optional[np.ndarray] = None,
               labels: Alphabet = alphabet) -> np.ndarray:
-        if solver == "sesd":
+        if solver == "ep":
+            res = ep_solve(c[:, cols] / scale, scale * g, labels)
+        else:
             system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
                              constant_offset=base.constant_offset[cols] / scale**2)
-            res = sesd_solve(system, labels, warm_starts=warm)
-        else:
-            res = ep_solve(c[:, cols] / scale, scale * g, labels)
+            if real_form:
+                res = sesd_solve(system, Alphabet(labels.labels.real),
+                                 warm_starts=None if warm is None else warm.real)
+                res.z = _nearest(res.z, labels.labels)  # the alphabet's own values, bit for bit
+            else:
+                res = sesd_solve(system, labels, warm_starts=warm)
         stats.absorb(res)
         return res.z
 
@@ -313,7 +324,7 @@ def optimize_switch(target: np.ndarray, phase_diag: np.ndarray,
     b = f_bb.T
     stats = SolverStats()
     z = _fals(b, rotated.T, "sesd", make_switch_alphabet(), stats)(slice(None))
-    return _repair_switch(z.real.copy(), rotated.T, b), stats
+    return _repair_switch(z, rotated.T, b), stats
 
 
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -80,6 +80,8 @@ def _rates(e: np.ndarray, n0: float) -> np.ndarray:
 def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
              n_users: int = None, n_subcarriers: int = None) -> RateReport:
     """Achievable rates log2(1 + SINR), aggregated per sub-carrier and in total."""
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"noise power must be positive and finite, got {n0!r}")
     hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
     e = _stack(hm, k_count, s_count) @ _stack(f, k_count, s_count).transpose(0, 2, 1)
     rates = np.ascontiguousarray(_rates(e, n0).T)

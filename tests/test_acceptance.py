@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from hybridprec.alphabets import (
-    is_member, make_analog_alphabet, make_digital_alphabet,
+    make_analog_alphabet, make_digital_alphabet,
 )
 from hybridprec.baselines import (
     altmin1, altmin2, quantize_baseline, retract, tangent_project,
@@ -48,6 +48,8 @@ from hybridprec.harness import (
 )
 from hybridprec.hybrid import alternate
 from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
+
+from membership import is_member
 
 PAPER_CONFIG = SystemConfig()  # 64 antennas, 8 chains, 2 users, 64 sub-carriers
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from hybridprec.alphabets import (
     Alphabet, DegenerateInputError, _gaussian_quantizer_mse, choose_delta,
-    gaussian_step_coefficient, is_member, make_analog_alphabet,
-    make_digital_alphabet, ndtr, nearest_labels,
+    gaussian_step_coefficient, make_analog_alphabet, make_digital_alphabet, ndtr,
+    nearest_labels,
 )
+
+from membership import is_member
 
 RNG_SEED = 2024
 

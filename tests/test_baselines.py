@@ -5,7 +5,7 @@ import pytest
 
 from hybridprec import baselines
 from hybridprec.alphabets import (
-    choose_delta, is_member, make_analog_alphabet, make_digital_alphabet, nearest_labels,
+    choose_delta, make_analog_alphabet, make_digital_alphabet, nearest_labels,
 )
 from hybridprec.baselines import (
     AltminTrace, altmin1, altmin2, quantize_baseline, retract, tangent_project,
@@ -14,6 +14,8 @@ from hybridprec.baselines import (
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.hybrid import InfeasiblePowerError, _power_per_subcarrier, nearest_quantize_digital
 from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
+
+from membership import is_member
 
 RNG_SEED = 91
 

@@ -15,7 +15,7 @@ import scipy
 import hybridprec.harness as harness
 from hybridprec import hybrid
 from hybridprec.channel import SystemConfig
-from hybridprec.detect import EPNumericalError, SolveResult
+from hybridprec.detect import EPNumericalError, SolveResult, sesd_solve
 from hybridprec.harness import (
     EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SPEC_ERROR, ExperimentSpec, ResultRow,
     SpecError, config_fingerprint, emit_csv, load_spec, main, oracle_check,
@@ -400,6 +400,22 @@ class TestOracleCheckAndCli:
         assert mismatches == 0
         assert worst <= 1e-10
 
+    def test_oracle_check_decodes_as_the_designs_do(self, monkeypatch):
+        """1-bit phases and switches are decoded on the stacked real system, as
+        the designs decode them; 2-bit phases keep the complex search."""
+        systems = []
+
+        def recording(system, alphabet, warm_starts=None):
+            systems.append((system.r.dtype, np.any(alphabet.labels.imag)))
+            return sesd_solve(system, alphabet, warm_starts)
+
+        monkeypatch.setattr(hybrid, "sesd_solve", recording)
+        assert oracle_check(30, seed=3)[0] == 0
+        assert len(systems) == 30
+        assert all(dtype == (np.complex128 if phases else np.float64)
+                   for dtype, phases in systems)
+        assert {dtype for dtype, _ in systems} == {np.dtype(np.complex128), np.dtype(np.float64)}
+
     def test_cli_budget(self, capsys):
         code = main(["budget", "--levels", "2"])
         out = capsys.readouterr().out
@@ -488,9 +504,9 @@ class TestOracleCheckAndCli:
 
     def test_cli_oracle_check_mismatch_exit_code(self, monkeypatch, capsys):
         """A decoder that misses the enumerated optimum fails the check: exit 4."""
-        def first_label(system, alphabet):
-            return SolveResult(z=np.full(len(system.order), alphabet.labels[0]), objective=0.0)
-        monkeypatch.setattr(harness, "sesd_solve", first_label)
+        def first_label(system, alphabet, warm_starts=None):
+            return SolveResult(z=np.full(system.d.shape[::-1], alphabet.labels[0]), objective=0.0)
+        monkeypatch.setattr(hybrid, "sesd_solve", first_label)
         assert main(["oracle-check", "--instances", "10"]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "10 instances," in out and " 0 mismatches" not in out
@@ -599,13 +615,15 @@ class TestOracleCheckAndCli:
         ("noise_figure_db", 1e308, "noise power"),
         ("noise_figure_db", -1e308, "noise power"),
         ("distance_range_m", [1e-300, 1.0], "path gain at the near end of distance_range_m"),
+        ("distance_range_m", [1e300, 1e301], "path gain at the far end of distance_range_m"),
+        ("distance_range_m", [100.0, 1e300], "path gain at the far end of distance_range_m"),
     ], ids=["rician-overflow", "power-overflow", "power-zero", "noise-overflow", "noise-zero",
-            "near-gain-overflow"])
+            "near-gain-overflow", "gain-underflow", "far-gain-underflow"])
     def test_cli_db_setting_out_of_linear_range_exit_code(self, setting, value, quantity,
                                                          tmp_path, capsys, monkeypatch):
         """A finite dB setting whose linear value overflows a float, or makes
-        the total or noise power 0 mW, is a spec error: exit 2 before any
-        trial and before --out is made."""
+        the total or noise power or the far-end path gain 0, is a spec error:
+        exit 2 before any trial and before --out is made."""
         cells = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
         path, out = tmp_path / "bad.json", tmp_path / "out"

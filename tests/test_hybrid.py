@@ -14,20 +14,22 @@ from hypothesis import strategies as st
 import hybridprec
 
 from hybridprec.alphabets import (
-    choose_delta, is_member, make_analog_alphabet, make_digital_alphabet,
+    choose_delta, make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.detect import (
     SolveResult, _sq_norms, brute_force_ml, ep_solve, realify, residual_norm_sq, sesd_solve,
 )
 from hybridprec.harness import ALTERNATE_SCHEMES, DESK_SMALL_CONFIG
-from hybridprec import baselines
+from hybridprec import baselines, hybrid
 from hybridprec.hybrid import (
     DYNAMIC_CONNECTED, FULLY_CONNECTED, AnalogSolveError, InfeasiblePowerError, _offending_columns,
     SolverStats, _power_per_subcarrier, alternate, init_analog_svd, optimize_analog,
     optimize_digital, optimize_phase_diag, optimize_switch, rescale_to_budget,
 )
 from hybridprec.wmmse import FullyDigitalPrecoder, mse_to_target, wmmse_fully_digital
+
+from membership import is_member
 
 RNG_SEED = 55
 
@@ -176,6 +178,88 @@ class TestOptimizeAnalog:
             np.testing.assert_array_equal(f_rf[n], single.z)
         assert stats.solves == 6
         assert stats.iterations == sum(s.iterations for s in singles)
+
+
+class TestRealFormSearch:
+    """SD searches 1-bit phases and {0, 1} switches, real labels of a complex
+    system, on the stacked real pair; every row must still be an exact minimizer
+    of the complex objective, and the labels the alphabet's own values."""
+
+    @staticmethod
+    def tie_rich_case(seed, m_rf, extra, repeat, negate):
+        """A complex target and a 2-level quantized digital precoder, optionally
+        with a repeated and a negated row: rank-deficient, ridge-loaded factors
+        with exactly tied label vectors."""
+        rng = np.random.default_rng(seed)
+        ks = m_rf + extra
+        target = random_target(rng, 7, ks)
+        f_bb = rng.choice([-1.0, 1.0], (m_rf, ks)) + 1j * rng.choice([-1.0, 1.0], (m_rf, ks))
+        if repeat and m_rf > 1:
+            f_bb[1] = f_bb[0]
+        if negate and m_rf > 2:
+            f_bb[2] = -f_bb[0]
+        return rng, target, f_bb
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(0, 3), st.booleans(),
+           st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_one_bit_analog_rows_match_enumeration(self, seed, m_rf, extra, repeat, negate, warm):
+        rng, target, f_bb = self.tie_rich_case(seed, m_rf, extra, repeat, negate)
+        alphabet = make_analog_alphabet(1)
+        start = rng.choice(alphabet.labels, size=(7, m_rf)) if warm else None
+        f_rf, _ = optimize_analog(target, f_bb, "sesd", alphabet, warm=start)
+        assert f_rf.dtype == np.complex128 and is_member(f_rf, alphabet)
+        for n in range(7):
+            exact = brute_force_ml(target[n], f_bb.T, alphabet)
+            ours = residual_norm_sq(target[n], f_bb.T, f_rf[n])
+            assert ours == pytest.approx(exact.objective, rel=1e-10)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(0, 3), st.booleans(),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_switch_rows_match_enumeration(self, seed, m_rf, extra, repeat, negate):
+        """The switch solve before ``_repair_switch``."""
+        rng, target, f_bb = self.tie_rich_case(seed, m_rf, extra, repeat, negate)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
+        solved = []
+        original = hybrid._repair_switch
+        hybrid._repair_switch = lambda z, a, b: solved.append(z) or z
+        try:
+            optimize_switch(target, phase, f_bb)
+        finally:
+            hybrid._repair_switch = original
+        alphabet = make_switch_alphabet()
+        (switch,) = solved
+        assert switch.dtype == np.float64 and is_member(switch, alphabet)
+        rotated = np.conj(phase)[:, None] * target
+        for n in range(7):
+            exact = brute_force_ml(rotated[n], f_bb.T, alphabet)
+            ours = residual_norm_sq(rotated[n], f_bb.T, switch[n])
+            assert ours == pytest.approx(exact.objective, rel=1e-10)
+
+    @pytest.mark.parametrize("step, bits, dtype", [
+        ("analog", 1, np.float64), ("switch", 1, np.float64), ("digital", 1, np.float64),
+        ("analog", 2, np.complex128)], ids=["analog-1-bit", "switch", "digital", "analog-2-bit"])
+    def test_sd_system_dtype(self, step, bits, dtype, monkeypatch):
+        """Real labels of a complex system are searched in real arithmetic; 2-bit
+        phases keep the complex search, and the digital step is real already."""
+        seen = []
+
+        def recording(system, alphabet, warm_starts=None):
+            seen.append((system.r.dtype, alphabet.labels.dtype))
+            return sesd_solve(system, alphabet, warm_starts)
+
+        monkeypatch.setattr(hybrid, "sesd_solve", recording)
+        rng, target, f_bb = self.tie_rich_case(RNG_SEED, 3, 2, False, False)
+        alphabet = make_analog_alphabet(bits)
+        if step == "analog":
+            optimize_analog(target, f_bb, "sesd", alphabet)
+        elif step == "switch":
+            optimize_switch(target, np.ones(7, dtype=complex), f_bb)
+        else:
+            f_rf = rng.choice(alphabet.labels, size=(7, 3))
+            optimize_digital(target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=1)
+        assert seen == [(dtype, dtype)]
 
 
 class TestOptimizeDigital:

@@ -72,6 +72,13 @@ class TestSumRate:
         expected = np.log2(1 + p_s * np.linalg.norm(h) ** 2 / n0)
         assert report.total_sum_rate == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n0", [0.0, -1.0, float("inf"), float("nan")])
+    def test_noise_power_not_positive_and_finite_rejected(self, n0):
+        """A zero noise power gave NaN rates and a negative one a finite rate."""
+        h = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="noise power must be positive and finite"):
+            sum_rate(h, h, n0, 2, 1)
+
     def test_aggregates_consistent(self):
         rng = np.random.default_rng(RNG_SEED)
         h = random_channel(rng, 4, 2, 3)

@@ -249,7 +249,8 @@ def runtime_benchmark(m_rf_list: list, config: SystemConfig, n_trials: int) -> l
     solvers = (("sd-hybrid", "sesd"), ("ep-hybrid", "ep"))
     configs = [config.with_updates(m_rf=m_rf) for m_rf in m_rf_list]
     targets = [[wmmse_fully_digital(draw_channel(cfg, trial), per_subcarrier_power_mw(cfg),
-                                    noise_power_mw(cfg))[0] for cfg in configs]
+                                    noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                    max_iter=cfg.wmmse_max_iter)[0] for cfg in configs]
                for trial in range(n_trials)]
     fastest = np.full((len(solvers), len(configs), n_trials), np.inf)
     for _ in range(3):
@@ -366,20 +367,20 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
     unknown_cfg = set(base_dict) - set(SETTINGS)
     if unknown_cfg:
         raise SpecError(f"unknown config keys: {sorted(unknown_cfg)}")
+    # the keys the payload has; ExperimentSpec holds the defaults of the others
+    given = {key: payload[key] for key in ("n_trials", "seed") if key in payload}
+    if "outputs" in payload:
+        given["outputs"] = list(_of_type(payload["outputs"], list, "'outputs'"))
     sweep = payload.get("sweep")
-    sweep_parameter = sweep_values = None
     if sweep is not None:
         if set(_of_type(sweep, dict, "'sweep'")) != {"parameter", "values"}:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
-        sweep_parameter = sweep["parameter"]
-        sweep_values = [_tuple(v) for v in _of_type(sweep["values"], list, "sweep 'values'")]
+        values = _of_type(sweep["values"], list, "sweep 'values'")
+        given.update(sweep_parameter=sweep["parameter"], sweep_values=[_tuple(v) for v in values])
     schemes = _of_type(payload["schemes"], list, "'schemes'")
-    outputs = _of_type(payload.get("outputs", ["sum_rate_avg", "mse"]), list, "'outputs'")
     return ExperimentSpec(
-        name=payload["name"], schemes=list(schemes), outputs=list(outputs),
-        base=SystemConfig(**{key: _tuple(value) for key, value in base_dict.items()}),
-        n_trials=payload.get("n_trials", 20), seed=payload.get("seed", 0),
-        sweep_parameter=sweep_parameter, sweep_values=sweep_values)
+        name=payload["name"], schemes=list(schemes),
+        base=SystemConfig(**{key: _tuple(value) for key, value in base_dict.items()}), **given)
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -130,7 +130,10 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: 
     def solve(cols, scale: float = 1.0, warm: Optional[np.ndarray] = None,
               labels: Alphabet = alphabet) -> np.ndarray:
         if solver == "ep":
-            res = ep_solve(c[:, cols] / scale, scale * g, labels)
+            # complex division turns an infinite target into nan (and warns) before
+            # ep_solve can reject it, so unit scale passes the inputs as they are
+            targets, g_s = (c[:, cols], g) if scale == 1 else (c[:, cols] / scale, scale * g)
+            res = ep_solve(targets, g_s, labels)
         else:
             system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
                              constant_offset=base.constant_offset[cols] / scale**2)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec.alphabets import (
-    Alphabet, DegenerateInputError, _gaussian_quantizer_mse, choose_delta,
-    gaussian_step_coefficient, make_analog_alphabet, make_digital_alphabet, ndtr,
-    nearest_labels,
+    DegenerateInputError, _centroid_gap, choose_delta, gaussian_step_coefficient,
+    make_analog_alphabet, make_digital_alphabet, nearest_labels,
 )
 
 from membership import is_member
@@ -127,67 +126,40 @@ class TestChooseDelta:
 
 
 class TestStepCoefficientMatchesScipy:
-    """c(L) and its MSE are bit-identical to the scipy.stats / scipy.optimize
-    form they replace; the oracles are imported here only, so the package
-    itself never loads them."""
+    """c(L) is the root of the centroid gap of the L-level quantizer (Max's
+    condition): to the bit on the package's own gap, and to 1e-12 relative on
+    the same gap built from scipy.stats.norm and solved by scipy's brentq. The
+    oracles are imported here only, so the package itself never loads them."""
 
     @staticmethod
-    def norm_mse(delta, levels):
+    def norm_gap(delta, levels):
         from scipy.stats import norm
         labels = delta * (np.arange(levels) - (levels - 1) / 2.0)
-        cuts = delta * (np.arange(1, levels) - levels / 2.0)
-        a = np.concatenate(([-np.inf], cuts))
-        b = np.concatenate((cuts, [np.inf]))
-        mass = norm.cdf(b) - norm.cdf(a)
-        pa, pb = norm.pdf(a), norm.pdf(b)
-        aa = np.where(np.isfinite(a), a, 0.0)
-        bb = np.where(np.isfinite(b), b, 0.0)
-        seg = labels**2 * mass - 2 * labels * (pa - pb) + mass + aa * pa - bb * pb
-        return float(np.sum(seg))
+        edges = np.concatenate(([-np.inf], delta * (np.arange(1, levels) - levels / 2.0),
+                                [np.inf]))
+        mass = np.diff(norm.cdf(edges))
+        moment = norm.pdf(edges[:-1]) - norm.pdf(edges[1:])
+        return float(np.sum(labels * (labels * mass - moment)))
 
     @pytest.mark.parametrize("levels", [*range(2, 65), 128, 256, 512])
     def test_coefficient_bits(self, levels):
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(self.norm_mse, args=(levels,), bounds=(1e-6, 4.0),
-                              method="bounded", options={"xatol": 1e-10})
-        assert gaussian_step_coefficient(levels) == float(res.x)
+        """c(L) is the first float at which the gap turns positive, and
+        brentq's root of scipy's gap agrees with it."""
+        from scipy.optimize import brentq
+        c = gaussian_step_coefficient(levels)
+        assert _centroid_gap(c, levels) > 0 >= _centroid_gap(np.nextafter(c, 0.0), levels)
+        root = brentq(self.norm_gap, 1e-6, 4.0, args=(levels,), xtol=1e-300, rtol=1e-15)
+        assert abs(c - root) <= 1e-12 * root
 
-    def test_mse_bits(self):
-        rng = np.random.default_rng(RNG_SEED)
-        steps = np.concatenate([[1e-6, 4.0], rng.uniform(1e-6, 4.0, 300)])
-        for delta, levels in zip(steps, rng.integers(2, 513, len(steps))):
-            levels = int(levels)
-            assert _gaussian_quantizer_mse(delta, levels) == self.norm_mse(delta, levels)
+    def test_two_levels_keep_their_bits(self):
+        """c(2) = 4 phi(0) is the value every two-level design was made with."""
+        assert gaussian_step_coefficient(2) == 1.595769121605731
 
-
-class TestNdtrMatchesScipy:
-    """The in-package normal CDF is bit-identical to ``scipy.special.ndtr``,
-    imported here only as the oracle."""
-
-    def test_bits(self):
-        from scipy.special import ndtr as scipy_ndtr
-        rng = np.random.default_rng(RNG_SEED)
-        sqrt2 = np.sqrt(2.0)
-        # branch edges, x = a / sqrt(2): |a| = 1 (erf / erfc), x = 1 (erfc by erf), x = 8
-        # (erfc's two fits), exp(-x^2) underflow at |a| ~ 37.7
-        edges = np.array([1.0, sqrt2, 8.0 * sqrt2, np.sqrt(2 * 7.09782712893383996843e2),
-                          37.5, 38.0])
-        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
-        points = np.concatenate([
-            rng.uniform(-40.0, 40.0, 60_000), 3.0 * rng.standard_normal(40_000),
-            rng.uniform(-1.5, 1.5, 20_000), near, -near,
-            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308],
-        ])
-        ours, theirs = ndtr(points), scipy_ndtr(points)
-        assert ours.shape == points.shape
-        np.testing.assert_array_equal(np.isnan(ours), np.isnan(points))
-        finite = ~np.isnan(points)
-        np.testing.assert_array_equal(ours[finite].view(np.int64), theirs[finite].view(np.int64))
-
-    def test_shape_and_special_values(self):
-        np.testing.assert_array_equal(ndtr(np.array([[-np.inf, 0.0], [-0.0, np.inf]])),
-                                      [[0.0, 0.5], [0.5, 1.0]])
-        assert ndtr(np.array(0.0)).shape == ()
+    def test_inside_the_bracket_and_decreasing(self):
+        levels = sorted({int(L) for L in np.geomspace(2, 4096, 120)})
+        cs = [gaussian_step_coefficient(L) for L in levels]
+        assert all(1e-6 < c < 4.0 for c in cs)
+        assert all(a > b for a, b in zip(cs, cs[1:]))
 
 
 class TestNearestLabel:

@@ -342,6 +342,14 @@ class TestSpecFiles:
                  for seed in (0, 5)]
         assert rates[0][0].value != rates[1][0].value
 
+    def test_absent_keys_take_the_spec_defaults(self):
+        """A spec without n_trials, seed, outputs or sweep is the spec built
+        with those fields left at ExperimentSpec's defaults."""
+        payload = {"schema_version": 1, "name": "bare", "base": dict(TINY_BASE),
+                   "schemes": ["fully-digital"]}
+        assert spec_from_dict(payload) == ExperimentSpec(
+            name="bare", base=SystemConfig(**TINY_BASE), schemes=["fully-digital"])
+
     def test_schema_version_enforced(self):
         with pytest.raises(SpecError, match="schema_version"):
             spec_from_dict({"name": "x", "schemes": ["fully-digital"]})
@@ -392,6 +400,19 @@ class TestRuntimeBenchmark:
         assert {(r["scheme"], r["m_rf"]) for r in table} == {
             ("sd-hybrid", 3), ("sd-hybrid", 4), ("ep-hybrid", 3), ("ep-hybrid", 4)}
         assert all(r["mean_seconds"] > 0 for r in table)
+
+    def test_targets_use_the_config_wmmse_settings(self, monkeypatch):
+        """The timed designs start from the target a run of the same config
+        gets: the WMMSE call takes the config's tolerance and iteration cap."""
+        calls, wmmse = [], harness.wmmse_fully_digital
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return wmmse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "wmmse_fully_digital", recording)
+        runtime_benchmark([3], SystemConfig(**TINY_BASE, wmmse_tol=1e-3, wmmse_max_iter=7), 1)
+        assert calls == [{"tol": 1e-3, "max_iter": 7}]
 
 
 class TestOracleCheckAndCli:

@@ -149,6 +149,7 @@ class TestOptimizeAnalog:
         with pytest.raises(RuntimeError, match="antenna 0"):
             optimize_analog(target, f_bb, "ep", alphabet)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_error_names_the_first_failing_antenna(self):
         rng = np.random.default_rng(RNG_SEED)
         target = random_target(rng, 5, 4)

@@ -20,12 +20,11 @@ from .alphabets import (  # noqa: F401
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, OUTER_TOL, HybridPrecoder, init_analog_svd, nearest_quantize_digital,
-    phase_projection, rescale_to_budget,
+    FULLY_CONNECTED, OUTER_MAX_ITER, OUTER_TOL, HybridPrecoder, init_analog_svd,
+    nearest_quantize_digital, phase_projection, rescale_to_budget,
 )
 from .wmmse import FullyDigitalPrecoder, as_matrix, mse_to_target
 
-ALTMIN_MAX_OUTER = 50
 MANIFOLD_MAX_STEPS = 100
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -51,7 +50,7 @@ def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
     f_rf = init_analog_svd(target, config.m_rf)
     trace = AltminTrace()
     prev = None
-    for _ in range(ALTMIN_MAX_OUTER):
+    for _ in range(OUTER_MAX_ITER):
         f_bb = np.linalg.lstsq(f_rf, target, rcond=None)[0]
         f_rf = analog_step(target, f_rf, f_bb, trace)
         obj = mse_to_target(target, f_rf, f_bb)

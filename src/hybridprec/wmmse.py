@@ -38,13 +38,12 @@ class RateReport:
 
 @dataclass
 class WmmseTrace:
-    """Per-sub-carrier utility (sum rate) after each alternation step,
-    alternation steps and K x K solves of the precoder updates."""
+    """Per-sub-carrier utility (sum rate) after each alternation step, and
+    alternation steps."""
 
     utilities: list
     iterations: list
     truncated: bool
-    solves: list
 
 
 def _dims(h: Union[ChannelSet, np.ndarray], n_users: int, n_subcarriers: int
@@ -101,78 +100,60 @@ def mse_to_target(f_fd: Union[FullyDigitalPrecoder, np.ndarray],
 
 
 def _precoder_update(ht: np.ndarray, w: np.ndarray, u: np.ndarray,
-                     p_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Power-constrained precoder blocks of a stack of sub-carriers.
+                     p_s: float) -> np.ndarray:
+    """Power-constrained precoder rows f_k^T of a (P, K, n_t) stack of sub-carriers.
 
     Per sub-carrier solves f_k = (sum_i w_i |u_i|^2 hc_i hc_i^H + mu I)^-1 w_k u_k^* hc_k
     with the smallest mu >= 0 that meets the power budget; the low-rank identity
-    (mu I + Hc D Hc^H)^-1 Hc = Hc (mu I + D Hc^H Hc)^-1 keeps it K x K. The mu = 0
-    solve is stacked over the sub-carriers. Where it overshoots, the eigenpairs
+    (mu I + Hc D Hc^H)^-1 Hc = Hc (mu I + D Hc^H Hc)^-1 keeps it K x K. The eigenpairs
     U diag(lam) U^H of D^1/2 A D^1/2 (A = Hc^H Hc) give the power in closed form,
     P(mu) = sum_j c_j / (mu + lam_j)^2 with c_j = lam_j sum_k |U_kj|^2 w_k, and
     Newton on the concave P^-1/2 - p_s^-1/2 climbs from mu = 0 to the root without
     overshooting (Moré & Sorensen 1983); it stops once a step no longer raises mu,
-    and one more stacked solve at that mu gives the precoder. Silent users
-    (u_k = 0) decouple and keep a zero row, so the stack is solved in groups of
-    equal active-user mask. Returns the (P, K, n_t) rows f_k^T and the K x K
-    solves per sub-carrier: 1 where mu = 0 fits, 2 where the budget binds.
+    at once where mu = 0 meets the budget. One stacked solve at that mu gives the
+    precoder. A silent user, whose w_k |u_k|^2 ||h_k||^2 is below the smallest
+    normal float (a zero channel column, or a user fading out), gets an identity
+    row with a zero right-hand side, so its precoder is zero and the others solve
+    the system of the active users.
     """
-    ft = np.zeros(ht.shape, dtype=complex)
-    solves = np.zeros(len(ht), dtype=int)
-    masks, group = np.unique(np.abs(u) > 0, axis=0, return_inverse=True)
-    for g, mask in enumerate(masks):
-        if not mask.any():
-            continue
-        members = np.flatnonzero(group.ravel() == g)
-        pick = np.ix_(members, mask)
-        hr = ht[pick]  # active rows h_k^T, (G, Ka, n_t)
-        hcr = hr.conj()
-        inner = hr @ hcr.transpose(0, 2, 1)
-        d = (w * np.abs(u) ** 2)[pick]
-        rhs = np.zeros(inner.shape, dtype=complex)
-        diag = np.arange(int(mask.sum()))
-        rhs[:, diag, diag] = (w * np.conj(u))[pick]
-        eye = np.eye(len(diag))
-
-        def solve(sel: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            core = np.linalg.solve(mu[:, None, None] * eye + d[sel, :, None] * inner[sel],
-                                   rhs[sel])
-            f = np.zeros((len(sel),) + ht.shape[1:], dtype=complex)
-            f[:, mask] = (hcr[sel].transpose(0, 2, 1) @ core).transpose(0, 2, 1)
-            return f, (f * f.conj()).reshape(len(sel), -1).sum(axis=1).real
-
-        out, power = solve(np.arange(len(members)), np.zeros(len(members)))
-        binds = np.flatnonzero(power > p_s)
-        if binds.size:
-            root = np.sqrt(d[binds])
-            lam, vec = np.linalg.eigh(root[:, :, None] * inner[binds] * root[:, None, :])
-            lam = np.maximum(lam, 0.0)
-            c = lam * (np.abs(vec) ** 2 * w[pick][binds][:, :, None]).sum(axis=1)
-            lam = np.where(c > 0, lam, np.inf)  # c_j = 0 terms vanish at every mu
-            mu, pend = np.zeros(len(binds)), np.arange(len(binds))
-            for _ in range(100):  # a guard: 15 steps at most in 2,000 random draws
-                # Newton's step is P / Q * (sqrt(P / p_s) - 1) with Q = sum c / x^3,
-                # x = mu + lam; scaled by m = min(x) as a_2 / a_3 * (sqrt(a_2 / p_s) - m),
-                # a_n = sum c (m / x)^n, it stays finite where a user fading out
-                # (u_k -> 0) leaves a tiny lam
-                x = mu[pend, None] + lam[pend]
-                low = x.min(axis=1)
-                r = low[:, None] / x
-                a2 = (c[pend] * r ** 2).sum(axis=1)
-                step = a2 / (c[pend] * r ** 3).sum(axis=1) * (np.sqrt(a2 / p_s) - low)
-                up = mu[pend] + step > mu[pend]
-                pend = pend[up]
-                mu[pend] += step[up]
-                if not pend.size:
-                    break
-            f, power = solve(binds, mu)
-            big = power > p_s * (1 + 1e-9)
-            f[big] *= np.sqrt(p_s / power[big])[:, None, None]
-            out[binds] = f
-        ft[members] = out
-        solves[members] = 1
-        solves[members[binds]] = 2
-    return ft, solves
+    hct = ht.conj().transpose(0, 2, 1)
+    inner = ht @ hct
+    d = w * np.abs(u) ** 2
+    silent = d * np.diagonal(inner, axis1=1, axis2=2).real < np.finfo(float).tiny
+    d[silent] = 0.0
+    w = np.where(silent, 0.0, w)
+    rhs = np.zeros(inner.shape, dtype=complex)
+    diag = np.arange(ht.shape[1])
+    rhs[:, diag, diag] = w * np.conj(u)
+    mu = np.zeros(len(ht))
+    root = np.sqrt(d)
+    lam, vec = np.linalg.eigh(root[:, :, None] * inner * root[:, None, :])
+    lam = np.maximum(lam, 0.0)
+    c = lam * (np.abs(vec) ** 2 * w[:, :, None]).sum(axis=1)
+    lam = np.where(c > 0, lam, np.inf)  # c_j = 0 terms vanish at every mu
+    pend = np.flatnonzero((c > 0).any(axis=1))
+    for _ in range(100):  # a guard: 15 steps at most in 2,000 random draws
+        if not pend.size:
+            break
+        # Newton's step is P / Q * (sqrt(P / p_s) - 1) with Q = sum c / x^3,
+        # x = mu + lam; scaled by m = min(x) as a_2 / a_3 * (sqrt(a_2 / p_s) - m),
+        # a_n = sum c (m / x)^n, it stays finite where a user fading out
+        # (u_k -> 0) leaves a tiny lam
+        x = mu[pend, None] + lam[pend]
+        low = x.min(axis=1)
+        r = low[:, None] / x
+        a2 = (c[pend] * r ** 2).sum(axis=1)
+        step = a2 / (c[pend] * r ** 3).sum(axis=1) * (np.sqrt(a2 / p_s) - low)
+        up = mu[pend] + step > mu[pend]
+        pend = pend[up]
+        mu[pend] += step[up]
+    eye = np.eye(ht.shape[1])
+    system = np.where(silent[:, :, None], eye, mu[:, None, None] * eye + d[:, :, None] * inner)
+    ft = (hct @ np.linalg.solve(system, rhs)).transpose(0, 2, 1)
+    power = (ft * ft.conj()).reshape(len(ft), -1).sum(axis=1).real
+    big = power > p_s * (1 + 1e-9)
+    ft[big] *= np.sqrt(p_s / power[big])[:, None, None]
+    return ft
 
 
 def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
@@ -181,7 +162,8 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
                         ) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
     """Sum-rate precoder via weighted-MMSE alternation, per sub-carrier.
 
-    Initialized from the matched filter at full power. All sub-carriers
+    Initialized from the matched filter at full power, shared equally by
+    the users with a nonzero channel on each sub-carrier. All sub-carriers
     alternate in lockstep; each leaves the batch once its relative utility
     change drops below ``tol`` or at ``max_iter``. Utility is the achievable
     sum rate, which is non-decreasing across full iterations.
@@ -197,12 +179,12 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
     norms = np.linalg.norm(ht, axis=2)
     ft = np.zeros(ht.shape, dtype=complex)  # rows f_k^T
     nz = norms > 0
-    ft[nz] = math.sqrt(p_s / k_count) * ht.conj()[nz] / norms[nz][:, None]
+    share = np.sqrt(p_s / nz.sum(axis=1)[np.nonzero(nz)[0]])  # p_s / active users
+    ft[nz] = share[:, None] * ht.conj()[nz] / norms[nz][:, None]
     # Gains E[s, k, i] = h_k^T f_i. The first product takes the matched filter
     # as C-ordered (n_t, K) blocks, as it is built per sub-carrier.
     gains = ht @ np.ascontiguousarray(ft.transpose(0, 2, 1))
     utilities = [[] for _ in range(s_count)]
-    solves = np.zeros(s_count, dtype=int)
     prev = np.full(s_count, np.nan)
     run = np.arange(s_count)
     for _ in range(max_iter):
@@ -212,8 +194,7 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
         diag = np.diagonal(e, axis1=1, axis2=2)
         u = np.conj(diag) / denom
         mmse = 1.0 - np.abs(diag) ** 2 / denom
-        ft[run], n = _precoder_update(ht[run], 1.0 / np.maximum(mmse, 1e-15), u, p_s)
-        solves[run] += n
+        ft[run] = _precoder_update(ht[run], 1.0 / np.maximum(mmse, 1e-15), u, p_s)
         gains[run] = e = ht[run] @ ft[run].transpose(0, 2, 1)
         util = np.sum(_rates(e, n0), axis=1)
         for s, value in zip(run, util):
@@ -226,5 +207,4 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
     f = ft.transpose(2, 1, 0).reshape(n_t, k_count * s_count)
     return FullyDigitalPrecoder(f_fd=f), WmmseTrace(
         utilities=[np.array(v) for v in utilities],
-        iterations=[len(v) for v in utilities], truncated=bool(run.size),
-        solves=solves.tolist())
+        iterations=[len(v) for v in utilities], truncated=bool(run.size))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hybridprec.channel import (
     SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw,
 )
-from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
+from hybridprec.wmmse import _precoder_update, mse_to_target, sum_rate, wmmse_fully_digital
 
 RNG_SEED = 77
 
@@ -192,29 +192,67 @@ class TestChannelDims:
             wmmse_fully_digital(np.ones((4, 6), dtype=complex), 1.0, 1.0, **counts)
 
 
-class TestWmmseSolves:
-    """`solves` counts the K x K solves of each sub-carrier's precoder updates."""
+def channel_with_silent_user():
+    """8 antennas, 2 users, 2 sub-carriers; user 1 is silent on sub-carrier 0."""
+    h = random_channel(np.random.default_rng(RNG_SEED), 8, 2, 2)
+    h[:, 1 * 2 + 0] = 0.0
+    return h
 
-    def channel_with_silent_user(self):
-        # Sub-carrier 0: user 1 silent, so the matched filter starts user 0 at
-        # half the budget and its mu = 0 update stays within it at high SNR.
-        # Sub-carrier 1: both users active, where the mu = 0 update overshoots.
-        h = random_channel(np.random.default_rng(RNG_SEED), 8, 2, 2)
-        h[:, 1 * 2 + 0] = 0.0
-        return h
 
-    def test_loose_budget_one_solve_per_iteration(self):
-        """One solve per update where mu = 0 fits, two where the budget binds."""
-        h = self.channel_with_silent_user()
-        _, trace = wmmse_fully_digital(h, 1.0, 1e-3, n_users=2, n_subcarriers=2)
-        assert trace.solves == [trace.iterations[0], 2 * trace.iterations[1]]
+class TestSilentUser:
+    """A user with an all-zero channel column gets a zero precoder, and the
+    matched-filter start gives its share of the budget to the active users."""
 
-    def test_binding_budget_two_solves_per_iteration(self):
-        """The mu = 0 solve and the solve at Newton's multiplier, on every update."""
-        h = self.channel_with_silent_user()
-        _, trace = wmmse_fully_digital(h, 1.0, 10.0 * np.linalg.norm(h) ** 2,
-                                       n_users=2, n_subcarriers=2)
-        assert trace.solves == [2 * i for i in trace.iterations]
+    def test_active_user_spends_the_budget(self):
+        """At high SNR the start at half the budget left the one active user's
+        updates under it: sub-carrier 0 ended at 0.5005 of p_s and 11.91 bit/s/Hz."""
+        h = channel_with_silent_user()
+        precoder, _ = wmmse_fully_digital(h, 1.0, 1e-3, n_users=2, n_subcarriers=2)
+        np.testing.assert_array_equal(precoder.f_fd[:, 1 * 2 + 0], 0.0)
+        for s in range(2):
+            assert power(precoder.f_fd[:, s::2]) == pytest.approx(1.0, rel=1e-12)
+        rates = sum_rate(h, precoder.f_fd, 1e-3, 2, 2).per_user_per_subcarrier
+        assert rates[:, 0].sum() > 12.9
+
+
+class TestFadingUser:
+    """A user whose receive scalar fades towards 0 over a long run (3 users on 3
+    antennas, p_s 100, n0 1, tol 1e-8) leaves the system instead of overflowing
+    the update through 1 / u_k: the mu = 0 pre-solve returned an all-zero target
+    with rate 0 after 131-197 iterations."""
+
+    @pytest.mark.parametrize("seed", [10, 14, 17, 19])
+    def test_target_spends_budget_and_keeps_rate(self, seed):
+        h = random_channel(np.random.default_rng(seed), 3, 3, 1)
+        precoder, _ = wmmse_fully_digital(h, 100.0, 1.0, tol=1e-8, max_iter=200,
+                                          n_users=3, n_subcarriers=1)
+        assert np.all(np.isfinite(precoder.f_fd))
+        assert abs(power(precoder.f_fd) - 100.0) <= 1e-9 * 100.0
+        loose, _ = wmmse_fully_digital(h, 100.0, 1.0, n_users=3, n_subcarriers=1)
+        rate = sum_rate(h, precoder.f_fd, 1.0, 3, 1).total_sum_rate
+        assert rate >= sum_rate(h, loose.f_fd, 1.0, 3, 1).total_sum_rate > 0.0
+
+
+class TestPrecoderUpdate:
+    def test_mu_stays_zero_where_the_budget_is_met(self):
+        """Newton from mu = 0 does not move where the mu = 0 solve meets the budget:
+        that sub-carrier's rows equal a plain mu = 0 solve bit for bit, while a
+        sub-carrier of the same stack whose mu = 0 solve overshoots spends p_s."""
+        rng = np.random.default_rng(RNG_SEED)
+        ht = random_channel(rng, 2, 3, 4).reshape(2, 3, 4)  # (P, K, n_t) rows h_k^T
+        w = rng.uniform(1.0, 3.0, (2, 3))
+        u = random_channel(rng, 2, 3, 1).reshape(2, 3)
+        hct = ht.conj().transpose(0, 2, 1)
+        inner = ht @ hct
+        rhs = np.zeros(inner.shape, dtype=complex)
+        rhs[:, range(3), range(3)] = w * np.conj(u)
+        plain = (hct @ np.linalg.solve((w * np.abs(u) ** 2)[:, :, None] * inner, rhs)
+                 ).transpose(0, 2, 1)
+        loose, tight = sorted([0, 1], key=lambda s: power(plain[s]))
+        p_s = math.sqrt(power(plain[0]) * power(plain[1]))
+        ft = _precoder_update(ht, w, u, p_s)
+        assert ft[loose].tobytes() == plain[loose].tobytes()
+        assert power(ft[tight]) == pytest.approx(p_s, rel=1e-12)
 
 
 # --- reference: the per-sub-carrier loop the lockstep iteration replaced ---
@@ -240,22 +278,28 @@ def power(f_s):
 
 
 def loop_precoder_update(hc, w, u, p_s):
-    """One sub-carrier's update, mu from Newton on the closed-form power; returns
-    (f_s, K x K solves, mu = 0 feasible, condition number of D^1/2 A D^1/2 or 1)."""
-    active, d, inner, solve = update_system(hc, w, u)
-    if not active.any():
+    """One sub-carrier's update: a user whose w_k |u_k|^2 ||h_k||^2 is below the
+    smallest normal float gets an identity row and a zero right-hand side, and mu
+    comes from Newton on the closed-form power from 0. Returns (f_s, 1, whether
+    mu = 0 met the budget, condition number of the active users' D^1/2 A D^1/2),
+    or 0 solves and condition number 1 where every user is silent."""
+    inner = hc.conj().T @ hc
+    d = w * np.abs(u) ** 2
+    silent = d * np.diag(inner).real < np.finfo(float).tiny
+    if silent.all():
         return np.zeros_like(hc), 0, False, 1.0
-    f0 = solve(0.0)
-    if power(f0) <= p_s:
-        return f0, 1, True, 1.0
+    d[silent] = 0.0
+    w = np.where(silent, 0.0, w)
     root = np.sqrt(d)
-    lam, vec = np.linalg.eigh(root[:, None] * inner * root[None, :])
+    scaled = root[:, None] * inner * root[None, :]
+    lam = np.linalg.eigvalsh(scaled[np.ix_(~silent, ~silent)])
     cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
+    lam, vec = np.linalg.eigh(scaled)
     lam = np.maximum(lam, 0.0)
-    c = lam * (np.abs(vec) ** 2 * w[active][:, None]).sum(axis=0)
+    c = lam * (np.abs(vec) ** 2 * w[:, None]).sum(axis=0)
     lam = np.where(c > 0, lam, np.inf)
     mu = 0.0
-    for _ in range(100):
+    for _ in range(100 if (c > 0).any() else 0):
         x = mu + lam
         low = x.min()
         r = low / x
@@ -264,10 +308,12 @@ def loop_precoder_update(hc, w, u, p_s):
         if not mu + step > mu:
             break
         mu += step
-    f_s = solve(mu)
+    eye = np.eye(len(d))
+    system = np.where(silent[:, None], eye, mu * eye + d[:, None] * inner)
+    f_s = hc @ np.linalg.solve(system, np.diag(w * np.conj(u)))
     if power(f_s) > p_s * (1 + 1e-9):
         f_s *= math.sqrt(p_s / power(f_s))
-    return f_s, 2, False, cond
+    return f_s, 1, mu == 0.0, cond
 
 
 def bisect_precoder_update(hc, w, u, p_s):
@@ -296,12 +342,11 @@ def bisect_precoder_update(hc, w, u, p_s):
 
 
 def loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count, update=loop_precoder_update):
-    """Returns (f, utilities, iterations, truncated, solves, mu = 0 outcomes,
-    whether each sub-carrier's last update bound the budget, largest condition
-    number of a binding update)."""
+    """Returns (f, utilities, iterations, truncated, whether mu = 0 met the budget
+    in each update with an active user, largest condition number of an update)."""
     n_t = hm.shape[0]
     f = np.zeros((n_t, k_count * s_count), dtype=complex)
-    utilities, iterations, solves, feasible, binding = [], [], [], [], []
+    utilities, iterations, feasible = [], [], []
     truncated = False
     worst_cond = 1.0
     for s in range(s_count):
@@ -311,10 +356,9 @@ def loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count, update=loop_precode
         norms = np.linalg.norm(h_s, axis=0)
         f_s = np.zeros((n_t, k_count), dtype=complex)
         nz = norms > 0
-        f_s[:, nz] = math.sqrt(p_s / k_count) * hc[:, nz] / norms[nz]
+        f_s[:, nz] = math.sqrt(p_s / max(nz.sum(), 1)) * hc[:, nz] / norms[nz]
         util_hist = []
         prev = None
-        n_solves = 0
         for _ in range(1, max_iter + 1):
             e = h_s.T @ f_s
             p = np.abs(e) ** 2
@@ -323,11 +367,8 @@ def loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count, update=loop_precode
             mmse = 1.0 - np.abs(np.diag(e)) ** 2 / denom
             w = 1.0 / np.maximum(mmse, 1e-15)
             f_s, count, loose, cond = update(hc, w, u, p_s)
-            if count is not None:
-                n_solves += count
             if count != 0:
                 feasible.append(loose)
-            last_binds = count != 0 and not loose
             worst_cond = max(worst_cond, cond)
             e = h_s.T @ f_s
             p = np.abs(e) ** 2
@@ -342,9 +383,7 @@ def loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count, update=loop_precode
         f[:, cols] = f_s
         utilities.append(np.array(util_hist))
         iterations.append(len(util_hist))
-        solves.append(n_solves)
-        binding.append(last_binds)
-    return f, utilities, iterations, truncated, solves, feasible, binding, worst_cond
+    return f, utilities, iterations, truncated, feasible, worst_cond
 
 
 def loop_sum_rate(hm, f, n0, k_count, s_count):
@@ -365,13 +404,14 @@ WELL_CONDITIONED = 1e4
 
 
 def assert_matches_loop(hm, p_s, n0, tol, max_iter, k_count, s_count):
-    """Lockstep target equals the loop's byte for byte and each sub-carrier whose
-    last update bound the budget spends it; where every binding update is well
-    conditioned, to 1e-12, and the target agrees with the bisection reference
-    to 1e-12 relative in the same iterations. Returns the trace, whether each of
-    the loop's precoder updates was feasible at mu = 0, and the largest
-    condition number of a binding update."""
-    f, utilities, iterations, truncated, solves, feasible, binding, cond = loop_wmmse(
+    """Lockstep target equals the loop's byte for byte, is finite, and spends the
+    budget on each sub-carrier with a nonzero channel: within the 1e-9 budget guard
+    and 1e-6 below it (1.2e-10 at most in 9,500 random draws), and where every
+    update is well conditioned to 1e-12, with the target equal to the bisection
+    reference to 1e-12 relative in the same iterations. Returns the
+    trace, whether mu = 0 met the budget in each of the loop's updates, and the
+    largest condition number of an update."""
+    f, utilities, iterations, truncated, feasible, cond = loop_wmmse(
         hm, p_s, n0, tol, max_iter, k_count, s_count)
     precoder, trace = wmmse_fully_digital(hm, p_s, n0, tol=tol, max_iter=max_iter,
                                           n_users=k_count, n_subcarriers=s_count)
@@ -379,12 +419,14 @@ def assert_matches_loop(hm, p_s, n0, tol, max_iter, k_count, s_count):
     assert trace.iterations == iterations
     assert [u.tobytes() for u in trace.utilities] == [u.tobytes() for u in utilities]
     assert trace.truncated == truncated
-    assert trace.solves == solves
-    spent = [power(precoder.f_fd[:, s::s_count]) for s in np.flatnonzero(binding)]
-    if cond > WELL_CONDITIONED:
-        assert all(p <= p_s * (1 + 1e-9) for p in spent)
+    assert np.all(np.isfinite(precoder.f_fd))
+    spent = [power(precoder.f_fd[:, s::s_count]) for s in range(s_count)
+             if hm[:, s::s_count].any()]
+    well = cond <= WELL_CONDITIONED
+    below, above = (1e-12, 1e-12) if well else (1e-6, 1e-9)
+    assert all(-below <= p / p_s - 1 <= above for p in spent)
+    if not well:
         return trace, feasible, cond
-    assert all(abs(p - p_s) <= 1e-12 * p_s for p in spent)
     f_ref, _, iterations_ref, *_ = loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count,
                                               update=bisect_precoder_update)
     assert trace.iterations == iterations_ref
@@ -426,14 +468,15 @@ class TestLockstepMatchesLoop:
                 report = sum_rate(hm, hm.conj(), n0, k_count, s_count)
             assert report.per_user_per_subcarrier.tobytes() == rates.tobytes()
             assert report.total_sum_rate == total
-            seen.update({"mu0 feasible"} if any(feasible) else set())
+            users = hm.reshape(n_t, k_count, s_count).any(axis=0)
+            seen.update({"silent"} if (users.any(axis=0) & ~users.all(axis=0)).any() else set())
             seen.update({"binding"} if not all(feasible) else set())
             seen.update({"truncated"} if trace.truncated else set())
             seen.update({"staggered"} if len(set(trace.iterations)) > 1 else set())
             conds.append(cond)
 
         check()
-        assert seen == {"mu0 feasible", "binding", "truncated", "staggered"}
+        assert seen == {"silent", "binding", "truncated", "staggered"}
         # most draws are also checked against the bisection reference
         assert np.mean(np.array(conds) <= WELL_CONDITIONED) >= 0.8
 

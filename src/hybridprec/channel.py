@@ -88,7 +88,6 @@ class ChannelSet:
     """Frequency-domain channel H of shape (n_tx, n_users * n_subcarriers)."""
 
     h: np.ndarray
-    user_distances_m: np.ndarray
     user_angles_rad: np.ndarray
     n_users: int
     n_subcarriers: int
@@ -173,7 +172,6 @@ def draw_channel(config: SystemConfig, trial: int = 0) -> ChannelSet:
     n_t, s_count = config.n_tx, config.n_subcarriers
     t_taps = config.n_taps_minus_one
     h = np.empty((n_t, config.n_users * s_count), dtype=complex)
-    distances = np.empty(config.n_users)
     angles = np.empty(config.n_users)
     for k in range(config.n_users):
         rng = rng_stream(config.seed, trial, k)
@@ -186,12 +184,9 @@ def draw_channel(config: SystemConfig, trial: int = 0) -> ChannelSet:
             iid = (rng.standard_normal((t_taps, n_t)) + 1j * rng.standard_normal((t_taps, n_t))) / np.sqrt(2)
             taps[1:] = math.sqrt(beta / (kappa + 1)) * iid
         h[:, k * s_count:(k + 1) * s_count] = taps_to_frequency(taps, s_count)
-        distances[k] = d
         angles[k] = phi
-    return ChannelSet(
-        h=h, user_distances_m=distances, user_angles_rad=angles,
-        n_users=config.n_users, n_subcarriers=s_count,
-    )
+    return ChannelSet(h=h, user_angles_rad=angles, n_users=config.n_users,
+                      n_subcarriers=s_count)
 
 
 def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: int) -> LinkBudget:

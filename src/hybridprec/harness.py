@@ -475,8 +475,11 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
     Instances cycle through phase, real digital and {0, 1} switch labels, some
     with the target outside the label box or a repeated (ridge-loaded) column
     of G. Each is decoded through the FALS path the designs use, so 1-bit
-    phases and switches are searched on the stacked real system. Returns
-    (mismatches, worst gap relative to max(1, ||c||^2)).
+    phases and switches are searched on the stacked real system. Half of the
+    digital ones (variants 2 and 3 of every 4) are decoded at a multiplier
+    mu ~ U(0.1, 10), as the digital bisection decodes, against enumeration on
+    (c/s, s G), s = sqrt(mu + 1). Returns (mismatches, worst gap relative to
+    max(1, ||c/s||^2)).
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -500,8 +503,11 @@ def oracle_check(n_instances: int = 100, seed: int = 0) -> tuple[int, float]:
             c *= 4.0 * np.max(np.abs(alphabet.labels)) * np.sqrt(n)
         if variant % 3 == 2:
             g[:, -1] = g[:, 0]
+        mu = float(rng.uniform(0.1, 10.0)) if kind == 1 and variant % 4 >= 2 else 0.0
+        decoded = hybrid._fals(g, c[:, None], "sesd", alphabet, hybrid.SolverStats())(
+            slice(None), mu)
+        c, g = c / math.sqrt(mu + 1.0), math.sqrt(mu + 1.0) * g
         exact = brute_force_ml(c, g, alphabet)
-        decoded = hybrid._fals(g, c[:, None], "sesd", alphabet, hybrid.SolverStats())(slice(None))
         scale = max(1.0, float(np.real(np.vdot(c, c))))
         gap = abs(residual_norm_sq(c, g, decoded[0]) - exact.objective) / scale
         worst = max(worst, gap)

@@ -33,6 +33,8 @@ SOLVERS = ("sesd", "ep", "np")
 # the alternation stops at this relative objective change, or after OUTER_MAX_ITER iterations
 OUTER_TOL = 0.01
 OUTER_MAX_ITER = 50
+# the quantized digital step size is halved at most this often to meet the power budget
+MAX_STEP_HALVINGS = 8
 
 
 class InfeasiblePowerError(RuntimeError):
@@ -109,14 +111,14 @@ def init_analog_svd(target: np.ndarray, m_rf: int) -> np.ndarray:
 
 
 def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: SolverStats):
-    """The one finite-alphabet least-squares path: min ||c_p - G z||^2 for the
-    columns c_p of ``c`` by ``solver``, the SD factor built once. Returns
-    ``solve(cols, scale, warm, labels)``: the labels (one row per column in
-    ``cols``) of min ||c_p / scale - scale G z||^2 over ``labels``, centred as
-    ``alphabet`` is (the centre sets the SD column order); EP runs at
-    ``ep_solve``'s defaults, and every call is added to ``stats``. SD searches
-    real labels of a complex system (1-bit phases, switches) on the stacked
-    real pair [Re G; Im G], [Re c; Im c], since ||c - G z||^2 = ||Re c - Re G z||^2
+    """The one finite-alphabet least-squares path for the columns c_p of ``c``
+    by ``solver``, the SD factor built once. Returns ``solve(cols, mu=0.0,
+    warm=None)``: the labels (one row per column in ``cols``) of
+    min ||c_p - G z||^2 + mu ||G z||^2 over ``alphabet``, which is
+    min ||c_p / s - s G z||^2 with s = sqrt(mu + 1); EP runs at ``ep_solve``'s
+    defaults, and every call is added to ``stats``. SD searches real labels of
+    a complex system (1-bit phases, switches) on the stacked real pair
+    [Re G; Im G], [Re c; Im c], since ||c - G z||^2 = ||Re c - Re G z||^2
     + ||Im c - Im G z||^2 for real z, and maps them back to the alphabet's values."""
     if solver not in ("sesd", "ep"):
         raise ValueError(f"unknown FALS solver {solver!r}")
@@ -124,25 +126,24 @@ def _fals(g: np.ndarray, c: np.ndarray, solver: str, alphabet: Alphabet, stats: 
         real_form = (np.iscomplexobj(g) or np.iscomplexobj(c)) and not np.any(alphabet.labels.imag)
         if real_form:
             g, c = np.concatenate([g.real, g.imag]), np.concatenate([c.real, c.imag])
-        base = prepare_triangular(g, c, Alphabet(alphabet.labels.real) if real_form else alphabet)
+        search = Alphabet(alphabet.labels.real) if real_form else alphabet
+        base = prepare_triangular(g, c, search)
         stats.ridged += base.ridge > 0
 
-    def solve(cols, scale: float = 1.0, warm: Optional[np.ndarray] = None,
-              labels: Alphabet = alphabet) -> np.ndarray:
+    def solve(cols, mu: float = 0.0, warm: Optional[np.ndarray] = None) -> np.ndarray:
+        s = math.sqrt(mu + 1.0)
         if solver == "ep":
             # complex division turns an infinite target into nan (and warns) before
-            # ep_solve can reject it, so unit scale passes the inputs as they are
-            targets, g_s = (c[:, cols], g) if scale == 1 else (c[:, cols] / scale, scale * g)
-            res = ep_solve(targets, g_s, labels)
+            # ep_solve can reject it, so mu = 0 passes the inputs as they are
+            targets, g_s = (c[:, cols], g) if mu == 0 else (c[:, cols] / s, s * g)
+            res = ep_solve(targets, g_s, alphabet)
         else:
-            system = replace(base, r=scale * base.r, d=base.d[:, cols] / scale,
-                             constant_offset=base.constant_offset[cols] / scale**2)
+            system = replace(base, r=s * base.r, d=base.d[:, cols] / s,
+                             constant_offset=base.constant_offset[cols] / s**2)
+            res = sesd_solve(system, search,
+                             warm_starts=warm.real if real_form and warm is not None else warm)
             if real_form:
-                res = sesd_solve(system, Alphabet(labels.labels.real),
-                                 warm_starts=None if warm is None else warm.real)
-                res.z = _nearest(res.z, labels.labels)  # the alphabet's own values, bit for bit
-            else:
-                res = sesd_solve(system, labels, warm_starts=warm)
+                res.z = _nearest(res.z, alphabet.labels)  # the alphabet's own values, bit for bit
         stats.absorb(res)
         return res.z
 
@@ -193,11 +194,11 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
     continuous digital precoder.
 
     The step is fit to the continuous entries by ``choose_delta``, then halved
-    (re-quantizing) until every sub-carrier meets the power budget; after 60
-    halvings ``InfeasiblePowerError``. Returns (f_bb, delta).
+    (re-quantizing) until every sub-carrier meets the power budget; after
+    ``MAX_STEP_HALVINGS`` halvings ``InfeasiblePowerError``. Returns (f_bb, delta).
     """
     delta = choose_delta(f_cont, levels)
-    for _ in range(61):
+    for _ in range(MAX_STEP_HALVINGS + 1):
         alphabet = make_digital_alphabet(levels, delta)
         f_bb = nearest_labels(f_cont.real, alphabet) + 1j * nearest_labels(f_cont.imag, alphabet)
         if np.all(_power_per_subcarrier(f_rf, f_bb, n_users) <= p_s * (1 + 1e-9)):
@@ -217,8 +218,10 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
     is bisected, to ``bisection_tol``, from an infeasible lower end to a
     feasible upper end and the feasible-side solution is returned
     (immediately, when the unconstrained solution already fits). The step is
-    halved while some sub-carrier cannot meet the budget at any multiplier;
-    ``stats.shrinks`` counts the halvings.
+    halved, with a new FALS kernel each time, while some sub-carrier cannot
+    meet the budget at any multiplier (``solver="np"``: until the quantized
+    entries meet it); ``stats.shrinks`` counts the at most
+    ``MAX_STEP_HALVINGS`` halvings.
     Returns (f_bb, delta, mu, bisection_iters, stats).
     """
     ks = target.shape[1]
@@ -234,31 +237,24 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
         f_bb, delta = ((rescale_to_budget(f_rf, ls_digital, p_s, n_users), float("nan"))
                        if solver == "ls" else
                        nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users))
+        if solver == "np":  # delta is the fitted step halved, exactly, until the budget holds
+            stats.shrinks += round(math.log2(choose_delta(ls_digital, levels) / delta))
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
 
     delta = choose_delta(ls_digital, levels)
-    alphabet = make_digital_alphabet(levels, delta)
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
-    # one factor and column order for every multiplier and step: every step's
-    # labels are centred on 0, and mu only scales the system
-    fals = _fals(f_rf_r, target_r, solver, alphabet, stats)
-
-    def solve(cols, mu: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
-        """R(mu) = sqrt(mu+1) R0, d(mu) = d0 / sqrt(mu+1), the current step's labels."""
-        return fals(cols, math.sqrt(mu + 1.0), warm, alphabet)
-
     while True:
+        solve = _fals(f_rf_r, target_r, solver, make_digital_alphabet(levels, delta), stats)
         try:
             f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                                                      bisection_tol)
             return f_bb, delta, mu, iters, stats
         except InfeasiblePowerError as exc:
-            if stats.shrinks == 8:
-                raise InfeasiblePowerError(f"{exc} after 8 step shrinks") from exc
+            if stats.shrinks == MAX_STEP_HALVINGS:
+                raise InfeasiblePowerError(f"{exc} after {MAX_STEP_HALVINGS} step shrinks") from exc
         stats.shrinks += 1
         delta /= 2.0
-        alphabet = make_digital_alphabet(levels, delta)
 
 
 def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
@@ -282,12 +278,10 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
         lo, hi = 0.0, 1.0
         warm = solve(cols, hi, at_zero[cols])
         n_evals = 2
-        doublings = 0
         while (_power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]
                > p_s * (1 + bisection_tol)):
             lo, hi = hi, hi * 2.0
-            doublings += 1
-            if doublings > 60:
+            if hi > 2**60:
                 raise InfeasiblePowerError(
                     f"sub-carrier {s}: smallest discrete power exceeds the budget"
                 )

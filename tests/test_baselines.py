@@ -12,7 +12,9 @@ from hybridprec.baselines import (
     unit_modulus_gradient,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
-from hybridprec.hybrid import InfeasiblePowerError, _power_per_subcarrier, nearest_quantize_digital
+from hybridprec.hybrid import (
+    MAX_STEP_HALVINGS, InfeasiblePowerError, _power_per_subcarrier, nearest_quantize_digital,
+)
 from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
 
 from membership import is_member
@@ -138,20 +140,21 @@ class TestQuantizeBaseline:
         assert quantized.delta > 0
         assert fixed_delta_sigma > 0
 
-    def test_step_halves_at_most_sixty_times(self):
-        """A budget first met at the 60th halving of the step is met; half of
-        it, which only a 61st halving could meet, raises, and so does a budget
+    def test_step_halves_at_most_eight_times(self):
+        """A budget first met at the 8th halving of the step is met; half of
+        it, which only a 9th halving could meet, raises, and so does a budget
         that no halving reaches."""
+        assert MAX_STEP_HALVINGS == 8
         rng = np.random.default_rng(RNG_SEED)
         analog = make_analog_alphabet(1)
         f_rf = rng.choice(analog.labels, size=(6, 2))
         f_bb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         fitted = choose_delta(f_bb, 2)
-        labels = make_digital_alphabet(2, fitted / 2.0 ** 60)
+        labels = make_digital_alphabet(2, fitted / 2.0 ** 8)
         last = nearest_labels(f_bb.real, labels) + 1j * nearest_labels(f_bb.imag, labels)
         p_last = _power_per_subcarrier(f_rf, last, 2).max()
         _, delta = nearest_quantize_digital(f_bb, f_rf, p_last, 2, 2)
-        assert delta == fitted / 2.0 ** 60
+        assert delta == fitted / 2.0 ** 8
         with pytest.raises(InfeasiblePowerError):
             nearest_quantize_digital(f_bb, f_rf, p_last / 2, 2, 2)
         with pytest.raises(InfeasiblePowerError):

@@ -15,6 +15,7 @@ import hybridprec
 
 from hybridprec.alphabets import (
     choose_delta, make_analog_alphabet, make_digital_alphabet, make_switch_alphabet,
+    nearest_labels,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.detect import (
@@ -388,6 +389,23 @@ class TestOptimizeDigital:
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
             assert power <= p_s * (1 + 1e-2) + 1e-12
         assert np.all(iters > 1) and np.all(mu > 0)
+
+    def test_nearest_point_halvings_counted(self):
+        """Nearest-point quantization under a budget first met at the second
+        halving of the fitted step returns that quantization, and counts both
+        halvings as step shrinks."""
+        f_rf, target = self._binding_setup()
+        ls_digital = np.linalg.lstsq(f_rf, target, rcond=None)[0]
+        fitted = choose_delta(ls_digital, 2)
+        labels = make_digital_alphabet(2, fitted / 4)
+        quarter = (nearest_labels(ls_digital.real, labels)
+                   + 1j * nearest_labels(ls_digital.imag, labels))
+        p_s = float(_power_per_subcarrier(f_rf, quarter, 2).max())
+        f_bb, delta, mu, iters, stats = optimize_digital(
+            target, f_rf, p_s=p_s, solver="np", levels=2, n_users=2)
+        assert delta == fitted / 4 and stats.shrinks == 2
+        np.testing.assert_array_equal(f_bb, quarter)
+        assert np.all(mu == 0) and np.all(iters == 0)
 
     def test_inexact_zero_target_solve_does_not_shrink_ep_step(self):
         """EP on a zero target can exceed a budget that exact labels meet; the

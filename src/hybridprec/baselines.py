@@ -44,8 +44,6 @@ def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
     updates until the objective settles. The digital precoder is refit and
     rescaled to the budget at exit."""
     target = as_matrix(f_fd)
-    if config.m_rf > target.shape[1]:
-        raise ValueError("m_rf exceeds K*S")
     p_s = per_subcarrier_power_mw(config)
     f_rf = init_analog_svd(target, config.m_rf)
     trace = AltminTrace()
@@ -135,11 +133,11 @@ def quantize_baseline(f_rf: np.ndarray, f_bb: np.ndarray, analog_alphabet: Alpha
 
     The digital step is fit to the continuous entries by ``choose_delta`` and
     halved until every sub-carrier meets the power budget (power evaluated
-    with the quantized analog matrix); ``InfeasiblePowerError`` after 60
-    halvings.
+    with the quantized analog matrix); ``InfeasiblePowerError`` after
+    ``MAX_STEP_HALVINGS`` halvings.
     """
     if not (np.all(np.isfinite(f_rf)) and np.all(np.isfinite(f_bb))):
         raise ValueError("precoders must be finite")
     q_rf = nearest_labels(f_rf, analog_alphabet)
-    q_bb, delta = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users)
+    q_bb, delta, _ = nearest_quantize_digital(f_bb, q_rf, p_s, levels, n_users)
     return HybridPrecoder(f_rf=q_rf, f_bb=q_bb, delta=delta, mode=FULLY_CONNECTED)

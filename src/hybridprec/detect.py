@@ -63,54 +63,37 @@ class SolveResult:
     diagnostics: Optional[dict] = None
 
 
-def suggested_ridge(gram: np.ndarray) -> float:
-    """Default diagonal loading when a Gram factorization fails."""
-    base = 1e-10 * float(gram.trace().real) / max(gram.shape[0], 1)
-    return base if base > 0 else 1e-12
-
-
-def cholesky_with_retry(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Upper-triangular factor of the Gram matrix, diagonally loaded if needed."""
-    try:
-        return np.linalg.cholesky(gram).conj().T, 0.0
-    except np.linalg.LinAlgError:
-        ridge = suggested_ridge(gram)
-        loaded = gram + ridge * np.eye(gram.shape[0], dtype=gram.dtype)
-        return np.linalg.cholesky(loaded).conj().T, ridge
-
-
-def forward_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """R^H x = b for upper-triangular R, as the row- and column-reversed system,
-    which is upper triangular: LU with partial pivoting leaves it unpivoted and
-    unchanged, so the solve is one back substitution."""
-    return np.linalg.solve(r[::-1, ::-1].conj().T, b[::-1])[::-1]
-
-
 def prepare_triangular(g: np.ndarray, c: np.ndarray, alphabet: Alphabet) -> TriangularSystem:
     """Column-ordered Cholesky reduction of ||c - G z||^2 over ``alphabet``.
 
     ``c`` is one target ``(n,)`` or ``P`` targets as columns ``(n, P)``, all
     sharing one factor; ``constant_offset`` is ``||c||^2 - ||d||^2`` per target.
     Columns go by increasing batch mean of |x - mean label|, x the solution of
-    the Gram loaded with ``suggested_ridge`` (Chang & Han, IEEE TWC 2008), so
-    the search assigns the entries furthest outside the label box first. A
-    Gram that does not factor is loaded too (``ridge > 0``; adds ridge*||z||^2).
-    The search stays exact. Tie rule: equal keys keep the natural order, and of
-    several exactly tied minimizers ``sesd_solve`` returns the first in its
-    search over the permuted columns, so the order decides only which one.
+    the Gram loaded with rho = 1e-10 * trace(G^H G) / m (Chang & Han, IEEE TWC
+    2008), so the search assigns the entries furthest outside the label box
+    first. A Gram that does not factor is factored so loaded (``ridge`` = rho;
+    adds rho*||z||^2). The search stays exact. Tie rule: equal keys keep the
+    natural order, and of several exactly tied minimizers ``sesd_solve``
+    returns the first in its search over the permuted columns, so the order
+    decides only which one.
     """
     g, c = np.asarray(g), np.asarray(c)
     g_h = g.conj().T
     gram, proj = g_h @ g, g_h @ c
     m = len(gram)
-    loaded = gram.copy()
-    loaded.flat[::m + 1] += suggested_ridge(gram)
+    rho = 1e-10 * float(gram.trace().real) / max(m, 1) or 1e-12  # 1e-12: an all-zero Gram
+    loaded = gram + rho * np.eye(m)
     # positive definite once loaded: a LinAlgError here means a non-finite Gram
     x = np.linalg.solve(loaded, proj)
     spread = np.abs(x - alphabet.labels.sum() / len(alphabet.labels))
     order = spread.reshape(m, -1).sum(axis=1).argsort(kind="stable")  # as the mean
-    r, ridge = cholesky_with_retry(gram.take(order, 0).take(order, 1))
-    d = forward_solve(r, proj.take(order, 0))
+    try:
+        r, ridge = np.linalg.cholesky(gram.take(order, 0).take(order, 1)).conj().T, 0.0
+    except np.linalg.LinAlgError:
+        r, ridge = np.linalg.cholesky(loaded.take(order, 0).take(order, 1)).conj().T, rho
+    # R^H d = proj[order] as its row- and column-reversed system, upper triangular:
+    # LU with partial pivoting leaves it unpivoted, so the solve is one back substitution
+    d = np.linalg.solve(r[::-1, ::-1].conj().T, proj.take(order, 0)[::-1])[::-1]
     offsets = (np.abs(c) ** 2).sum(axis=0) - (np.abs(d) ** 2).sum(axis=0)
     return TriangularSystem(r=r, d=d, constant_offset=offsets, order=order, ridge=ridge)
 

@@ -188,23 +188,30 @@ def rescale_to_budget(f_rf: np.ndarray, f_bb: np.ndarray, p_s: float,
     return np.where(powers > p_s, f_bb * np.sqrt(p_s / np.maximum(powers, p_s)), f_bb)
 
 
-def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
-                             levels: int, n_users: int) -> tuple[np.ndarray, float]:
-    """Nearest-label quantization of the real and imaginary parts of a
-    continuous digital precoder.
-
-    The step is fit to the continuous entries by ``choose_delta``, then halved
-    (re-quantizing) until every sub-carrier meets the power budget; after
-    ``MAX_STEP_HALVINGS`` halvings ``InfeasiblePowerError``. Returns (f_bb, delta).
-    """
-    delta = choose_delta(f_cont, levels)
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        alphabet = make_digital_alphabet(levels, delta)
-        f_bb = nearest_labels(f_cont.real, alphabet) + 1j * nearest_labels(f_cont.imag, alphabet)
-        if np.all(_power_per_subcarrier(f_rf, f_bb, n_users) <= p_s * (1 + 1e-9)):
-            return f_bb, delta
+def _fit_step(quantize, reference: np.ndarray, levels: int):
+    """``quantize(alphabet)`` at the step fit to ``reference``, halved while it raises
+    ``InfeasiblePowerError`` (``MAX_STEP_HALVINGS`` times at most): (result, delta, halvings)."""
+    delta = choose_delta(reference, levels)
+    for halvings in range(MAX_STEP_HALVINGS + 1):
+        try:
+            return quantize(make_digital_alphabet(levels, delta)), delta, halvings
+        except InfeasiblePowerError as exc:
+            if halvings == MAX_STEP_HALVINGS:
+                raise InfeasiblePowerError(f"{exc} after {halvings} step shrinks") from exc
         delta /= 2.0
-    raise InfeasiblePowerError("quantized digital precoder cannot meet the power budget")
+
+
+def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
+                             levels: int, n_users: int) -> tuple[np.ndarray, float, int]:
+    """Nearest-label quantization of the real and imaginary parts of a continuous digital
+    precoder, at the step ``_fit_step`` fits to the power budget: (f_bb, delta, halvings)."""
+    def quantize(alphabet: Alphabet) -> np.ndarray:
+        f_bb = nearest_labels(f_cont.real, alphabet) + 1j * nearest_labels(f_cont.imag, alphabet)
+        if not np.all(_power_per_subcarrier(f_rf, f_bb, n_users) <= p_s * (1 + 1e-9)):
+            raise InfeasiblePowerError("quantized digital precoder cannot meet the power budget")
+        return f_bb
+
+    return _fit_step(quantize, f_cont, levels)
 
 
 def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: str,
@@ -217,11 +224,10 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
     problems are solved independently in stacked real form. The multiplier
     is bisected, to ``bisection_tol``, from an infeasible lower end to a
     feasible upper end and the feasible-side solution is returned
-    (immediately, when the unconstrained solution already fits). The step is
-    halved, with a new FALS kernel each time, while some sub-carrier cannot
-    meet the budget at any multiplier (``solver="np"``: until the quantized
-    entries meet it); ``stats.shrinks`` counts the at most
-    ``MAX_STEP_HALVINGS`` halvings.
+    (immediately, when the unconstrained solution already fits). ``_fit_step``
+    halves the step, with a new FALS kernel each time, while some sub-carrier
+    cannot meet the budget at any multiplier (``solver="np"``: until the
+    quantized entries meet it), and ``stats.shrinks`` counts the halvings.
     Returns (f_bb, delta, mu, bisection_iters, stats).
     """
     ks = target.shape[1]
@@ -234,27 +240,21 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
 
     if solver in ("ls", "np"):
         # "ls" keeps the digital entries unquantized: the ideal-resolution reference case
-        f_bb, delta = ((rescale_to_budget(f_rf, ls_digital, p_s, n_users), float("nan"))
-                       if solver == "ls" else
-                       nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users))
-        if solver == "np":  # delta is the fitted step halved, exactly, until the budget holds
-            stats.shrinks += round(math.log2(choose_delta(ls_digital, levels) / delta))
+        f_bb, delta, stats.shrinks = (
+            (rescale_to_budget(f_rf, ls_digital, p_s, n_users), float("nan"), 0)
+            if solver == "ls" else
+            nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users))
         stats.solves += ks
         return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
 
-    delta = choose_delta(ls_digital, levels)
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
-    while True:
-        solve = _fals(f_rf_r, target_r, solver, make_digital_alphabet(levels, delta), stats)
-        try:
-            f_bb, mu, iters = _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
-                                                     bisection_tol)
-            return f_bb, delta, mu, iters, stats
-        except InfeasiblePowerError as exc:
-            if stats.shrinks == MAX_STEP_HALVINGS:
-                raise InfeasiblePowerError(f"{exc} after {MAX_STEP_HALVINGS} step shrinks") from exc
-        stats.shrinks += 1
-        delta /= 2.0
+
+    def quantize(alphabet: Alphabet):
+        solve = _fals(f_rf_r, target_r, solver, alphabet, stats)
+        return _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users, bisection_tol)
+
+    (f_bb, mu, iters), delta, stats.shrinks = _fit_step(quantize, ls_digital, levels)
+    return f_bb, delta, mu, iters, stats
 
 
 def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
@@ -271,15 +271,16 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
     mu_out = np.zeros(s_count)
     iters_out = np.ones(s_count, dtype=int)
 
-    over = _power_per_subcarrier(f_rf, f_bb, n_users) - p_s > bisection_tol * p_s
-    for s in np.flatnonzero(over):
+    def over(power):  # above the budget by more than the tolerance
+        return power - p_s > bisection_tol * p_s
+
+    for s in np.flatnonzero(over(_power_per_subcarrier(f_rf, f_bb, n_users))):
         cols = np.arange(s, ks, s_count)  # column k * s_count + s of user k
         # each candidate multiplier is warm-started from the previous one
         lo, hi = 0.0, 1.0
         warm = solve(cols, hi, at_zero[cols])
         n_evals = 2
-        while (_power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]
-               > p_s * (1 + bisection_tol)):
+        while over(_power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]):
             lo, hi = hi, hi * 2.0
             if hi > 2**60:
                 raise InfeasiblePowerError(
@@ -287,21 +288,20 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                 )
             warm = solve(cols, hi, warm)
             n_evals += 1
-        mu_s, sols = hi, warm
-        while hi - lo >= 1e-8:
-            mid = 0.5 * (lo + hi)
+        sols = warm  # the solution at hi, the feasible end
+        # above 2**26 adjacent floats lie 1e-8 or more apart: stop when no float is left between
+        while hi - lo >= 1e-8 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
             warm = solve(cols, mid, warm)
             n_evals += 1
             power_mid = _power_per_subcarrier(f_rf, _columns(warm, m_rf), n_users)[0]
-            if abs(power_mid - p_s) <= bisection_tol * p_s:
-                mu_s, sols = mid, warm
-                break
-            if power_mid > p_s:
+            if over(power_mid):
                 lo = mid
-            else:
-                hi, mu_s, sols = mid, mid, warm
+                continue
+            hi, sols = mid, warm
+            if p_s - power_mid <= bisection_tol * p_s:  # within the tolerance below too
+                break
         f_bb[:, cols] = _columns(sols, m_rf)
-        mu_out[s] = mu_s
+        mu_out[s] = hi
         iters_out[s] = n_evals
     return f_bb, mu_out, iters_out
 
@@ -384,14 +384,20 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     drops below ``OUTER_TOL``, the analog state (``f_rf``, or switch
     and phases) repeats byte for byte, so every later iteration would repeat
     this one, or ``OUTER_MAX_ITER`` iterations ran (``trace.stop`` says which),
-    and returns the best-objective iterate seen. ``analog_method`` and
-    ``digital_method`` override the solver per subproblem (e.g. to mix
-    nearest-point quantization with message passing); ``digital_method="ls"``
-    keeps the digital entries continuous (ideal resolution, power-rescaled),
-    in which case the returned step is NaN.
+    and returns the best-objective iterate seen. ``analog_method`` (not in the
+    dynamic-connected mode, whose analog step is always the SD switch with
+    nearest-label phases) and ``digital_method`` override the solver per
+    subproblem (e.g. to mix nearest-point quantization with message passing);
+    ``digital_method="ls"`` keeps the digital entries continuous (ideal
+    resolution, power-rescaled), in which case the returned step is NaN.
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    dynamic = mode == DYNAMIC_CONNECTED
+    if not dynamic and mode != FULLY_CONNECTED:
+        raise ValueError(f"mode must be {FULLY_CONNECTED!r} or {DYNAMIC_CONNECTED!r}, got {mode!r}")
+    if dynamic and analog_method is not None:
+        raise ValueError(f"mode {DYNAMIC_CONNECTED!r} takes no analog_method")
     analog_method = analog_method or solver
     digital_method = digital_method or solver
     target = as_matrix(f_fd)
@@ -404,10 +410,8 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     analog_alphabet = make_analog_alphabet(config.analog_bits)
     trace = AlternateTrace(iterates=[] if record_iterates else None)
 
-    dynamic = mode == DYNAMIC_CONNECTED
     if dynamic:
-        u, sv, _ = np.linalg.svd(target, full_matrices=False)
-        phase_diag = nearest_labels(np.exp(1j * np.angle(u[:, 0])), analog_alphabet)
+        phase_diag = nearest_labels(init_analog_svd(target, 1)[:, 0], analog_alphabet)
         switch = _initial_switch(n_t, config.m_rf)
         f_rf = phase_diag[:, None] * switch
     else:

@@ -55,7 +55,7 @@ class TestAltmin2:
 @pytest.mark.parametrize("altmin", [altmin1, altmin2])
 def test_more_rf_chains_than_target_columns_rejected(altmin):
     config = SystemConfig(n_tx=8, m_rf=4, n_users=1, n_subcarriers=2)
-    with pytest.raises(ValueError, match="m_rf exceeds K\\*S"):
+    with pytest.raises(ValueError, match="exceeds min\\(n_tx, K\\*S\\)"):
         altmin(np.ones((8, 2), dtype=complex), config)
 
 
@@ -153,9 +153,9 @@ class TestQuantizeBaseline:
         labels = make_digital_alphabet(2, fitted / 2.0 ** 8)
         last = nearest_labels(f_bb.real, labels) + 1j * nearest_labels(f_bb.imag, labels)
         p_last = _power_per_subcarrier(f_rf, last, 2).max()
-        _, delta = nearest_quantize_digital(f_bb, f_rf, p_last, 2, 2)
-        assert delta == fitted / 2.0 ** 8
-        with pytest.raises(InfeasiblePowerError):
+        _, delta, halvings = nearest_quantize_digital(f_bb, f_rf, p_last, 2, 2)
+        assert delta == fitted / 2.0 ** 8 and halvings == 8
+        with pytest.raises(InfeasiblePowerError, match="after 8 step shrinks"):
             nearest_quantize_digital(f_bb, f_rf, p_last / 2, 2, 2)
         with pytest.raises(InfeasiblePowerError):
             quantize_baseline(f_rf, f_bb, analog, 2, p_s=1e-300, n_users=2)
@@ -169,7 +169,7 @@ class TestQuantizeBaseline:
         f_rf = rng.choice(make_analog_alphabet(2).labels, size=(6, 3))
         f_cont = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         f_cont[0, :3] = [0.0, 1.5, 1.5j]  # zero real, imaginary or both parts
-        q, delta = nearest_quantize_digital(f_cont, f_rf, p_s=1e9, levels=levels, n_users=2)
+        q, delta, _ = nearest_quantize_digital(f_cont, f_rf, p_s=1e9, levels=levels, n_users=2)
         assert delta == choose_delta(f_cont, levels)
         real = make_digital_alphabet(levels, delta).labels
         grid = (real[:, None] + 1j * real[None, :]).ravel()  # real part major

@@ -11,7 +11,7 @@ from hybridprec.alphabets import (
 )
 from hybridprec.detect import (
     EPNumericalError, SearchSpaceError, TriangularSystem,
-    brute_force_ml, ep_solve, forward_solve, prepare_triangular, realify,
+    brute_force_ml, ep_solve, prepare_triangular, realify,
     residual_norm_sq, sesd_solve,
 )
 
@@ -69,6 +69,19 @@ class TestPrepareTriangular:
         reduced = residual_norm_sq(system.d, system.r, z[system.order]) + system.constant_offset
         assert direct == pytest.approx(reduced, abs=1e-9)
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_one_ridge_orders_and_loads(self, complex_valued):
+        """A rank-deficient G is factored with the load that chose its column
+        order, rho = 1e-10 * trace(G^H G) / m: R^H R is the permuted loaded Gram."""
+        rng = np.random.default_rng(RNG_SEED)
+        g = rng.standard_normal((6, 4)) + (1j * rng.standard_normal((6, 4)) if complex_valued else 0)
+        g[:, 2] = g[:, 0]
+        gram = g.conj().T @ g
+        system = prepare_triangular(g, rng.standard_normal(6), PHASE)
+        assert system.ridge == 1e-10 * float(gram.trace().real) / 4
+        loaded = (gram + system.ridge * np.eye(4))[np.ix_(system.order, system.order)]
+        np.testing.assert_allclose(system.r.conj().T @ system.r, loaded, rtol=1e-12, atol=1e-14)
+
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_many_targets_equal_per_column_builds(self, rank_deficient):
         """Targets as columns share one factor, ordered by the whole batch; each
@@ -111,7 +124,8 @@ class TestForwardSolve:
     @pytest.mark.parametrize("rhs", [None, 1, 16])
     @pytest.mark.parametrize("m", [1, 4, 16])
     def test_matches_scipy_solve_triangular(self, m, rhs, complex_valued):
-        """R^H x = b agrees with scipy's triangular solve, the test-only oracle."""
+        """The forward solve of ``prepare_triangular``, R^H d = (G^H c)[order],
+        agrees with scipy's triangular solve, the test-only oracle."""
         from scipy.linalg import solve_triangular
         rng = np.random.default_rng(RNG_SEED + m)
 
@@ -119,11 +133,13 @@ class TestForwardSolve:
             x = rng.standard_normal(shape)
             return x + 1j * rng.standard_normal(shape) if complex_valued else x
         g = draw(m + 3, m)
-        r = np.linalg.cholesky(g.conj().T @ g).conj().T
-        b = draw(m) if rhs is None else draw(m, rhs)
-        x = forward_solve(r, b)
-        assert x.shape == b.shape and x.dtype == b.dtype
-        np.testing.assert_allclose(x, solve_triangular(r.conj().T, b, lower=True), rtol=1e-12)
+        c = draw(m + 3) if rhs is None else draw(m + 3, rhs)
+        system = prepare_triangular(g, c, PHASE if complex_valued else make_digital_alphabet(4, 1.0))
+        assert system.ridge == 0.0
+        proj = (g.conj().T @ c)[system.order]
+        assert system.d.shape == proj.shape and system.d.dtype == proj.dtype
+        np.testing.assert_allclose(system.d, solve_triangular(system.r.conj().T, proj, lower=True),
+                                   rtol=1e-12)
 
 
 class TestRealify:

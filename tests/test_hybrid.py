@@ -429,10 +429,24 @@ class TestOptimizeDigital:
                 assert sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2)) \
                     <= p_s * (1 + 1e-2)
 
-    @pytest.mark.parametrize("solver", ["sesd", "ep"])
+    def test_bisection_stops_when_no_float_is_left_between_its_ends(self):
+        """A power that drops from over the budget to far under it at mu = 1e12,
+        where adjacent floats lie 1.2e-4 apart, never lands within the
+        tolerance: the bisection returns the float mu at which it drops."""
+        calls = []
+
+        def solve(cols, mu=0.0, warm=None):  # one user, one sub-carrier, one chain
+            calls.append(mu)
+            assert len(calls) < 1000, "the bisection does not stop"
+            return np.array([[1.0 if mu < 1e12 else 0.0, 0.0]])
+        f_bb, mu, iters = hybrid._solve_all_subcarriers(solve, np.eye(1), 0.5, 1, 1, 1e-2)
+        assert mu[0] == 1e12 and iters[0] == len(calls) and f_bb[0, 0] == 0.0
+
+    @pytest.mark.parametrize("solver", ["sesd", "ep", "np"])
     def test_unreachable_budget_raises(self, solver):
+        """Every quantized digital step halves the one way and says so when it gives up."""
         f_rf, target = self._binding_setup()
-        with pytest.raises(InfeasiblePowerError):
+        with pytest.raises(InfeasiblePowerError, match="after 8 step shrinks$"):
             optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2)
 
 
@@ -482,6 +496,19 @@ class TestAlternate:
         rng = np.random.default_rng(RNG_SEED)
         with pytest.raises(ValueError):
             alternate(random_target(rng, 8, 4), small_config, "annealing")
+
+    def test_unknown_mode_rejected(self, small_config):
+        rng = np.random.default_rng(RNG_SEED)
+        with pytest.raises(ValueError, match="mode must be"):
+            alternate(random_target(rng, 8, 4), small_config, "sesd", mode="dynamic")
+
+    def test_dynamic_mode_takes_no_analog_method(self, small_config):
+        """The dynamic-connected analog step is always the SD switch with
+        nearest-label phases, so an analog method there is an error."""
+        rng = np.random.default_rng(RNG_SEED)
+        with pytest.raises(ValueError, match="analog_method"):
+            alternate(random_target(rng, 8, 4), small_config, "ep", mode=DYNAMIC_CONNECTED,
+                      analog_method="np")
 
     def test_invariants_hold_at_every_iteration(self, small_config):
         """Alphabet membership and power feasibility hold for every recorded

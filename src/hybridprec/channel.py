@@ -67,6 +67,12 @@ class SystemConfig:
             raise ValueError("tap count cannot be negative")
         if self.wmmse_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
+        for name, low, high in (("quant_levels", 2, math.inf), ("analog_bits", 1, 16),
+                                ("n_sym", 1, math.inf), ("bisection_tol", 0, math.inf),
+                                ("wmmse_tol", 0, math.inf),
+                                ("fronthaul_budget_bits_per_symbol", 0, math.inf)):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must be in [{low}, {high}], got {getattr(self, name)!r}")
         # the linear values of the dB quantities the channel and the designs use
         near_gain, far_gain = (mw_from_dbm(-path_loss_db(d, self.carrier_ghz))
                                for d in (min(self.distance_range_m), max(self.distance_range_m)))
@@ -88,7 +94,6 @@ class ChannelSet:
     """Frequency-domain channel H of shape (n_tx, n_users * n_subcarriers)."""
 
     h: np.ndarray
-    user_angles_rad: np.ndarray
     n_users: int
     n_subcarriers: int
 
@@ -172,7 +177,6 @@ def draw_channel(config: SystemConfig, trial: int = 0) -> ChannelSet:
     n_t, s_count = config.n_tx, config.n_subcarriers
     t_taps = config.n_taps_minus_one
     h = np.empty((n_t, config.n_users * s_count), dtype=complex)
-    angles = np.empty(config.n_users)
     for k in range(config.n_users):
         rng = rng_stream(config.seed, trial, k)
         d = rng.uniform(*config.distance_range_m)
@@ -184,9 +188,7 @@ def draw_channel(config: SystemConfig, trial: int = 0) -> ChannelSet:
             iid = (rng.standard_normal((t_taps, n_t)) + 1j * rng.standard_normal((t_taps, n_t))) / np.sqrt(2)
             taps[1:] = math.sqrt(beta / (kappa + 1)) * iid
         h[:, k * s_count:(k + 1) * s_count] = taps_to_frequency(taps, s_count)
-        angles[k] = phi
-    return ChannelSet(h=h, user_angles_rad=angles, n_users=config.n_users,
-                      n_subcarriers=s_count)
+    return ChannelSet(h=h, n_users=config.n_users, n_subcarriers=s_count)
 
 
 def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: int) -> LinkBudget:

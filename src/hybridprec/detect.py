@@ -354,24 +354,17 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
     gc = (g.conj().T @ targets[:, :, None])[:, :, 0]  # one gemv per target
     eye = np.eye(m)
 
+    # best labels, objective, found-at iteration and iteration count of every target
+    z_best = np.full((n_prob, m), labels[0])
+    best = np.full(n_prob, np.inf)
+    found = np.zeros(n_prob, int)
+    iters = np.full(n_prob, max_iter)
     # state of the targets still iterating, numbered by `active`
     active = np.arange(n_prob)
     lam = np.ones((n_prob, m))
     gam = np.zeros((n_prob, m), dtype=dtype)
     sigma2 = np.ones(n_prob)
-    z_best = np.full((n_prob, m), labels[0])
-    best = np.full(n_prob, np.inf)
-    found = np.zeros(n_prob, int)  # the iteration of each z_best
     prev = None
-    # labels, objective, iteration count and found-at iteration of every target, filled as it leaves
-    z_out, obj_out = np.empty_like(z_best), np.empty(n_prob)
-    iters_out, found_out = np.empty(n_prob, int), np.empty(n_prob, int)
-
-    def finish(idx: np.ndarray, iteration: int) -> None:
-        ids = active[idx]
-        z_out[ids], obj_out[ids], iters_out[ids] = z_best[idx], best[idx], iteration
-        found_out[ids] = found[idx]
-
     for iteration in range(1, max_iter + 1):
         cov = _robust_inverse(gram / sigma2[:, None, None] + lam[:, None, :] * eye,
                               iteration, active)
@@ -383,10 +376,9 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
 
         z = _nearest(mu, labels)
         obj = _residuals(targets, g, z)
-        better = obj < best
-        np.copyto(best, obj, where=better)
-        np.copyto(z_best, z, where=better[:, None])
-        found[better] = iteration
+        better = obj < best[active]
+        ids = active[better]
+        best[ids], z_best[ids], found[ids] = obj[better], z[better], iteration
 
         if prev is not None:
             # ||change|| / max(||previous||, 1e-30) of mu and var as np.linalg.norm rounds it
@@ -395,11 +387,10 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
             norms = np.sqrt(np.add.reduceat(sq, [0, 2, 3, 5], axis=1) if complex_mode else sq)
             done = (norms[:, :2] / np.maximum(norms[:, 2:], 1e-30) < tol).all(axis=1)
             if done.any():
-                finish(np.flatnonzero(done), iteration)
+                iters[active[done]] = iteration
                 keep = np.flatnonzero(~done)
-                active, targets, gc, lam, gam, sigma2, z_best, best, found, mu, var, state = (
-                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, z_best, best, found,
-                                      mu, var, state))
+                active, targets, gc, lam, gam, sigma2, mu, var, state = (
+                    a[keep] for a in (active, targets, gc, lam, gam, sigma2, mu, var, state))
                 if not len(active):
                     break
         prev = state
@@ -426,13 +417,11 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
 
         sigma2 = np.maximum(_residuals(targets, g, rho) / m, SIGMA2_FLOOR)
         _check_finite(iteration, "error variance", active, sigma2)
-    truncated = len(active)
-    finish(np.arange(truncated), max_iter)
 
     return SolveResult(
-        z=z_out[0] if single else z_out,
-        objective=float(obj_out[0]) if single else obj_out,
-        iterations=int(np.sum(iters_out)),
-        truncated=truncated,
-        diagnostics={"iterations": iters_out, "found": found_out},
+        z=z_best[0] if single else z_best,
+        objective=float(best[0]) if single else best,
+        iterations=int(np.sum(iters)),
+        truncated=len(active),
+        diagnostics={"iterations": iters, "found": found},
     )

@@ -244,8 +244,8 @@ def runtime_benchmark(m_rf_list: list, config: SystemConfig, n_trials: int) -> l
     designs for one solver are timed back to back over the chain counts, so
     the designs a time ratio compares see the same machine speed.
     """
-    if not m_rf_list:
-        raise ValueError("m_rf list must not be empty")
+    if not m_rf_list or n_trials < 1:
+        raise ValueError(f"need an RF chain count and a trial, got {m_rf_list} and {n_trials}")
     solvers = (("sd-hybrid", "sesd"), ("ep-hybrid", "ep"))
     configs = [config.with_updates(m_rf=m_rf) for m_rf in m_rf_list]
     targets = [[wmmse_fully_digital(draw_channel(cfg, trial), per_subcarrier_power_mw(cfg),
@@ -572,6 +572,13 @@ def _cmd_budget(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridprec",
@@ -583,19 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec_file", nargs="?", default=None,
                        help="JSON experiment spec (omit to use --preset)")
     p_run.add_argument("--out", default="results", help="output directory")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_run.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     p_run.add_argument("--preset", choices=["desk", "paper"], default="desk")
     p_run.add_argument("--no-timing", action="store_true",
                        help="zero wall times for byte-identical reruns")
 
     p_oracle = sub.add_parser("oracle-check",
                               help="sphere decoder vs exhaustive enumeration")
-    p_oracle.add_argument("--instances", type=int, default=100)
+    p_oracle.add_argument("--instances", type=_positive_int, default=100)
     p_oracle.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser("bench-runtime", help="average design time per solver")
     p_bench.add_argument("--rf", default="4,6,8", help="comma-separated RF chain counts")
-    p_bench.add_argument("--trials", type=int, default=5)
+    p_bench.add_argument("--trials", type=_positive_int, default=5)
     p_bench.add_argument("--preset", choices=["desk", "paper"], default="desk")
 
     p_budget = sub.add_parser("budget", help="print fronthaul link-budget fields")

@@ -46,19 +46,6 @@ class WmmseTrace:
     truncated: bool
 
 
-def _dims(h: Union[ChannelSet, np.ndarray], n_users: int, n_subcarriers: int
-          ) -> tuple[np.ndarray, int, int]:
-    """Channel matrix with its user and sub-carrier counts."""
-    if isinstance(h, ChannelSet):
-        return h.h, h.n_users, h.n_subcarriers
-    hm = np.asarray(h)
-    if n_users is None or n_subcarriers is None or hm.ndim != 2 \
-            or hm.shape[1] != n_users * n_subcarriers:
-        raise ValueError(f"a channel array needs n_users * n_subcarriers columns, got shape "
-                         f"{hm.shape} with n_users={n_users}, n_subcarriers={n_subcarriers}")
-    return hm, n_users, n_subcarriers
-
-
 def _stack(m: np.ndarray, k_count: int, s_count: int) -> np.ndarray:
     """C-contiguous (S, K, n) stack whose [s, k] row is column k * S + s of m.
 
@@ -76,13 +63,12 @@ def _rates(e: np.ndarray, n0: float) -> np.ndarray:
     return np.log2(1.0 + signal / (p.sum(axis=2) - signal + n0))
 
 
-def sum_rate(h: Union[ChannelSet, np.ndarray], f: np.ndarray, n0: float,
-             n_users: int = None, n_subcarriers: int = None) -> RateReport:
+def sum_rate(h: ChannelSet, f: np.ndarray, n0: float) -> RateReport:
     """Achievable rates log2(1 + SINR), aggregated per sub-carrier and in total."""
     if not (math.isfinite(n0) and n0 > 0):
         raise ValueError(f"noise power must be positive and finite, got {n0!r}")
-    hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
-    e = _stack(hm, k_count, s_count) @ _stack(f, k_count, s_count).transpose(0, 2, 1)
+    k_count, s_count = h.n_users, h.n_subcarriers
+    e = _stack(h.h, k_count, s_count) @ _stack(f, k_count, s_count).transpose(0, 2, 1)
     rates = np.ascontiguousarray(_rates(e, n0).T)
     total = float(rates.sum())
     return RateReport(
@@ -156,10 +142,8 @@ def _precoder_update(ht: np.ndarray, w: np.ndarray, u: np.ndarray,
     return ft
 
 
-def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
-                        tol: float = 1e-4, max_iter: int = 200,
-                        n_users: int = None, n_subcarriers: int = None
-                        ) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
+def wmmse_fully_digital(h: ChannelSet, p_s: float, n0: float, tol: float = 1e-4,
+                        max_iter: int = 200) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
     """Sum-rate precoder via weighted-MMSE alternation, per sub-carrier.
 
     Initialized from the matched filter at full power, shared equally by
@@ -170,12 +154,12 @@ def wmmse_fully_digital(h: Union[ChannelSet, np.ndarray], p_s: float, n0: float,
     """
     if p_s <= 0:
         raise ValueError("per-sub-carrier power must be positive")
-    hm, k_count, s_count = _dims(h, n_users, n_subcarriers)
-    n_t = hm.shape[0]
+    k_count, s_count = h.n_users, h.n_subcarriers
+    n_t = h.h.shape[0]
     if k_count > n_t:  # the K x K precoder systems would be singular
         raise ValueError(f"WMMSE needs n_users <= n_tx, got {k_count} users on a channel "
-                         f"of shape {hm.shape}")
-    ht = _stack(hm, k_count, s_count)
+                         f"of shape {h.h.shape}")
+    ht = _stack(h.h, k_count, s_count)
     norms = np.linalg.norm(ht, axis=2)
     ft = np.zeros(ht.shape, dtype=complex)  # rows f_k^T
     nz = norms > 0

@@ -36,7 +36,7 @@ from hybridprec.baselines import (
     unit_modulus_gradient,
 )
 from hybridprec.channel import (
-    SystemConfig, draw_channel, fronthaul_accounting, noise_power_dbm,
+    ChannelSet, SystemConfig, draw_channel, fronthaul_accounting, noise_power_dbm,
     noise_power_mw, path_loss_db, per_subcarrier_power_mw, supported_levels,
 )
 from hybridprec.detect import (
@@ -217,14 +217,14 @@ class TestCriterion8WmmseSanity:
         rng = np.random.default_rng(1008)
         h = (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2)
         p_s, n0 = 2.0, 0.4
-        precoder, _ = wmmse_fully_digital(h, p_s, n0, n_users=1, n_subcarriers=1)
-        achieved = sum_rate(h, precoder.f_fd, n0, 1, 1).total_sum_rate
+        precoder, _ = wmmse_fully_digital(ChannelSet(h, 1, 1), p_s, n0)
+        achieved = sum_rate(ChannelSet(h, 1, 1), precoder.f_fd, n0).total_sum_rate
         closed_form = float(np.log2(1 + p_s * np.linalg.norm(h) ** 2 / n0))
         mrt_ok = abs(achieved - closed_form) <= 1e-6 * closed_form
         monotone = True
         for _ in range(100):
             hk = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
-            _, trace = wmmse_fully_digital(hk, 1.5, 0.1, n_users=2, n_subcarriers=1)
+            _, trace = wmmse_fully_digital(ChannelSet(hk, 2, 1), 1.5, 0.1)
             for u in trace.utilities:
                 if not np.all(np.diff(u) >= -1e-9 * np.maximum(np.abs(u[:-1]), 1.0)):
                     monotone = False

@@ -5,7 +5,7 @@ import pytest
 
 from hybridprec.channel import (
     SystemConfig, array_response, draw_channel, fronthaul_accounting, mw_from_dbm,
-    noise_power_dbm, path_loss_db, per_subcarrier_power_mw, supported_levels,
+    noise_power_dbm, path_loss_db, per_subcarrier_power_mw, rng_stream, supported_levels,
     taps_to_frequency,
 )
 
@@ -79,10 +79,28 @@ class TestSystemConfig:
         ({"n_taps_minus_one": -1}, "tap count"),
         ({"wmmse_max_iter": 0}, "iteration caps"),
         ({"distance_range_m": (0.0, 100.0)}, "distance and carrier frequency must be positive"),
-    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else None)
+        ({"quant_levels": 1}, "quant_levels must be in"),
+        ({"analog_bits": 0}, "analog_bits must be in"),
+        ({"analog_bits": 17}, "analog_bits must be in"),
+        ({"n_sym": 0}, "n_sym must be in"),
+        ({"fronthaul_budget_bits_per_symbol": -5.0}, "fronthaul_budget_bits_per_symbol must be in"),
+        ({"bisection_tol": -1.0}, "bisection_tol must be in"),
+        ({"wmmse_tol": -5.0}, "wmmse_tol must be in"),
+    ], ids=lambda v: next(iter(v)) + (f"-{v['analog_bits']}" if "analog_bits" in v else "")
+        if isinstance(v, dict) else None)
     def test_out_of_range_setting_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             SystemConfig(**setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"quant_levels": 2, "analog_bits": 1, "n_sym": 1},
+        {"analog_bits": 16, "fronthaul_budget_bits_per_symbol": 0.0, "bisection_tol": 0.0,
+         "wmmse_tol": 0.0},
+    ], ids=["low-ends", "high-ends-and-zeros"])
+    def test_range_ends_accepted(self, setting):
+        """Each range is closed: its ends, and a zero budget or tolerance, are valid."""
+        config = SystemConfig(**setting)
+        assert all(getattr(config, name) == value for name, value in setting.items())
 
     @pytest.mark.parametrize("setting", [
         {"n_tx": 8.0}, {"m_rf": True}, {"n_subcarriers": np.float64(4.0)},
@@ -145,11 +163,14 @@ class TestDrawChannel:
         assert not np.array_equal(a.h, draw_channel(cfg, trial=4).h)
 
     def test_los_dominates_at_large_rician_factor(self):
-        """With a huge Rician factor every column aligns with the array response."""
+        """With a huge Rician factor every column aligns with the array response
+        at the user's angle, drawn from its stream after its distance."""
         cfg = SystemConfig(n_tx=8, m_rf=4, n_users=1, n_subcarriers=4,
                            rician_k_db=160.0, seed=1)
-        ch = draw_channel(cfg)
-        steer = array_response(ch.user_angles_rad[0], 8)
+        ch = draw_channel(cfg, trial=0)
+        rng = rng_stream(cfg.seed, 0, 0)
+        rng.uniform(*cfg.distance_range_m)
+        steer = array_response(rng.uniform(*cfg.angle_range_rad), 8)
         for s in range(4):
             col = ch.h[:, s]
             corr = abs(np.vdot(steer, col)) / (np.linalg.norm(steer) * np.linalg.norm(col))

@@ -395,6 +395,12 @@ class TestRuntimeBenchmark:
         with pytest.raises(ValueError):
             runtime_benchmark([], SystemConfig(**TINY_BASE), 1)
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trial_rejected(self, n_trials):
+        """No trial gave a NaN table after a "Mean of empty slice" warning."""
+        with pytest.raises(ValueError, match=f"got \\[3\\] and {n_trials}"):
+            runtime_benchmark([3], SystemConfig(**TINY_BASE), n_trials)
+
     def test_rows_shape(self):
         table = runtime_benchmark([3, 4], SystemConfig(**TINY_BASE), 1)
         assert {(r["scheme"], r["m_rf"]) for r in table} == {
@@ -654,6 +660,51 @@ class TestOracleCheckAndCli:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
         assert f"spec error: {quantity}" in capsys.readouterr().err
         assert not cells and not out.exists()
+
+    @pytest.mark.parametrize("setting, value", [
+        ("quant_levels", 1), ("analog_bits", 0), ("bisection_tol", -1.0), ("wmmse_tol", -5.0),
+    ])
+    def test_cli_setting_out_of_range_exit_code(self, setting, value, tmp_path, capsys,
+                                                monkeypatch):
+        """A level count below 2, an analog resolution of 0 bits or a negative
+        tolerance is a spec error before any trial, not an error row or a run
+        that cannot converge."""
+        cells = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(json.dumps({"schema_version": 1, "name": "x", "n_trials": 1,
+                                    "base": {**TINY_BASE, setting: value},
+                                    "schemes": ["sd-hybrid"]}))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
+        assert f"spec error: {setting} must be in" in capsys.readouterr().err
+        assert not cells and not out.exists()
+
+    @pytest.mark.parametrize("args, setting", [
+        (["--nsym", "0"], "n_sym"), (["--budget", "-5"], "fronthaul_budget_bits_per_symbol"),
+        (["--levels", "1"], "quant_levels"),
+    ])
+    def test_cli_budget_out_of_range_exit_code(self, args, setting, capsys):
+        """`--nsym 0` ended in a ZeroDivisionError and `--budget -5` printed a
+        negative level budget."""
+        assert main(["budget", *args]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert f"spec error: {setting} must be in" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--parallel", "-3"], ["run", "--parallel", "0"],
+        ["bench-runtime", "--trials", "0"], ["oracle-check", "--instances", "-4"],
+    ], ids=lambda a: f"{a[1]}={a[2]}")
+    def test_cli_count_below_one_exit_code(self, args, capsys, monkeypatch):
+        """Worker, trial and instance counts are integers of at least 1: argparse
+        exits 2 before the command runs, so an oracle check cannot pass having
+        checked nothing."""
+        monkeypatch.setattr(harness, "oracle_check", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.setattr(harness, "runtime_benchmark", lambda *a: pytest.fail("ran"))
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == EXIT_SPEC_ERROR
+        assert f"argument {args[1]}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["../escaped", 5, None, "", ".", "..", "a/b", "a\\b"])
     def test_cli_spec_name_not_a_plain_file_name_exit_code(self, name, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec.channel import (
-    SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw,
+    ChannelSet, SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw,
 )
 from hybridprec.wmmse import _precoder_update, mse_to_target, sum_rate, wmmse_fully_digital
 
@@ -27,14 +27,14 @@ class TestSinr:
         h = random_channel(rng, 4, 1, 1)
         f = random_channel(rng, 4, 1, 1)
         expected = abs(h[:, 0] @ f[:, 0]) ** 2 / 0.3
-        rate = sum_rate(h, f, 0.3, 1, 1).per_user_per_subcarrier[0, 0]
+        rate = sum_rate(ChannelSet(h, 1, 1), f, 0.3).per_user_per_subcarrier[0, 0]
         assert rate == pytest.approx(np.log2(1.0 + expected), rel=1e-12)
 
     def test_zero_numerator(self):
         """A precoder orthogonal to the conjugate channel carries no signal."""
         h = np.array([[1.0 + 0j], [1j]])
         f = np.array([[1.0 + 0j], [1j]])  # h^T f = 1 + j^2 = 0
-        assert sum_rate(h, f, 1.0, 1, 1).per_user_per_subcarrier[0, 0] == 0.0
+        assert sum_rate(ChannelSet(h, 1, 1), f, 1.0).per_user_per_subcarrier[0, 0] == 0.0
 
     def test_matches_direct_recomputation(self):
         """Agrees with an independent loop over the defining formula."""
@@ -43,7 +43,7 @@ class TestSinr:
         h = random_channel(rng, 5, k, s_count)
         f = random_channel(rng, 5, k, s_count)
         n0 = 0.7
-        rates = sum_rate(h, f, n0, k, s_count).per_user_per_subcarrier
+        rates = sum_rate(ChannelSet(h, k, s_count), f, n0).per_user_per_subcarrier
         for k_idx in range(k):
             for s in range(s_count):
                 hk = h[:, k_idx * s_count + s]
@@ -58,7 +58,7 @@ class TestSinr:
 class TestSumRate:
     def test_zero_precoder(self):
         h = np.ones((3, 2), dtype=complex)
-        report = sum_rate(h, np.zeros_like(h), 1.0, 2, 1)
+        report = sum_rate(ChannelSet(h, 2, 1), np.zeros_like(h), 1.0)
         assert report.total_sum_rate == 0.0
         np.testing.assert_array_equal(report.per_user_per_subcarrier, 0.0)
 
@@ -68,7 +68,7 @@ class TestSumRate:
         h = random_channel(rng, 6, 1, 1)
         p_s, n0 = 3.0, 0.2
         f = np.sqrt(p_s) * h.conj() / np.linalg.norm(h)
-        report = sum_rate(h, f, n0, 1, 1)
+        report = sum_rate(ChannelSet(h, 1, 1), f, n0)
         expected = np.log2(1 + p_s * np.linalg.norm(h) ** 2 / n0)
         assert report.total_sum_rate == pytest.approx(expected, rel=1e-12)
 
@@ -77,13 +77,13 @@ class TestSumRate:
         """A zero noise power gave NaN rates and a negative one a finite rate."""
         h = np.ones((3, 2), dtype=complex)
         with pytest.raises(ValueError, match="noise power must be positive and finite"):
-            sum_rate(h, h, n0, 2, 1)
+            sum_rate(ChannelSet(h, 2, 1), h, n0)
 
     def test_aggregates_consistent(self):
         rng = np.random.default_rng(RNG_SEED)
         h = random_channel(rng, 4, 2, 3)
         f = random_channel(rng, 4, 2, 3)
-        report = sum_rate(h, f, 0.5, 2, 3)
+        report = sum_rate(ChannelSet(h, 2, 3), f, 0.5)
         assert report.total_sum_rate == pytest.approx(report.per_user_per_subcarrier.sum())
         assert report.sum_rate_per_subcarrier_avg == pytest.approx(report.total_sum_rate / 3)
 
@@ -120,8 +120,8 @@ class TestWmmse:
         rng = np.random.default_rng(RNG_SEED)
         h = random_channel(rng, 8, 1, 1)
         p_s, n0 = 2.0, 0.4
-        precoder, _ = wmmse_fully_digital(h, p_s, n0, n_users=1, n_subcarriers=1)
-        achieved = sum_rate(h, precoder.f_fd, n0, 1, 1).total_sum_rate
+        precoder, _ = wmmse_fully_digital(ChannelSet(h, 1, 1), p_s, n0)
+        achieved = sum_rate(ChannelSet(h, 1, 1), precoder.f_fd, n0).total_sum_rate
         closed_form = np.log2(1 + p_s * np.linalg.norm(h) ** 2 / n0)
         assert achieved == pytest.approx(closed_form, rel=1e-6)
 
@@ -130,7 +130,7 @@ class TestWmmse:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(100):
             h = random_channel(rng, 4, 2, 1)
-            _, trace = wmmse_fully_digital(h, 1.5, 0.1, n_users=2, n_subcarriers=1)
+            _, trace = wmmse_fully_digital(ChannelSet(h, 2, 1), 1.5, 0.1)
             for u in trace.utilities:
                 rel_floor = -1e-9 * np.maximum(np.abs(u[:-1]), 1.0)
                 assert np.all(np.diff(u) >= rel_floor)
@@ -139,7 +139,7 @@ class TestWmmse:
         rng = np.random.default_rng(RNG_SEED)
         h = random_channel(rng, 4, 2, 1)
         h[:, 1] = 0.0
-        precoder, _ = wmmse_fully_digital(h, 1.0, 0.1, n_users=2, n_subcarriers=1)
+        precoder, _ = wmmse_fully_digital(ChannelSet(h, 2, 1), 1.0, 0.1)
         np.testing.assert_array_equal(precoder.f_fd[:, 1], 0.0)
 
     def test_power_constraint(self):
@@ -161,35 +161,19 @@ class TestWmmse:
         n_inst = 200
         for _ in range(n_inst):
             h = random_channel(rng, 4, 2, 1)
-            precoder, _ = wmmse_fully_digital(h, p_s, n0, n_users=2, n_subcarriers=1)
+            precoder, _ = wmmse_fully_digital(ChannelSet(h, 2, 1), p_s, n0)
             mf = np.zeros_like(h)
             for k in range(2):
                 mf[:, k] = np.sqrt(p_s / 2) * h[:, k].conj() / np.linalg.norm(h[:, k])
-            ours = sum_rate(h, precoder.f_fd, n0, 2, 1).total_sum_rate
-            baseline = sum_rate(h, mf, n0, 2, 1).total_sum_rate
+            ours = sum_rate(ChannelSet(h, 2, 1), precoder.f_fd, n0).total_sum_rate
+            baseline = sum_rate(ChannelSet(h, 2, 1), mf, n0).total_sum_rate
             if ours >= baseline - 1e-9:
                 wins += 1
         assert wins >= 0.95 * n_inst
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            wmmse_fully_digital(np.ones((2, 1), dtype=complex), 0.0, 1.0,
-                                n_users=1, n_subcarriers=1)
-
-
-class TestChannelDims:
-    """An ndarray channel needs both counts, and they must match its columns."""
-
-    @pytest.mark.parametrize("counts", [{}, {"n_subcarriers": 3}, {"n_users": 4, "n_subcarriers": 2}])
-    def test_sum_rate(self, counts):
-        h = np.ones((4, 6), dtype=complex)
-        with pytest.raises(ValueError, match=r"\(4, 6\)"):
-            sum_rate(h, h, 1.0, **counts)
-
-    @pytest.mark.parametrize("counts", [{}, {"n_users": 3}, {"n_users": 1, "n_subcarriers": 5}])
-    def test_wmmse_fully_digital(self, counts):
-        with pytest.raises(ValueError, match=r"\(4, 6\)"):
-            wmmse_fully_digital(np.ones((4, 6), dtype=complex), 1.0, 1.0, **counts)
+            wmmse_fully_digital(ChannelSet(np.ones((2, 1), dtype=complex), 1, 1), 0.0, 1.0)
 
 
 def channel_with_silent_user():
@@ -207,11 +191,11 @@ class TestSilentUser:
         """At high SNR the start at half the budget left the one active user's
         updates under it: sub-carrier 0 ended at 0.5005 of p_s and 11.91 bit/s/Hz."""
         h = channel_with_silent_user()
-        precoder, _ = wmmse_fully_digital(h, 1.0, 1e-3, n_users=2, n_subcarriers=2)
+        precoder, _ = wmmse_fully_digital(ChannelSet(h, 2, 2), 1.0, 1e-3)
         np.testing.assert_array_equal(precoder.f_fd[:, 1 * 2 + 0], 0.0)
         for s in range(2):
             assert power(precoder.f_fd[:, s::2]) == pytest.approx(1.0, rel=1e-12)
-        rates = sum_rate(h, precoder.f_fd, 1e-3, 2, 2).per_user_per_subcarrier
+        rates = sum_rate(ChannelSet(h, 2, 2), precoder.f_fd, 1e-3).per_user_per_subcarrier
         assert rates[:, 0].sum() > 12.9
 
 
@@ -224,13 +208,12 @@ class TestFadingUser:
     @pytest.mark.parametrize("seed", [10, 14, 17, 19])
     def test_target_spends_budget_and_keeps_rate(self, seed):
         h = random_channel(np.random.default_rng(seed), 3, 3, 1)
-        precoder, _ = wmmse_fully_digital(h, 100.0, 1.0, tol=1e-8, max_iter=200,
-                                          n_users=3, n_subcarriers=1)
+        precoder, _ = wmmse_fully_digital(ChannelSet(h, 3, 1), 100.0, 1.0, tol=1e-8, max_iter=200)
         assert np.all(np.isfinite(precoder.f_fd))
         assert abs(power(precoder.f_fd) - 100.0) <= 1e-9 * 100.0
-        loose, _ = wmmse_fully_digital(h, 100.0, 1.0, n_users=3, n_subcarriers=1)
-        rate = sum_rate(h, precoder.f_fd, 1.0, 3, 1).total_sum_rate
-        assert rate >= sum_rate(h, loose.f_fd, 1.0, 3, 1).total_sum_rate > 0.0
+        loose, _ = wmmse_fully_digital(ChannelSet(h, 3, 1), 100.0, 1.0)
+        rate = sum_rate(ChannelSet(h, 3, 1), precoder.f_fd, 1.0).total_sum_rate
+        assert rate >= sum_rate(ChannelSet(h, 3, 1), loose.f_fd, 1.0).total_sum_rate > 0.0
 
 
 class TestPrecoderUpdate:
@@ -413,8 +396,8 @@ def assert_matches_loop(hm, p_s, n0, tol, max_iter, k_count, s_count):
     largest condition number of an update."""
     f, utilities, iterations, truncated, feasible, cond = loop_wmmse(
         hm, p_s, n0, tol, max_iter, k_count, s_count)
-    precoder, trace = wmmse_fully_digital(hm, p_s, n0, tol=tol, max_iter=max_iter,
-                                          n_users=k_count, n_subcarriers=s_count)
+    precoder, trace = wmmse_fully_digital(ChannelSet(hm, k_count, s_count), p_s, n0,
+                                          tol=tol, max_iter=max_iter)
     assert precoder.f_fd.tobytes() == f.tobytes()
     assert trace.iterations == iterations
     assert [u.tobytes() for u in trace.utilities] == [u.tobytes() for u in utilities]
@@ -453,8 +436,8 @@ class TestLockstepMatchesLoop:
             p_s *= 10 ** (snr_db / 10)
             if k_count > n_t:
                 with pytest.raises(ValueError, match=rf"{k_count} users .* shape \({n_t}, "):
-                    wmmse_fully_digital(hm, p_s, n0, tol=tol, max_iter=max_iter,
-                                        n_users=k_count, n_subcarriers=s_count)
+                    wmmse_fully_digital(ChannelSet(hm, k_count, s_count), p_s, n0, tol=tol,
+                                        max_iter=max_iter)
                 return
             with np.errstate(all="ignore"):
                 try:
@@ -465,7 +448,7 @@ class TestLockstepMatchesLoop:
                         loop_wmmse(hm, p_s, n0, tol, max_iter, k_count, s_count)
                     return
                 rates, total = loop_sum_rate(hm, hm.conj(), n0, k_count, s_count)
-                report = sum_rate(hm, hm.conj(), n0, k_count, s_count)
+                report = sum_rate(ChannelSet(hm, k_count, s_count), hm.conj(), n0)
             assert report.per_user_per_subcarrier.tobytes() == rates.tobytes()
             assert report.total_sum_rate == total
             users = hm.reshape(n_t, k_count, s_count).any(axis=0)
@@ -487,8 +470,7 @@ class TestLockstepMatchesLoop:
         hm = random_channel(np.random.default_rng(RNG_SEED), 4, 1, 2)
         p_s = 1e-20
         with np.errstate(all="ignore"):
-            precoder, _ = wmmse_fully_digital(hm, p_s, 1e-100, max_iter=5,
-                                              n_users=1, n_subcarriers=2)
+            precoder, _ = wmmse_fully_digital(ChannelSet(hm, 1, 2), p_s, 1e-100, max_iter=5)
             _, feasible, cond = assert_matches_loop(hm, p_s, 1e-100, 1e-4, 5, 1, 2)
         assert not all(feasible) and cond <= WELL_CONDITIONED
         for s in range(2):

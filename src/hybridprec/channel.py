@@ -45,10 +45,12 @@ class SystemConfig:
     angle_range_rad: tuple = (-np.pi / 3, np.pi / 3)
     n_sym: int = 140
     fronthaul_budget_bits_per_symbol: float = 15.0
-    bisection_tol: float = 1e-2
-    wmmse_tol: float = 1e-4
-    wmmse_max_iter: int = 200
     seed: int = 0
+
+    # the μ bisection's and the WMMSE target's tolerances: unannotated, so constants, not settings
+    bisection_tol = 1e-2
+    wmmse_tol = 1e-4
+    wmmse_max_iter = 200
 
     def __post_init__(self):
         for f in fields(self):
@@ -65,11 +67,8 @@ class SystemConfig:
             raise ValueError("bandwidth and carrier frequency must be positive")
         if self.n_taps_minus_one < 0:
             raise ValueError("tap count cannot be negative")
-        if self.wmmse_max_iter < 1:
-            raise ValueError("iteration caps must be at least 1")
         for name, low, high in (("quant_levels", 2, math.inf), ("analog_bits", 1, 16),
-                                ("n_sym", 1, math.inf), ("bisection_tol", 0, math.inf),
-                                ("wmmse_tol", 0, math.inf),
+                                ("n_sym", 1, math.inf),
                                 ("fronthaul_budget_bits_per_symbol", 0, math.inf)):
             if not low <= getattr(self, name) <= high:
                 raise ValueError(f"{name} must be in [{low}, {high}], got {getattr(self, name)!r}")

@@ -39,12 +39,6 @@ from .wmmse import FullyDigitalPrecoder, mse_to_target, sum_rate, wmmse_fully_di
 SCHEMA_VERSION = 1
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-SCHEMES = (
-    "sd-hybrid", "ep-hybrid", "altmin1", "altmin1-q", "altmin2", "altmin2-q",
-    "fully-digital", "np-analog-ep-digital", "ep-analog-np-digital",
-    "sd-analog-ideal-digital", "ep-analog-ideal-digital",
-    "dynamic-sd", "dynamic-ep",
-)
 # Schemes designed by hybrid.alternate: (solver, mode, analog method, digital method).
 ALTERNATE_SCHEMES = {
     "sd-hybrid": ("sesd", hybrid.FULLY_CONNECTED, None, None),
@@ -56,6 +50,9 @@ ALTERNATE_SCHEMES = {
     "dynamic-sd": ("sesd", hybrid.DYNAMIC_CONNECTED, None, None),
     "dynamic-ep": ("ep", hybrid.DYNAMIC_CONNECTED, None, None),
 }
+# the continuous AltMin baselines and their quantized ("-q") variants
+ALTMIN_SCHEMES = ("altmin1", "altmin1-q", "altmin2", "altmin2-q")
+SCHEMES = (*ALTERNATE_SCHEMES, *ALTMIN_SCHEMES, "fully-digital")
 METRICS = ("sum_rate_avg", "sum_rate_total", "mse", "runtime", "trace")
 # the settings a spec sets or sweeps; the seed is the spec's own
 SETTINGS = tuple(f.name for f in dataclasses.fields(SystemConfig) if f.name != "seed")
@@ -106,6 +103,11 @@ class ExperimentSpec:
             raise SpecError("sweep values must not be empty")
         for value in self.sweep_values or ():  # every cell's config, before the first trial
             self.base.with_updates(**{self.sweep_parameter: value})
+        # a repeat would write rows that share one (scheme, sweep value, trial, metric) key
+        for what, items in (("scheme", self.schemes), ("output", self.outputs),
+                            ("sweep value", self.sweep_values or [])):
+            if repeated := [item for i, item in enumerate(items) if item in items[:i]]:
+                raise SpecError(f"repeated {what} {repeated[0]!r}")
 
 
 @dataclass
@@ -140,7 +142,7 @@ def run_scheme(name: str, channel: ChannelSet, target: FullyDigitalPrecoder,
     if name == "fully-digital":
         eff = target.f_fd
         mse = 0.0
-    elif name in ("altmin1", "altmin1-q", "altmin2", "altmin2-q"):
+    elif name in ALTMIN_SCHEMES:
         base = name.removesuffix("-q")
         altmin = {} if altmin is None else altmin
         if base in altmin:
@@ -183,10 +185,8 @@ def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
     rows = []
     sweep_repr = "" if spec.sweep_parameter is None else sweep_value
     channel = draw_channel(config, trial)
-    target, _ = wmmse_fully_digital(
-        channel, per_subcarrier_power_mw(config), noise_power_mw(config),
-        tol=config.wmmse_tol, max_iter=config.wmmse_max_iter,
-    )
+    target, _ = wmmse_fully_digital(channel, per_subcarrier_power_mw(config),
+                                    noise_power_mw(config))
     altmin: dict = {}  # one continuous AltMin pair per variant for the whole cell
     for scheme in spec.schemes:
         row = functools.partial(ResultRow, spec.name, scheme, sweep_repr, trial, spec.seed)
@@ -246,32 +246,27 @@ def runtime_benchmark(m_rf_list: list, config: SystemConfig, n_trials: int) -> l
     """
     if not m_rf_list or n_trials < 1:
         raise ValueError(f"need an RF chain count and a trial, got {m_rf_list} and {n_trials}")
-    solvers = (("sd-hybrid", "sesd"), ("ep-hybrid", "ep"))
+    schemes = ("sd-hybrid", "ep-hybrid")
     configs = [config.with_updates(m_rf=m_rf) for m_rf in m_rf_list]
     targets = [[wmmse_fully_digital(draw_channel(cfg, trial), per_subcarrier_power_mw(cfg),
-                                    noise_power_mw(cfg), tol=cfg.wmmse_tol,
-                                    max_iter=cfg.wmmse_max_iter)[0] for cfg in configs]
+                                    noise_power_mw(cfg))[0] for cfg in configs]
                for trial in range(n_trials)]
-    fastest = np.full((len(solvers), len(configs), n_trials), np.inf)
+    fastest = np.full((len(schemes), len(configs), n_trials), np.inf)
     for _ in range(3):
         for trial in range(n_trials):
-            for i, (_, solver) in enumerate(solvers):
+            for i, scheme in enumerate(schemes):
                 for j, cfg in enumerate(configs):
                     t0 = time.perf_counter()
-                    hybrid.alternate(targets[trial][j], cfg, solver)
+                    hybrid.alternate(targets[trial][j], cfg, ALTERNATE_SCHEMES[scheme][0])
                     fastest[i, j, trial] = min(fastest[i, j, trial], time.perf_counter() - t0)
     mean = fastest.mean(axis=2)
     return [{"scheme": scheme, "m_rf": m_rf, "mean_seconds": float(mean[i, j]),
              "n_trials": n_trials}
-            for j, m_rf in enumerate(m_rf_list) for i, (scheme, _) in enumerate(solvers)]
+            for j, m_rf in enumerate(m_rf_list) for i, scheme in enumerate(schemes)]
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".9e")
-    return str(value)
+    return format(value, ".9e") if isinstance(value, float) else str(value)
 
 
 def emit_csv(rows: list, path) -> None:
@@ -559,7 +554,7 @@ def _cmd_bench_runtime(args) -> int:
 def _cmd_budget(args) -> int:
     config = SystemConfig(
         m_rf=args.rf_chains, n_users=args.users, n_subcarriers=args.subcarriers,
-        n_tx=max(args.rf_chains + 1, 64), quant_levels=args.levels,
+        n_tx=max(args.rf_chains + 1, SystemConfig.n_tx), quant_levels=args.levels,
         n_sym=args.nsym, fronthaul_budget_bits_per_symbol=args.budget,
     )
     budget = fronthaul_accounting(config, args.modulation_order, args.iq_bits)
@@ -606,12 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--preset", choices=["desk", "paper"], default="desk")
 
     p_budget = sub.add_parser("budget", help="print fronthaul link-budget fields")
-    p_budget.add_argument("--levels", type=int, default=2)
-    p_budget.add_argument("--nsym", type=int, default=140)
-    p_budget.add_argument("--rf-chains", type=int, default=8)
-    p_budget.add_argument("--users", type=int, default=2)
-    p_budget.add_argument("--subcarriers", type=int, default=64)
-    p_budget.add_argument("--budget", type=float, default=15.0)
+    p_budget.add_argument("--levels", type=int, default=SystemConfig.quant_levels)
+    p_budget.add_argument("--nsym", type=int, default=SystemConfig.n_sym)
+    p_budget.add_argument("--rf-chains", type=int, default=SystemConfig.m_rf)
+    p_budget.add_argument("--users", type=int, default=SystemConfig.n_users)
+    p_budget.add_argument("--subcarriers", type=int, default=SystemConfig.n_subcarriers)
+    p_budget.add_argument("--budget", type=float, default=SystemConfig.fronthaul_budget_bits_per_symbol)
     p_budget.add_argument("--modulation-order", type=int, default=16)
     p_budget.add_argument("--iq-bits", type=int, default=12)
     return parser

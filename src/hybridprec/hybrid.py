@@ -215,14 +215,14 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
 
 
 def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: str,
-                     levels: int, n_users: int, bisection_tol: float = SystemConfig.bisection_tol,
+                     levels: int, n_users: int
                      ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, SolverStats]:
     """Best quantized digital precoder for a fixed analog matrix.
 
     Per sub-carrier, a non-negative multiplier scales the Gram factor so the
     power constraint holds; for each candidate multiplier the K per-user
     problems are solved independently in stacked real form. The multiplier
-    is bisected, to ``bisection_tol``, from an infeasible lower end to a
+    is bisected, to ``SystemConfig.bisection_tol``, from an infeasible lower end to a
     feasible upper end and the feasible-side solution is returned
     (immediately, when the unconstrained solution already fits). ``_fit_step``
     halves the step, with a new FALS kernel each time, while some sub-carrier
@@ -251,7 +251,7 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
 
     def quantize(alphabet: Alphabet):
         solve = _fals(f_rf_r, target_r, solver, alphabet, stats)
-        return _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users, bisection_tol)
+        return _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users)
 
     (f_bb, mu, iters), delta, stats.shrinks = _fit_step(quantize, ls_digital, levels)
     return f_bb, delta, mu, iters, stats
@@ -262,9 +262,10 @@ def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
     return np.ascontiguousarray(sols[:, :m_rf].T + 1j * sols[:, m_rf:].T)
 
 
-def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
-                           bisection_tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m_rf = f_rf.shape[1]
+    slack = SystemConfig.bisection_tol * p_s
     ks = s_count * n_users
     at_zero = solve(np.arange(ks), 0.0)
     f_bb = _columns(at_zero, m_rf)
@@ -272,7 +273,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
     iters_out = np.ones(s_count, dtype=int)
 
     def over(power):  # above the budget by more than the tolerance
-        return power - p_s > bisection_tol * p_s
+        return power - p_s > slack
 
     for s in np.flatnonzero(over(_power_per_subcarrier(f_rf, f_bb, n_users))):
         cols = np.arange(s, ks, s_count)  # column k * s_count + s of user k
@@ -298,7 +299,7 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users,
                 lo = mid
                 continue
             hi, sols = mid, warm
-            if p_s - power_mid <= bisection_tol * p_s:  # within the tolerance below too
+            if p_s - power_mid <= slack:  # within the tolerance below too
                 break
         f_bb[:, cols] = _columns(sols, m_rf)
         mu_out[s] = hi
@@ -423,8 +424,7 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
     prev_obj = prev_state = None
     for it in range(1, OUTER_MAX_ITER + 1):
         f_bb, delta, _, _, dstats = optimize_digital(
-            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users,
-            config.bisection_tol)
+            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users)
         if dynamic:
             switch, astats = optimize_switch(target, phase_diag, f_bb)
             phase_diag = optimize_phase_diag(target, switch, f_bb, analog_alphabet)

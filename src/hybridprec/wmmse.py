@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, SystemConfig
 
 
 @dataclass
@@ -142,8 +142,9 @@ def _precoder_update(ht: np.ndarray, w: np.ndarray, u: np.ndarray,
     return ft
 
 
-def wmmse_fully_digital(h: ChannelSet, p_s: float, n0: float, tol: float = 1e-4,
-                        max_iter: int = 200) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
+def wmmse_fully_digital(h: ChannelSet, p_s: float, n0: float, tol: float = SystemConfig.wmmse_tol,
+                        max_iter: int = SystemConfig.wmmse_max_iter
+                        ) -> tuple[FullyDigitalPrecoder, WmmseTrace]:
     """Sum-rate precoder via weighted-MMSE alternation, per sub-carrier.
 
     Initialized from the matched filter at full power, shared equally by

@@ -77,15 +77,12 @@ class TestSystemConfig:
         ({"subcarrier_bandwidth_hz": 0.0}, "bandwidth"),
         ({"carrier_ghz": -28.0}, "carrier frequency"),
         ({"n_taps_minus_one": -1}, "tap count"),
-        ({"wmmse_max_iter": 0}, "iteration caps"),
         ({"distance_range_m": (0.0, 100.0)}, "distance and carrier frequency must be positive"),
         ({"quant_levels": 1}, "quant_levels must be in"),
         ({"analog_bits": 0}, "analog_bits must be in"),
         ({"analog_bits": 17}, "analog_bits must be in"),
         ({"n_sym": 0}, "n_sym must be in"),
         ({"fronthaul_budget_bits_per_symbol": -5.0}, "fronthaul_budget_bits_per_symbol must be in"),
-        ({"bisection_tol": -1.0}, "bisection_tol must be in"),
-        ({"wmmse_tol": -5.0}, "wmmse_tol must be in"),
     ], ids=lambda v: next(iter(v)) + (f"-{v['analog_bits']}" if "analog_bits" in v else "")
         if isinstance(v, dict) else None)
     def test_out_of_range_setting_rejected(self, setting, message):
@@ -94,22 +91,21 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("setting", [
         {"quant_levels": 2, "analog_bits": 1, "n_sym": 1},
-        {"analog_bits": 16, "fronthaul_budget_bits_per_symbol": 0.0, "bisection_tol": 0.0,
-         "wmmse_tol": 0.0},
+        {"analog_bits": 16, "fronthaul_budget_bits_per_symbol": 0.0},
     ], ids=["low-ends", "high-ends-and-zeros"])
     def test_range_ends_accepted(self, setting):
-        """Each range is closed: its ends, and a zero budget or tolerance, are valid."""
+        """Each range is closed: its ends, and a zero budget, are valid."""
         config = SystemConfig(**setting)
         assert all(getattr(config, name) == value for name, value in setting.items())
 
     @pytest.mark.parametrize("setting", [
         {"n_tx": 8.0}, {"m_rf": True}, {"n_subcarriers": np.float64(4.0)},
-        {"total_power_dbm": "35"}, {"total_power_dbm": True}, {"bisection_tol": None},
+        {"total_power_dbm": "35"}, {"total_power_dbm": True}, {"rician_k_db": None},
         {"distance_range_m": (1.0,)}, {"distance_range_m": (1.0, 2.0, 3.0)},
         {"distance_range_m": (100.0, "200")}, {"angle_range_rad": [-1.0, 1.0]},
         {"angle_range_rad": (False, 1.0)},
     ], ids=["n_tx-float", "m_rf-bool", "n_subcarriers-numpy-float", "power-string",
-            "power-bool", "bisection_tol-null", "range-length-1", "range-length-3", "range-string",
+            "power-bool", "rician_k_db-null", "range-length-1", "range-length-3", "range-string",
             "angle-list", "angle-bool"])
     def test_setting_of_wrong_type_rejected(self, setting):
         """An int setting takes integers, a float setting any real number, a
@@ -121,7 +117,7 @@ class TestSystemConfig:
         {"total_power_dbm": float("nan")}, {"total_power_dbm": float("inf")},
         {"rician_k_db": -float("inf")}, {"total_power_dbm": 10**400},
         {"angle_range_rad": (-float("inf"), 1.0)}, {"distance_range_m": (100.0, float("nan"))},
-        {"bisection_tol": np.float32("nan")},
+        {"noise_figure_db": np.float32("nan")},
     ], ids=["nan", "inf", "minus-inf", "int-past-float", "range-minus-inf", "range-nan",
             "numpy-nan"])
     def test_non_finite_float_setting_rejected(self, setting):
@@ -131,11 +127,22 @@ class TestSystemConfig:
             SystemConfig(**setting)
 
     @pytest.mark.parametrize("removed", ["ep_damping", "ep_max_iter", "ep_tol", "outer_tol",
-                                         "outer_max_iter"])
+                                         "outer_max_iter", "bisection_tol", "wmmse_tol",
+                                         "wmmse_max_iter"])
     def test_solver_constants_are_not_settings(self, removed):
-        """EP's and the alternation's tuning values are constants of the code that reads them."""
+        """EP's, the alternation's, the μ bisection's and the WMMSE target's tuning
+        values are constants of the code that reads them."""
         with pytest.raises(TypeError, match=removed):
             SystemConfig(**{removed: 0.3})
+        with pytest.raises(TypeError, match=removed):
+            SystemConfig().with_updates(**{removed: 0.3})
+
+    def test_tolerance_constants_read_on_instances(self):
+        """The μ bisection's and the WMMSE target's constants read on the class
+        and on every instance."""
+        for config in (SystemConfig, SystemConfig()):
+            assert (config.bisection_tol, config.wmmse_tol, config.wmmse_max_iter) == (
+                1e-2, 1e-4, 200)
 
     def test_numpy_integers_and_integer_power_accepted(self):
         cfg = SystemConfig(n_tx=np.int64(16), m_rf=np.int32(4), n_users=np.int64(2),
@@ -143,7 +150,7 @@ class TestSystemConfig:
                            distance_range_m=(np.float64(50.0), 150))
         assert (cfg.n_tx, cfg.m_rf, cfg.total_power_dbm) == (16, 4, 30)
         assert draw_channel(cfg).h.shape == (16, 8)
-        assert cfg.with_updates(bisection_tol=np.float32(1e-3)).bisection_tol == np.float32(1e-3)
+        assert cfg.with_updates(rician_k_db=np.float32(1e-3)).rician_k_db == np.float32(1e-3)
 
     def test_power_split_equally_over_subcarriers(self, paper_config):
         assert per_subcarrier_power_mw(paper_config) == mw_from_dbm(35.0) / 64

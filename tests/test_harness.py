@@ -22,7 +22,8 @@ from hybridprec.harness import (
     parse_csv, run_experiment, run_scheme, runtime_benchmark, spec_from_dict,
 )
 
-SOLVER_CONSTANTS = ("ep_damping", "ep_max_iter", "ep_tol", "outer_tol", "outer_max_iter")
+SOLVER_CONSTANTS = ("ep_damping", "ep_max_iter", "ep_tol", "outer_tol", "outer_max_iter",
+                    "bisection_tol", "wmmse_tol", "wmmse_max_iter")
 TINY_BASE = dict(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2, total_power_dbm=10.0)
 
 
@@ -58,12 +59,21 @@ class TestExperimentSpec:
         ({"seed": True}, "seed"),
         ({"sweep_parameter": "seed", "sweep_values": [0, 5]}, "'seed'"),
         ({"sweep_parameter": "volume", "sweep_values": [1]}, "'volume'"),
+        # a repeat wrote rows that share one (scheme, sweep value, trial, metric) key
+        ({"schemes": ["fully-digital", "sd-hybrid", "fully-digital"]},
+         "repeated scheme 'fully-digital'"),
+        ({"outputs": ["mse", "mse"]}, "repeated output 'mse'"),
+        ({"sweep_parameter": "total_power_dbm", "sweep_values": [30, 20, 30.0]},
+         "repeated sweep value 30.0"),
+        ({"sweep_parameter": "distance_range_m", "sweep_values": [(50, 100), (50.0, 100.0)]},
+         "repeated sweep value"),
     ], ids=["metric", "n_trials", "sweep-values", "n_trials-float", "seed-float", "seed-bool",
-            "sweep-seed", "sweep-unknown"])
+            "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
+            "repeated-sweep-value", "repeated-range"])
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(SpecError, match=message):
-            ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE),
-                           schemes=["fully-digital"], **fields)
+            ExperimentSpec(**{"name": "x", "base": SystemConfig(**TINY_BASE),
+                              "schemes": ["fully-digital"], **fields})
 
     @pytest.mark.parametrize("parameter, values, message", [
         ("m_rf", [3, 9], "M_T=9"),
@@ -314,8 +324,7 @@ class TestSpecFiles:
             total_power_dbm=30.5, carrier_ghz=3.5, noise_figure_db=7,
             subcarrier_bandwidth_hz=2e6, rician_k_db=5.0, n_taps_minus_one=2,
             distance_range_m=(50.0, 150), angle_range_rad=(-1.0, 1.0), n_sym=100,
-            fronthaul_budget_bits_per_symbol=20.0, bisection_tol=0.05,
-            wmmse_tol=1e-3, wmmse_max_iter=50)
+            fronthaul_budget_bits_per_symbol=20.0)
         assert set(settings) == set(harness.SETTINGS) == set(
             f.name for f in dataclasses.fields(SystemConfig)) - {"seed"}
         sweep_values = [(-0.5, 0.5), (-1, 1)]
@@ -380,7 +389,7 @@ class TestSpecFiles:
             sweep_parameter="quant_levels", sweep_values=[2, 8],
             outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(spec) == (
-            "bdba3710ffba67018f2f38978d1265f03cf475ea0fddcbdb178acbcee32f3458")
+            "8a2d3349d6fd1af0805ad5d727fbcd711162a6beabb652d40209688335d1e892")
 
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
@@ -406,19 +415,6 @@ class TestRuntimeBenchmark:
         assert {(r["scheme"], r["m_rf"]) for r in table} == {
             ("sd-hybrid", 3), ("sd-hybrid", 4), ("ep-hybrid", 3), ("ep-hybrid", 4)}
         assert all(r["mean_seconds"] > 0 for r in table)
-
-    def test_targets_use_the_config_wmmse_settings(self, monkeypatch):
-        """The timed designs start from the target a run of the same config
-        gets: the WMMSE call takes the config's tolerance and iteration cap."""
-        calls, wmmse = [], harness.wmmse_fully_digital
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return wmmse(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "wmmse_fully_digital", recording)
-        runtime_benchmark([3], SystemConfig(**TINY_BASE, wmmse_tol=1e-3, wmmse_max_iter=7), 1)
-        assert calls == [{"tol": 1e-3, "max_iter": 7}]
 
 
 class TestOracleCheckAndCli:
@@ -579,10 +575,10 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "with_updates", "values": [2]}},
         {"sweep": {"parameter": "m_rf", "values": [3], "step": 1}},
         {"base": {"total_power_dbm": "35"}},
-        {"base": {"bisection_tol": None}},
+        {"base": {"noise_figure_db": None}},
         {"base": {"total_power_dbm": True}},
         {"sweep": {"parameter": "total_power_dbm", "values": [10, "20"]}},
-        {"sweep": {"parameter": "bisection_tol", "values": [None]}},
+        {"sweep": {"parameter": "noise_figure_db", "values": [None]}},
         {"sweep": {"parameter": "total_power_dbm", "values": [True]}},
         {"base": {"distance_range_m": [100]}},
         {"base": {"distance_range_m": [100, 150, 200]}},
@@ -661,14 +657,11 @@ class TestOracleCheckAndCli:
         assert f"spec error: {quantity}" in capsys.readouterr().err
         assert not cells and not out.exists()
 
-    @pytest.mark.parametrize("setting, value", [
-        ("quant_levels", 1), ("analog_bits", 0), ("bisection_tol", -1.0), ("wmmse_tol", -5.0),
-    ])
+    @pytest.mark.parametrize("setting, value", [("quant_levels", 1), ("analog_bits", 0)])
     def test_cli_setting_out_of_range_exit_code(self, setting, value, tmp_path, capsys,
                                                 monkeypatch):
-        """A level count below 2, an analog resolution of 0 bits or a negative
-        tolerance is a spec error before any trial, not an error row or a run
-        that cannot converge."""
+        """A level count below 2 or an analog resolution of 0 bits is a spec
+        error before any trial, not an error row."""
         cells = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
         path, out = tmp_path / "bad.json", tmp_path / "out"

@@ -439,7 +439,7 @@ class TestOptimizeDigital:
             calls.append(mu)
             assert len(calls) < 1000, "the bisection does not stop"
             return np.array([[1.0 if mu < 1e12 else 0.0, 0.0]])
-        f_bb, mu, iters = hybrid._solve_all_subcarriers(solve, np.eye(1), 0.5, 1, 1, 1e-2)
+        f_bb, mu, iters = hybrid._solve_all_subcarriers(solve, np.eye(1), 0.5, 1, 1)
         assert mu[0] == 1e12 and iters[0] == len(calls) and f_bb[0, 0] == 0.0
 
     @pytest.mark.parametrize("solver", ["sesd", "ep", "np"])
@@ -645,8 +645,7 @@ class TestFixedPointStop:
                 state = ("switch", "phase_diag") if mode == DYNAMIC_CONNECTED else ("f_rf",)
                 assert all(last[k].tobytes() == before[k].tobytes() for k in state)
                 f_bb, delta, *_ = optimize_digital(
-                    target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users,
-                    cfg.bisection_tol)
+                    target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users)
                 switch = phase_diag = None
                 if mode == DYNAMIC_CONNECTED:
                     switch, _ = optimize_switch(target, last["phase_diag"], f_bb)

@@ -11,11 +11,8 @@ import numpy as np
 
 def has_setting_type(kind: str, value) -> bool:
     """Whether ``value`` is of a setting's declared type, the annotation's string: "int"
-    takes an integer (numpy's too), "float" any real a float holds finitely (no NaN, no
-    infinity, no integer past the float range) and "tuple" a pair of those; no bool."""
-    if kind == "tuple":
-        return (isinstance(value, tuple) and len(value) == 2
-                and all(has_setting_type("float", v) for v in value))
+    takes an integer (numpy's too) and "float" any real a float holds finitely (no NaN,
+    no infinity, no integer past the float range); no bool."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if kind == "int" else numbers.Real):
         return False
@@ -36,18 +33,19 @@ class SystemConfig:
     analog_bits: int = 1
     quant_levels: int = 2
     total_power_dbm: float = 35.0
-    carrier_ghz: float = 28.0
-    noise_figure_db: float = 10.0
-    subcarrier_bandwidth_hz: float = 10e6
-    rician_k_db: float = 10.0
-    n_taps_minus_one: int = 3
-    distance_range_m: tuple = (100.0, 200.0)
-    angle_range_rad: tuple = (-np.pi / 3, np.pi / 3)
     n_sym: int = 140
     fronthaul_budget_bits_per_symbol: float = 15.0
     seed: int = 0
 
-    # the μ bisection's and the WMMSE target's tolerances: unannotated, so constants, not settings
+    # unannotated, so constants, not settings: the channel model, then the μ bisection's
+    # and the WMMSE target's tolerances
+    carrier_ghz = 28.0
+    noise_figure_db = 10.0
+    subcarrier_bandwidth_hz = 10e6
+    rician_k_db = 10.0
+    n_taps_minus_one = 3
+    distance_range_m = (100.0, 200.0)
+    angle_range_rad = (-np.pi / 3, np.pi / 3)
     bisection_tol = 1e-2
     wmmse_tol = 1e-4
     wmmse_max_iter = 200
@@ -63,26 +61,14 @@ class SystemConfig:
             )
         if self.n_subcarriers < 1:
             raise ValueError("need at least one sub-carrier")
-        if self.subcarrier_bandwidth_hz <= 0 or self.carrier_ghz <= 0:
-            raise ValueError("bandwidth and carrier frequency must be positive")
-        if self.n_taps_minus_one < 0:
-            raise ValueError("tap count cannot be negative")
-        for name, low, high in (("quant_levels", 2, math.inf), ("analog_bits", 1, 16),
-                                ("n_sym", 1, math.inf),
+        for name, low, high in (("n_users", 1, math.inf), ("quant_levels", 2, math.inf),
+                                ("analog_bits", 1, 16), ("n_sym", 1, math.inf),
                                 ("fronthaul_budget_bits_per_symbol", 0, math.inf)):
             if not low <= getattr(self, name) <= high:
                 raise ValueError(f"{name} must be in [{low}, {high}], got {getattr(self, name)!r}")
-        # the linear values of the dB quantities the channel and the designs use
-        near_gain, far_gain = (mw_from_dbm(-path_loss_db(d, self.carrier_ghz))
-                               for d in (min(self.distance_range_m), max(self.distance_range_m)))
-        for what, value, positive in (
-                ("total power (total_power_dbm)", per_subcarrier_power_mw(self), True),
-                ("noise power (noise_figure_db, subcarrier_bandwidth_hz)", noise_power_mw(self), True),
-                ("Rician K (rician_k_db)", mw_from_dbm(self.rician_k_db), False),
-                ("path gain at the near end of distance_range_m", near_gain, False),
-                ("path gain at the far end of distance_range_m", far_gain, True)):
-            if not math.isfinite(value) or (positive and value <= 0):
-                raise ValueError(f"{what} is {value:g} in linear units, out of range")
+        power = per_subcarrier_power_mw(self)  # the linear value of the dB setting
+        if not 0 < power < math.inf:
+            raise ValueError(f"total power (total_power_dbm) is {power:g} in linear units, out of range")
 
     def with_updates(self, **kwargs) -> "SystemConfig":
         return replace(self, **kwargs)

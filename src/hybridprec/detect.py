@@ -394,6 +394,8 @@ def ep_solve(c: np.ndarray, g: np.ndarray, alphabet: Alphabet,
                 if not len(active):
                     break
         prev = state
+        if iteration == max_iter:  # no later pass reads the update
+            break
 
         zeta = np.maximum(var / np.maximum(1.0 - var * lam, 1e-12), 1e-300)
         nu = zeta * (mu / var - gam)

@@ -85,6 +85,8 @@ class ExperimentSpec:
             raise SpecError(f"name must be a plain file name, got {self.name!r}")
         if not self.schemes:
             raise SpecError("scheme list must not be empty")
+        if not self.outputs:
+            raise SpecError("output list must not be empty")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise SpecError(f"unknown scheme {s!r}; choose from {SCHEMES}")
@@ -272,7 +274,7 @@ def _format_value(value) -> str:
 def emit_csv(rows: list, path) -> None:
     """Write canonically sorted rows; floats carry nine fractional digits in
     scientific notation so a parse-back recovers them to 1e-9 relative, and a
-    field with a comma (a range sweep value) is quoted."""
+    field with a comma (an experiment name may hold one) is quoted."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(ResultRow.CSV_FIELDS)
@@ -344,10 +346,6 @@ def _of_type(value, kind: type, what: str):
     return value
 
 
-def _tuple(value):  # a JSON array as the tuple a range setting takes
-    return tuple(value) if isinstance(value, list) else value
-
-
 def spec_from_dict(payload: dict) -> ExperimentSpec:
     unknown = set(_of_type(payload, dict, "spec")) - _SPEC_KEYS
     if unknown:
@@ -371,11 +369,10 @@ def spec_from_dict(payload: dict) -> ExperimentSpec:
         if set(_of_type(sweep, dict, "'sweep'")) != {"parameter", "values"}:
             raise SpecError("sweep must have exactly 'parameter' and 'values'")
         values = _of_type(sweep["values"], list, "sweep 'values'")
-        given.update(sweep_parameter=sweep["parameter"], sweep_values=[_tuple(v) for v in values])
+        given.update(sweep_parameter=sweep["parameter"], sweep_values=list(values))
     schemes = _of_type(payload["schemes"], list, "'schemes'")
     return ExperimentSpec(
-        name=payload["name"], schemes=list(schemes),
-        base=SystemConfig(**{key: _tuple(value) for key, value in base_dict.items()}), **given)
+        name=payload["name"], schemes=list(schemes), base=SystemConfig(**base_dict), **given)
 
 
 def load_spec(path) -> ExperimentSpec:

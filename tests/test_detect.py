@@ -629,6 +629,16 @@ class TestExpectationPropagation:
         with pytest.raises(ValueError):
             ep_solve(np.ones(2), np.eye(2), alphabet, damping=1.5)
 
+    def test_last_pass_skips_the_update(self, monkeypatch):
+        """No pass reads the moment update of the last one, so one pass computes
+        the residual of its decision only, not the error variance's."""
+        calls = []
+        residuals = detect._residuals
+        monkeypatch.setattr(detect, "_residuals", lambda *a: calls.append(a) or residuals(*a))
+        c, g, alphabet = random_instance(np.random.default_rng(RNG_SEED), 3, 5, levels=4)
+        ep_solve(c, g, alphabet, max_iter=1)
+        assert len(calls) == 1
+
 
 ep_cases = st.tuples(
     st.integers(0, 2**31 - 1), st.sampled_from(sorted(ALPHABETS)),

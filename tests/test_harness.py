@@ -23,7 +23,9 @@ from hybridprec.harness import (
 )
 
 SOLVER_CONSTANTS = ("ep_damping", "ep_max_iter", "ep_tol", "outer_tol", "outer_max_iter",
-                    "bisection_tol", "wmmse_tol", "wmmse_max_iter")
+                    "bisection_tol", "wmmse_tol", "wmmse_max_iter", "carrier_ghz",
+                    "noise_figure_db", "subcarrier_bandwidth_hz", "rician_k_db",
+                    "n_taps_minus_one", "distance_range_m", "angle_range_rad")
 TINY_BASE = dict(n_tx=8, m_rf=3, n_users=2, n_subcarriers=2, total_power_dbm=10.0)
 
 
@@ -52,6 +54,7 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("fields, message", [
         ({"outputs": ["speed"]}, "unknown metric"),
+        ({"outputs": []}, "output list must not be empty"),
         ({"n_trials": 0}, "n_trials"),
         ({"sweep_parameter": "m_rf", "sweep_values": []}, "sweep values"),
         ({"n_trials": 2.0}, "n_trials"),
@@ -65,11 +68,9 @@ class TestExperimentSpec:
         ({"outputs": ["mse", "mse"]}, "repeated output 'mse'"),
         ({"sweep_parameter": "total_power_dbm", "sweep_values": [30, 20, 30.0]},
          "repeated sweep value 30.0"),
-        ({"sweep_parameter": "distance_range_m", "sweep_values": [(50, 100), (50.0, 100.0)]},
-         "repeated sweep value"),
-    ], ids=["metric", "n_trials", "sweep-values", "n_trials-float", "seed-float", "seed-bool",
-            "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
-            "repeated-sweep-value", "repeated-range"])
+    ], ids=["metric", "no-output", "n_trials", "sweep-values", "n_trials-float", "seed-float",
+            "seed-bool", "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
+            "repeated-sweep-value"])
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(SpecError, match=message):
             ExperimentSpec(**{"name": "x", "base": SystemConfig(**TINY_BASE),
@@ -78,8 +79,7 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("parameter, values, message", [
         ("m_rf", [3, 9], "M_T=9"),
         ("total_power_dbm", [10.0, "35"], "total_power_dbm is not a valid float"),
-        ("distance_range_m", [(50.0, 100.0), (50.0,)], "distance_range_m is not a valid tuple"),
-    ], ids=["range", "float-string", "tuple-length"])
+    ], ids=["range", "float-string"])
     def test_every_sweep_value_checked_at_construction(self, parameter, values, message):
         """Each sweep value's config is built when the spec is, so a bad value
         fails before the first trial, not mid-run."""
@@ -239,17 +239,16 @@ class TestEmitCsv:
         assert path.read_text().splitlines()[1] == "e,s,,0,0,error,nan,0.000000000e+00"
         assert np.isnan(parse_csv(path)[0].value)
 
-    def test_range_sweep_round_trips(self, tmp_path):
-        """A range sweep value holds a comma: its field is quoted, and every
+    def test_comma_field_round_trips(self, tmp_path):
+        """An experiment name may hold a comma: its field is quoted, and every
         row reads back with the value written, the sweep value as its string."""
-        spec = ExperimentSpec(name="ranges", base=SystemConfig(**TINY_BASE),
+        spec = ExperimentSpec(name="rate, power", base=SystemConfig(**TINY_BASE),
                               schemes=["fully-digital"], n_trials=1, outputs=["sum_rate_avg"],
-                              sweep_parameter="angle_range_rad",
-                              sweep_values=[(-0.5, 0.5), (-1, 1)])
+                              sweep_parameter="total_power_dbm", sweep_values=[10, 20])
         rows = run_experiment(spec, record_timing=False)
-        path = tmp_path / "ranges.csv"
+        path = tmp_path / "comma.csv"
         emit_csv(rows, path)
-        assert path.read_text().splitlines()[1].startswith('ranges,fully-digital,"(-0.5, 0.5)",0,')
+        assert path.read_text().splitlines()[1].startswith('"rate, power",fully-digital,10,0,')
         recovered = parse_csv(path)
         assert [dataclasses.replace(r, sweep_value=str(r.sweep_value)) for r in rows] == [
             dataclasses.replace(r, value=pytest.approx(r.value, rel=1e-9)) for r in recovered]
@@ -317,29 +316,21 @@ class TestSpecFiles:
 
     def test_every_setting_parses_to_the_hand_built_spec(self):
         """A spec that sets every setting but the seed, in JSON form, parses
-        to the spec built in Python: JSON arrays become tuples, in the base
-        and in sweep values."""
+        to the spec built in Python, in the base and in sweep values."""
         settings = dict(
             n_tx=16, m_rf=4, n_users=2, n_subcarriers=4, analog_bits=2, quant_levels=4,
-            total_power_dbm=30.5, carrier_ghz=3.5, noise_figure_db=7,
-            subcarrier_bandwidth_hz=2e6, rician_k_db=5.0, n_taps_minus_one=2,
-            distance_range_m=(50.0, 150), angle_range_rad=(-1.0, 1.0), n_sym=100,
-            fronthaul_budget_bits_per_symbol=20.0)
+            total_power_dbm=30.5, n_sym=100, fronthaul_budget_bits_per_symbol=20.0)
         assert set(settings) == set(harness.SETTINGS) == set(
             f.name for f in dataclasses.fields(SystemConfig)) - {"seed"}
-        sweep_values = [(-0.5, 0.5), (-1, 1)]
+        sweep_values = [20, 30.5]
         payload = json.loads(json.dumps({
             "schema_version": 1, "name": "all", "base": settings, "schemes": ["fully-digital"],
             "n_trials": 3, "seed": 4, "outputs": ["mse"],
-            "sweep": {"parameter": "angle_range_rad", "values": sweep_values}}))
-        assert isinstance(payload["base"]["distance_range_m"], list)
-        spec = spec_from_dict(payload)
-        assert spec == ExperimentSpec(
+            "sweep": {"parameter": "total_power_dbm", "values": sweep_values}}))
+        assert spec_from_dict(payload) == ExperimentSpec(
             name="all", base=SystemConfig(**settings), schemes=["fully-digital"], n_trials=3,
-            seed=4, sweep_parameter="angle_range_rad", sweep_values=sweep_values,
+            seed=4, sweep_parameter="total_power_dbm", sweep_values=sweep_values,
             outputs=["mse"])
-        assert type(spec.base.distance_range_m) is tuple
-        assert all(type(value) is tuple for value in spec.sweep_values)
 
     def test_top_level_seed_draws_the_channels(self):
         """The spec's top-level seed is its only seed (a seed in the base or a
@@ -389,7 +380,7 @@ class TestSpecFiles:
             sweep_parameter="quant_levels", sweep_values=[2, 8],
             outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(spec) == (
-            "8a2d3349d6fd1af0805ad5d727fbcd711162a6beabb652d40209688335d1e892")
+            "3e44257cd2c8200c835b15bbd1428a1898e3a84fcfdd562c70b8a3895a4855d1")
 
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
@@ -556,6 +547,7 @@ class TestOracleCheckAndCli:
         [],
         [{"a": 1}],
         {"base": 5},
+        # the distance range is a constant: in any JSON shape it is an unknown config key
         {"base": {"distance_range_m": 5}},
         {"sweep": 5},
         {"sweep": {"parameter": "m_rf", "values": 5}},
@@ -575,11 +567,12 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "with_updates", "values": [2]}},
         {"sweep": {"parameter": "m_rf", "values": [3], "step": 1}},
         {"base": {"total_power_dbm": "35"}},
-        {"base": {"noise_figure_db": None}},
+        {"base": {"total_power_dbm": None}},
         {"base": {"total_power_dbm": True}},
         {"sweep": {"parameter": "total_power_dbm", "values": [10, "20"]}},
-        {"sweep": {"parameter": "noise_figure_db", "values": [None]}},
+        {"sweep": {"parameter": "total_power_dbm", "values": [None]}},
         {"sweep": {"parameter": "total_power_dbm", "values": [True]}},
+        # so is the distance range of any length, and in a sweep
         {"base": {"distance_range_m": [100]}},
         {"base": {"distance_range_m": [100, 150, 200]}},
         {"base": {"distance_range_m": [100, "200"]}},
@@ -588,7 +581,7 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "seed", "values": [0, 5]}},
         {"base": {"n_tx": 8, "m_rf": 3, "n_users": 2, "n_subcarriers": 2},
          "sweep": {"parameter": "m_rf", "values": [3, 9]}},
-        # EP's and the alternation's tuning values are constants, not settings
+        # the solvers' tuning values and the channel model are constants, not settings
         *({"base": {key: 1}} for key in SOLVER_CONSTANTS),
         *({"sweep": {"parameter": key, "values": [1]}} for key in SOLVER_CONSTANTS),
     ], ids=["empty-array", "array", "base", "base-range", "sweep", "sweep-values", "schemes",
@@ -632,21 +625,22 @@ class TestOracleCheckAndCli:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("setting, value, quantity", [
-        ("rician_k_db", 1e300, "Rician K"),
+        ("rician_k_db", 1e300, "unknown config keys: ['rician_k_db']"),
         ("total_power_dbm", 1e308, "total power"),
         ("total_power_dbm", -1e308, "total power"),
-        ("noise_figure_db", 1e308, "noise power"),
-        ("noise_figure_db", -1e308, "noise power"),
-        ("distance_range_m", [1e-300, 1.0], "path gain at the near end of distance_range_m"),
-        ("distance_range_m", [1e300, 1e301], "path gain at the far end of distance_range_m"),
-        ("distance_range_m", [100.0, 1e300], "path gain at the far end of distance_range_m"),
+        ("noise_figure_db", 1e308, "unknown config keys: ['noise_figure_db']"),
+        ("noise_figure_db", -1e308, "unknown config keys: ['noise_figure_db']"),
+        ("distance_range_m", [1e-300, 1.0], "unknown config keys: ['distance_range_m']"),
+        ("distance_range_m", [1e300, 1e301], "unknown config keys: ['distance_range_m']"),
+        ("distance_range_m", [100.0, 1e300], "unknown config keys: ['distance_range_m']"),
     ], ids=["rician-overflow", "power-overflow", "power-zero", "noise-overflow", "noise-zero",
             "near-gain-overflow", "gain-underflow", "far-gain-underflow"])
     def test_cli_db_setting_out_of_linear_range_exit_code(self, setting, value, quantity,
                                                          tmp_path, capsys, monkeypatch):
-        """A finite dB setting whose linear value overflows a float, or makes
-        the total or noise power or the far-end path gain 0, is a spec error:
-        exit 2 before any trial and before --out is made."""
+        """A finite total power whose linear value overflows a float, or is 0,
+        is a spec error: exit 2 before any trial and before --out is made. The
+        channel model's values that once overflowed, or drew all-zero channels,
+        cannot be set at all: a spec naming one fails the same way."""
         cells = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
         path, out = tmp_path / "bad.json", tmp_path / "out"
@@ -674,11 +668,11 @@ class TestOracleCheckAndCli:
 
     @pytest.mark.parametrize("args, setting", [
         (["--nsym", "0"], "n_sym"), (["--budget", "-5"], "fronthaul_budget_bits_per_symbol"),
-        (["--levels", "1"], "quant_levels"),
+        (["--levels", "1"], "quant_levels"), (["--users", "0"], "n_users"),
     ])
     def test_cli_budget_out_of_range_exit_code(self, args, setting, capsys):
-        """`--nsym 0` ended in a ZeroDivisionError and `--budget -5` printed a
-        negative level budget."""
+        """`--nsym 0` and `--users 0` ended in a ZeroDivisionError and `--budget -5`
+        printed a negative level budget."""
         assert main(["budget", *args]) == EXIT_SPEC_ERROR
         captured = capsys.readouterr()
         assert f"spec error: {setting} must be in" in captured.err and not captured.out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,8 +34,6 @@ class SystemConfig:
     analog_bits: int = 1
     quant_levels: int = 2
     total_power_dbm: float = 35.0
-    n_sym: int = 140
-    fronthaul_budget_bits_per_symbol: float = 15.0
     seed: int = 0
 
     # unannotated, so constants, not settings: the channel model, then the μ bisection's
@@ -62,8 +61,7 @@ class SystemConfig:
         if self.n_subcarriers < 1:
             raise ValueError("need at least one sub-carrier")
         for name, low, high in (("n_users", 1, math.inf), ("quant_levels", 2, math.inf),
-                                ("analog_bits", 1, 16), ("n_sym", 1, math.inf),
-                                ("fronthaul_budget_bits_per_symbol", 0, math.inf)):
+                                ("analog_bits", 1, 16), ("seed", 0, math.inf)):
             if not low <= getattr(self, name) <= high:
                 raise ValueError(f"{name} must be in [{low}, {high}], got {getattr(self, name)!r}")
         power = per_subcarrier_power_mw(self)  # the linear value of the dB setting
@@ -90,6 +88,7 @@ class LinkBudget:
     proposed_total: float
     conventional_total: float
     max_levels_log2: float
+    supported_levels: int  # largest power-of-two label count per real dimension in the budget
 
 
 def mw_from_dbm(dbm: float) -> float:
@@ -176,7 +175,8 @@ def draw_channel(config: SystemConfig, trial: int = 0) -> ChannelSet:
     return ChannelSet(h=h, n_users=config.n_users, n_subcarriers=s_count)
 
 
-def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: int) -> LinkBudget:
+def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: int, n_sym: int,
+                         fronthaul_budget_bits_per_symbol: float) -> LinkBudget:
     """Fronthaul load of precoder-plus-data signaling versus precoded streams.
 
     The per-symbol precoder update cost spreads 2 log2(L) bits per digital
@@ -185,22 +185,22 @@ def fronthaul_accounting(config: SystemConfig, modulation_order: int, iq_bits: i
     """
     if modulation_order < 2 or iq_bits < 1:
         raise ValueError("modulation order and I/Q resolution must be positive")
+    if not 1 <= n_sym <= sys.float_info.max:  # a larger integer has no float
+        raise ValueError(f"n_sym must be in [1, {sys.float_info.max:g}], got {n_sym!r}")
     m_rf, k, s = config.m_rf, config.n_users, config.n_subcarriers
-    update = 2.0 * math.log2(config.quant_levels) * m_rf * k * s / config.n_sym
+    update = 2.0 * math.log2(config.quant_levels) * m_rf * k * s / n_sym
     data = k * s * math.log2(modulation_order)
-    max_levels_log2 = config.fronthaul_budget_bits_per_symbol * config.n_sym / (2.0 * m_rf * k * s)
+    max_levels_log2 = fronthaul_budget_bits_per_symbol * n_sym / (2.0 * m_rf * k * s)
+    high = sys.float_info.max_exp  # 2 ** high overflows a float; a NaN fails the test too
+    if not 0 <= max_levels_log2 < high:
+        raise ValueError(
+            f"fronthaul_budget_bits_per_symbol must be in [0, {high * 2 * m_rf * k * s / n_sym:g}) "
+            f"for max_levels_log2 in [0, {high}), got {fronthaul_budget_bits_per_symbol!r}")
     return LinkBudget(
         data_bits_per_symbol=data,
         precoder_update_bits_per_symbol=update,
         proposed_total=data + update,
         conventional_total=float(s * m_rf * iq_bits),
         max_levels_log2=max_levels_log2,
+        supported_levels=2 ** math.floor(max_levels_log2),
     )
-
-
-def supported_levels(config: SystemConfig) -> int:
-    """Largest power-of-two label count per real dimension within the budget."""
-    budget = fronthaul_accounting(config, modulation_order=4, iq_bits=12).max_levels_log2
-    if budget < 1:
-        return 1
-    return 2 ** int(math.floor(budget))

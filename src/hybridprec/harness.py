@@ -29,10 +29,8 @@ import numpy as np
 
 from . import baselines, hybrid
 from .alphabets import make_analog_alphabet, make_digital_alphabet, make_switch_alphabet
-from .channel import (
-    ChannelSet, SystemConfig, draw_channel, fronthaul_accounting, has_setting_type,
-    noise_power_mw, per_subcarrier_power_mw, supported_levels,
-)
+from .channel import (ChannelSet, SystemConfig, draw_channel, fronthaul_accounting,
+                      has_setting_type, noise_power_mw, per_subcarrier_power_mw)
 from .detect import EPNumericalError, brute_force_ml, residual_norm_sq
 from .wmmse import FullyDigitalPrecoder, mse_to_target, sum_rate, wmmse_fully_digital
 
@@ -93,8 +91,8 @@ class ExperimentSpec:
         for m in self.outputs:
             if m not in METRICS:
                 raise SpecError(f"unknown metric {m!r}; choose from {METRICS}")
-        if not has_setting_type("int", self.seed):
-            raise SpecError(f"seed must be an integer, got {self.seed!r}")
+        if not has_setting_type("int", self.seed) or self.seed < 0:
+            raise SpecError(f"seed must be an integer of at least 0, got {self.seed!r}")
         if not has_setting_type("int", self.n_trials) or self.n_trials < 1:
             raise SpecError(f"n_trials must be an integer of at least 1, got {self.n_trials!r}")
         if (self.sweep_parameter is None) != (self.sweep_values is None):
@@ -516,7 +514,10 @@ def _cmd_run(args) -> int:
     else:
         specs = preset_specs(args.preset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create output directory {out_dir}: {exc}") from exc
     for spec in specs:
         t0 = time.perf_counter()
         rows = run_experiment(spec, parallelism=args.parallel,
@@ -549,18 +550,16 @@ def _cmd_bench_runtime(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    config = SystemConfig(
-        m_rf=args.rf_chains, n_users=args.users, n_subcarriers=args.subcarriers,
-        n_tx=max(args.rf_chains + 1, SystemConfig.n_tx), quant_levels=args.levels,
-        n_sym=args.nsym, fronthaul_budget_bits_per_symbol=args.budget,
-    )
-    budget = fronthaul_accounting(config, args.modulation_order, args.iq_bits)
+    config = SystemConfig(m_rf=args.rf_chains, n_users=args.users, n_subcarriers=args.subcarriers,
+                          n_tx=max(args.rf_chains + 1, SystemConfig.n_tx), quant_levels=args.levels)
+    budget = fronthaul_accounting(config, args.modulation_order, args.iq_bits, args.nsym,
+                                  args.budget)
     print(f"data_bits_per_symbol            {budget.data_bits_per_symbol:.2f}")
     print(f"precoder_update_bits_per_symbol {budget.precoder_update_bits_per_symbol:.2f}")
     print(f"proposed_total                  {budget.proposed_total:.2f}")
     print(f"conventional_total              {budget.conventional_total:.2f}")
     print(f"max_levels_log2                 {budget.max_levels_log2:.4f}")
-    print(f"supported_levels                {supported_levels(config)}")
+    print(f"supported_levels                {budget.supported_levels}")
     return EXIT_OK
 
 
@@ -599,11 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_budget = sub.add_parser("budget", help="print fronthaul link-budget fields")
     p_budget.add_argument("--levels", type=int, default=SystemConfig.quant_levels)
-    p_budget.add_argument("--nsym", type=int, default=SystemConfig.n_sym)
+    p_budget.add_argument("--nsym", type=int, default=140)
     p_budget.add_argument("--rf-chains", type=int, default=SystemConfig.m_rf)
     p_budget.add_argument("--users", type=int, default=SystemConfig.n_users)
     p_budget.add_argument("--subcarriers", type=int, default=SystemConfig.n_subcarriers)
-    p_budget.add_argument("--budget", type=float, default=SystemConfig.fronthaul_budget_bits_per_symbol)
+    p_budget.add_argument("--budget", type=float, default=15.0)
     p_budget.add_argument("--modulation-order", type=int, default=16)
     p_budget.add_argument("--iq-bits", type=int, default=12)
     return parser

@@ -37,7 +37,7 @@ from hybridprec.baselines import (
 )
 from hybridprec.channel import (
     ChannelSet, SystemConfig, draw_channel, fronthaul_accounting, noise_power_dbm,
-    noise_power_mw, path_loss_db, per_subcarrier_power_mw, supported_levels,
+    noise_power_mw, path_loss_db, per_subcarrier_power_mw,
 )
 from hybridprec.detect import (
     brute_force_ml, ep_solve, prepare_triangular, realify, residual_norm_sq,
@@ -174,11 +174,12 @@ class TestCriterion4SumRateOrdering:
 
 class TestCriterion5FronthaulAccounting:
     def test_reported_values(self):
-        budget2 = fronthaul_accounting(PAPER_CONFIG, modulation_order=16, iq_bits=12)
-        budget4 = fronthaul_accounting(PAPER_CONFIG.with_updates(quant_levels=4), 16, 12)
-        levels15 = supported_levels(PAPER_CONFIG)
-        levels30 = supported_levels(
-            PAPER_CONFIG.with_updates(fronthaul_budget_bits_per_symbol=30.0))
+        # 140 symbols per precoder update, 15 or 30 fronthaul bits per symbol
+        budget2 = fronthaul_accounting(PAPER_CONFIG, modulation_order=16, iq_bits=12, n_sym=140,
+                                       fronthaul_budget_bits_per_symbol=15.0)
+        budget4 = fronthaul_accounting(PAPER_CONFIG.with_updates(quant_levels=4), 16, 12, 140, 15.0)
+        levels15 = budget2.supported_levels
+        levels30 = fronthaul_accounting(PAPER_CONFIG, 16, 12, 140, 30.0).supported_levels
         checks = {
             "R_update=14.63": round(budget2.precoder_update_bits_per_symbol, 2) == 14.63,
             "B_prop(L=2)=526.63": round(budget2.proposed_total, 2) == 526.63,

@@ -1,12 +1,13 @@
 """Tests for scenario configuration, channel generation, and link budgets."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from hybridprec.channel import (
     SystemConfig, array_response, draw_channel, fronthaul_accounting, mw_from_dbm,
-    noise_power_dbm, path_loss_db, per_subcarrier_power_mw, rng_stream, supported_levels,
-    taps_to_frequency,
+    noise_power_dbm, path_loss_db, per_subcarrier_power_mw, rng_stream, taps_to_frequency,
 )
 
 
@@ -84,8 +85,7 @@ class TestSystemConfig:
         ({"quant_levels": 1}, "quant_levels must be in"),
         ({"analog_bits": 0}, "analog_bits must be in"),
         ({"analog_bits": 17}, "analog_bits must be in"),
-        ({"n_sym": 0}, "n_sym must be in"),
-        ({"fronthaul_budget_bits_per_symbol": -5.0}, "fronthaul_budget_bits_per_symbol must be in"),
+        ({"seed": -3}, "seed must be in"),
     ], ids=lambda v: "-".join((*v, *(str(v[k]) for k in ("analog_bits", "n_users") if k in v)))
         if isinstance(v, dict) else None)
     def test_out_of_range_setting_rejected(self, setting, message):
@@ -93,11 +93,11 @@ class TestSystemConfig:
             SystemConfig(**setting)
 
     @pytest.mark.parametrize("setting", [
-        {"quant_levels": 2, "analog_bits": 1, "n_sym": 1},
-        {"analog_bits": 16, "fronthaul_budget_bits_per_symbol": 0.0},
+        {"quant_levels": 2, "analog_bits": 1, "seed": 0},
+        {"analog_bits": 16, "n_users": 1},
     ], ids=["low-ends", "high-ends-and-zeros"])
     def test_range_ends_accepted(self, setting):
-        """Each range is closed: its ends, and a zero budget, are valid."""
+        """Each range is closed: its ends, and a zero seed, are valid."""
         config = SystemConfig(**setting)
         assert all(getattr(config, name) == value for name, value in setting.items())
 
@@ -114,7 +114,7 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("setting", [
         {"total_power_dbm": float("nan")}, {"total_power_dbm": float("inf")},
-        {"fronthaul_budget_bits_per_symbol": -float("inf")}, {"total_power_dbm": 10**400},
+        {"total_power_dbm": -float("inf")}, {"total_power_dbm": 10**400},
         {"total_power_dbm": np.float32("nan")},
     ], ids=["nan", "inf", "minus-inf", "int-past-float", "numpy-nan"])
     def test_non_finite_float_setting_rejected(self, setting):
@@ -125,10 +125,13 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("removed", ["ep_damping", "ep_max_iter", "ep_tol", "outer_tol",
                                          "outer_max_iter", "bisection_tol", "wmmse_tol",
-                                         "wmmse_max_iter", *CHANNEL_CONSTANTS])
+                                         "wmmse_max_iter", *CHANNEL_CONSTANTS, "n_sym",
+                                         "fronthaul_budget_bits_per_symbol"])
     def test_solver_constants_are_not_settings(self, removed):
         """EP's, the alternation's, the μ bisection's and the WMMSE target's tuning
-        values, and the channel model, are constants of the code that reads them."""
+        values, and the channel model, are constants of the code that reads them;
+        the update interval and the fronthaul budget, which no design reads, are
+        arguments of fronthaul_accounting."""
         with pytest.raises(TypeError, match=removed):
             SystemConfig(**{removed: 0.3})
         with pytest.raises(TypeError, match=removed):
@@ -150,8 +153,7 @@ class TestSystemConfig:
 
     def test_numpy_integers_and_integer_power_accepted(self):
         cfg = SystemConfig(n_tx=np.int64(16), m_rf=np.int32(4), n_users=np.int64(2),
-                           n_subcarriers=np.uint8(4), total_power_dbm=30,
-                           fronthaul_budget_bits_per_symbol=np.float64(20.0))
+                           n_subcarriers=np.uint8(4), total_power_dbm=30)
         assert (cfg.n_tx, cfg.m_rf, cfg.total_power_dbm) == (16, 4, 30)
         assert draw_channel(cfg).h.shape == (16, 8)
         assert cfg.with_updates(total_power_dbm=np.float32(20.5)).total_power_dbm == 20.5
@@ -216,49 +218,77 @@ class TestDrawChannel:
         assert total / n_draws == pytest.approx(expected, rel=0.03)
 
 
+# the paper's update interval (symbols) and fronthaul budget (bits per symbol)
+N_SYM, BUDGET = 140, 15.0
+
+
 class TestFronthaulAccounting:
     def test_update_rate(self, paper_config):
-        budget = fronthaul_accounting(paper_config, modulation_order=16, iq_bits=12)
+        budget = fronthaul_accounting(paper_config, modulation_order=16, iq_bits=12, n_sym=N_SYM,
+                                      fronthaul_budget_bits_per_symbol=BUDGET)
         assert budget.precoder_update_bits_per_symbol == pytest.approx(14.63, abs=0.005)
 
     def test_totals_for_both_level_counts(self, paper_config):
-        b2 = fronthaul_accounting(paper_config, 16, 12)
+        b2 = fronthaul_accounting(paper_config, 16, 12, N_SYM, BUDGET)
         assert b2.proposed_total == pytest.approx(526.63, abs=0.005)
-        b4 = fronthaul_accounting(paper_config.with_updates(quant_levels=4), 16, 12)
+        b4 = fronthaul_accounting(paper_config.with_updates(quant_levels=4), 16, 12, N_SYM, BUDGET)
         assert b4.proposed_total == pytest.approx(541.26, abs=0.005)
 
     def test_conventional_load(self, paper_config):
-        budget = fronthaul_accounting(paper_config, 16, 12)
+        budget = fronthaul_accounting(paper_config, 16, 12, N_SYM, BUDGET)
         assert budget.conventional_total == 6144.0
 
     def test_supported_levels_at_budget_breakpoints(self, paper_config):
-        assert supported_levels(paper_config) == 2
-        cfg30 = paper_config.with_updates(fronthaul_budget_bits_per_symbol=30.0)
-        assert supported_levels(cfg30) == 4
-        # under one bit per real dimension: a single label
-        cfg5 = paper_config.with_updates(fronthaul_budget_bits_per_symbol=5.0)
-        assert supported_levels(cfg5) == 1
+        def levels(budget):
+            return fronthaul_accounting(paper_config, 16, 12, N_SYM, budget).supported_levels
+        assert levels(15.0) == 2
+        assert levels(30.0) == 4
+        # under one bit per real dimension, a zero budget too: a single label
+        assert levels(5.0) == levels(0.0) == 1
 
     @pytest.mark.parametrize("modulation_order, iq_bits", [(1, 12), (16, 0)])
     def test_rejects_bad_signalling_arguments(self, paper_config, modulation_order, iq_bits):
         with pytest.raises(ValueError, match="modulation order"):
-            fronthaul_accounting(paper_config, modulation_order, iq_bits)
+            fronthaul_accounting(paper_config, modulation_order, iq_bits, N_SYM, BUDGET)
+
+    @pytest.mark.parametrize("n_sym, budget, message", [
+        (0, BUDGET, "n_sym must be in"),
+        (-3, BUDGET, "n_sym must be in"),
+        (10**400, BUDGET, "n_sym must be in"),
+        (N_SYM, -5.0, "fronthaul_budget_bits_per_symbol must be in"),
+        (N_SYM, float("nan"), "fronthaul_budget_bits_per_symbol must be in"),
+        (N_SYM, float("inf"), "fronthaul_budget_bits_per_symbol must be in"),
+        (N_SYM, -float("inf"), "fronthaul_budget_bits_per_symbol must be in"),
+        # 2e4 bits per symbol allow 2^1367 labels, more than a float holds
+        (N_SYM, 2e4, "max_levels_log2 in \\[0, 1024\\)"),
+    ], ids=["n_sym-0", "n_sym-negative", "n_sym-past-float", "budget-negative", "budget-nan", "budget-inf",
+            "budget-minus-inf", "budget-past-float"])
+    def test_out_of_range_argument_rejected(self, paper_config, n_sym, budget, message):
+        with pytest.raises(ValueError, match=message):
+            fronthaul_accounting(paper_config, 16, 12, n_sym, budget)
+
+    def test_level_exponent_just_below_float_range_accepted(self, paper_config):
+        """The largest level count has fewer digits than Python prints by default."""
+        dims = 2.0 * 8 * 2 * 64
+        budget = fronthaul_accounting(paper_config, 16, 12, N_SYM,
+                                      (sys.float_info.max_exp - 0.5) * dims / N_SYM)
+        assert budget.supported_levels == 2 ** (sys.float_info.max_exp - 1)
+        assert len(str(budget.supported_levels)) < 4300
 
     @pytest.mark.parametrize("levels", [2, 4, 8])
     def test_budget_constraint_iff(self, paper_config, levels):
         """log2(L) fits the per-entry budget exactly when the update rate fits
         the fronthaul budget."""
         cfg = paper_config.with_updates(quant_levels=levels)
-        budget = fronthaul_accounting(cfg, 16, 12)
+        budget = fronthaul_accounting(cfg, 16, 12, N_SYM, BUDGET)
         fits_levels = np.log2(levels) <= budget.max_levels_log2
-        fits_rate = budget.precoder_update_bits_per_symbol <= cfg.fronthaul_budget_bits_per_symbol
+        fits_rate = budget.precoder_update_bits_per_symbol <= BUDGET
         assert fits_levels == fits_rate
 
     def test_budget_boundary_equality(self):
         """At the exact boundary both sides of the equivalence agree."""
-        cfg = SystemConfig(n_sym=128, fronthaul_budget_bits_per_symbol=16.0,
-                           m_rf=8, n_users=2, n_subcarriers=64)
-        budget = fronthaul_accounting(cfg, 16, 12)
+        cfg = SystemConfig(m_rf=8, n_users=2, n_subcarriers=64)
+        budget = fronthaul_accounting(cfg, 16, 12, n_sym=128, fronthaul_budget_bits_per_symbol=16.0)
         # 2*log2(2)*8*2*64/128 = 16 exactly
         assert budget.precoder_update_bits_per_symbol == 16.0
         assert budget.max_levels_log2 == 1.0

@@ -60,6 +60,7 @@ class TestExperimentSpec:
         ({"n_trials": 2.0}, "n_trials"),
         ({"seed": 1.0}, "seed"),
         ({"seed": True}, "seed"),
+        ({"seed": -2}, "seed must be an integer of at least 0"),
         ({"sweep_parameter": "seed", "sweep_values": [0, 5]}, "'seed'"),
         ({"sweep_parameter": "volume", "sweep_values": [1]}, "'volume'"),
         # a repeat wrote rows that share one (scheme, sweep value, trial, metric) key
@@ -69,7 +70,7 @@ class TestExperimentSpec:
         ({"sweep_parameter": "total_power_dbm", "sweep_values": [30, 20, 30.0]},
          "repeated sweep value 30.0"),
     ], ids=["metric", "no-output", "n_trials", "sweep-values", "n_trials-float", "seed-float",
-            "seed-bool", "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
+            "seed-bool", "seed-negative", "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
             "repeated-sweep-value"])
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(SpecError, match=message):
@@ -319,7 +320,7 @@ class TestSpecFiles:
         to the spec built in Python, in the base and in sweep values."""
         settings = dict(
             n_tx=16, m_rf=4, n_users=2, n_subcarriers=4, analog_bits=2, quant_levels=4,
-            total_power_dbm=30.5, n_sym=100, fronthaul_budget_bits_per_symbol=20.0)
+            total_power_dbm=30.5)
         assert set(settings) == set(harness.SETTINGS) == set(
             f.name for f in dataclasses.fields(SystemConfig)) - {"seed"}
         sweep_values = [20, 30.5]
@@ -380,7 +381,7 @@ class TestSpecFiles:
             sweep_parameter="quant_levels", sweep_values=[2, 8],
             outputs=["sum_rate_avg", "mse"])
         assert config_fingerprint(spec) == (
-            "3e44257cd2c8200c835b15bbd1428a1898e3a84fcfdd562c70b8a3895a4855d1")
+            "d2a62fae289cd73c67963d2a3c196fec1a56416d8dc2e987eee3ff9fe8888ea6")
 
     def test_presets_valid(self):
         for preset in ("desk", "paper"):
@@ -579,6 +580,10 @@ class TestOracleCheckAndCli:
         {"sweep": {"parameter": "distance_range_m", "values": [[100, 200], [100]]}},
         {"base": {"seed": 5}},
         {"sweep": {"parameter": "seed", "values": [0, 5]}},
+        {"seed": -1},
+        # the update interval and the fronthaul budget are arguments of the link budget only
+        {"base": {"n_sym": 100}},
+        {"sweep": {"parameter": "fronthaul_budget_bits_per_symbol", "values": [15.0, 30.0]}},
         {"base": {"n_tx": 8, "m_rf": 3, "n_users": 2, "n_subcarriers": 2},
          "sweep": {"parameter": "m_rf", "values": [3, 9]}},
         # the solvers' tuning values and the channel model are constants, not settings
@@ -591,24 +596,40 @@ class TestOracleCheckAndCli:
             "sweep-extra-key", "base-float-string", "base-float-null", "base-float-bool",
             "sweep-float-string", "sweep-float-null", "sweep-float-bool", "range-length-1",
             "range-length-3", "range-string", "sweep-range-length-1", "base-seed",
-            "sweep-seed", "sweep-m_rf-above-antennas",
+            "sweep-seed", "seed-negative", "base-n_sym", "sweep-fronthaul-budget",
+            "sweep-m_rf-above-antennas",
             *(f"base-{key}" for key in SOLVER_CONSTANTS),
             *(f"sweep-{key}" for key in SOLVER_CONSTANTS)])
     def test_cli_malformed_spec_shape_exit_code(self, payload, tmp_path, capsys, monkeypatch):
         """A spec, or a field of it, of the wrong JSON type, or a setting out of
         range in the base or in any sweep value, is a spec error (exit 2), not
-        a traceback or a silently split string, and no cell runs and no CSV is
-        written."""
+        a traceback or a silently split string, and no cell runs and --out is
+        not made."""
         cells = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
         if isinstance(payload, dict):
             payload = {"schema_version": 1, "name": "x", "schemes": ["fully-digital"],
                        **payload}
-        path = tmp_path / "bad.json"
+        path, out = tmp_path / "bad.json", tmp_path / "out"
         path.write_text(json.dumps(payload))
-        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SPEC_ERROR
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
         assert "spec error" in capsys.readouterr().err
-        assert not cells and not list(tmp_path.glob("*.csv"))
+        assert not cells and not out.exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_cli_unusable_out_exit_code(self, out, tmp_path, capsys, monkeypatch):
+        """An --out that is, or lies under, an existing file is a spec error
+        naming the path before any trial, not a FileExistsError traceback."""
+        cells = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args) or [])
+        (tmp_path / "file").write_text("taken")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schema_version": 1, "name": "x", "n_trials": 1,
+                                    "base": TINY_BASE, "schemes": ["fully-digital"]}))
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == EXIT_SPEC_ERROR
+        assert (f"spec error: cannot create output directory {tmp_path / out}"
+                in capsys.readouterr().err)
+        assert not cells and (tmp_path / "file").read_text() == "taken"
 
     @pytest.mark.parametrize("where", ["base", "sweep"])
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -669,10 +690,15 @@ class TestOracleCheckAndCli:
     @pytest.mark.parametrize("args, setting", [
         (["--nsym", "0"], "n_sym"), (["--budget", "-5"], "fronthaul_budget_bits_per_symbol"),
         (["--levels", "1"], "quant_levels"), (["--users", "0"], "n_users"),
+        (["--budget", "2e4"], "fronthaul_budget_bits_per_symbol"),
+        (["--budget", "3e5"], "fronthaul_budget_bits_per_symbol"),
+        (["--nsym", str(10**400)], "n_sym"),
     ])
     def test_cli_budget_out_of_range_exit_code(self, args, setting, capsys):
-        """`--nsym 0` and `--users 0` ended in a ZeroDivisionError and `--budget -5`
-        printed a negative level budget."""
+        """`--nsym 0` and `--users 0` ended in a ZeroDivisionError, `--budget -5`
+        printed a negative level budget, `--budget 2e4` a 412-digit level count and
+        `--budget 3e5` five lines before an integer-to-string conversion error, and
+        an `--nsym` past the float range ended in an OverflowError."""
         assert main(["budget", *args]) == EXIT_SPEC_ERROR
         captured = capsys.readouterr()
         assert f"spec error: {setting} must be in" in captured.err and not captured.out

@@ -101,13 +101,20 @@ class ExperimentSpec:
             raise SpecError(f"sweep parameter {self.sweep_parameter!r} is not a setting other than 'seed'")
         if self.sweep_values is not None and len(self.sweep_values) == 0:
             raise SpecError("sweep values must not be empty")
-        for value in self.sweep_values or ():  # every cell's config, before the first trial
-            self.base.with_updates(**{self.sweep_parameter: value})
+        for config in map(self.cell_config, self.sweep_values or [None]):  # each cell, before trial 0
+            ks = config.n_users * config.n_subcarriers  # target columns; `budget` needs no m_rf <= K*S
+            if config.m_rf > ks and set(self.schemes) != {"fully-digital"}:
+                raise SpecError(f"m_rf={config.m_rf} exceeds K*S=n_users*n_subcarriers={ks}")
         # a repeat would write rows that share one (scheme, sweep value, trial, metric) key
         for what, items in (("scheme", self.schemes), ("output", self.outputs),
                             ("sweep value", self.sweep_values or [])):
             if repeated := [item for i, item in enumerate(items) if item in items[:i]]:
                 raise SpecError(f"repeated {what} {repeated[0]!r}")
+
+    def cell_config(self, sweep_value) -> SystemConfig:
+        """The config of one sweep value's cells (``None`` without a sweep), with the spec's seed."""
+        sweep = {} if self.sweep_parameter is None else {self.sweep_parameter: sweep_value}
+        return self.base.with_updates(**sweep, seed=self.seed)
 
 
 @dataclass
@@ -180,8 +187,7 @@ def run_scheme(name: str, channel: ChannelSet, target: FullyDigitalPrecoder,
 def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
               record_timing: bool) -> list:
     """All schemes for one (sweep value, trial) cell."""
-    sweep = {} if spec.sweep_parameter is None else {spec.sweep_parameter: sweep_value}
-    config = spec.base.with_updates(**{**sweep, "seed": spec.seed})
+    config = spec.cell_config(sweep_value)
     rows = []
     sweep_repr = "" if spec.sweep_parameter is None else sweep_value
     channel = draw_channel(config, trial)
@@ -218,8 +224,7 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1,
     """Monte Carlo sweep; rows are canonically sorted and independent of
     worker count. ``record_timing=False`` zeroes wall times so repeated runs
     are byte-identical."""
-    values = spec.sweep_values if spec.sweep_parameter is not None else [None]
-    cells = [(value, trial) for value in values for trial in range(spec.n_trials)]
+    cells = [(value, trial) for value in spec.sweep_values or [None] for trial in range(spec.n_trials)]
     rows = []
     if parallelism <= 1:
         for value, trial in cells:
@@ -411,17 +416,11 @@ def preset_specs(preset: str) -> list:
         ),
         ExperimentSpec(
             name="rate-vs-power", base=base,
-            schemes=["sd-hybrid", "ep-hybrid", "altmin1", "altmin1-q",
+            schemes=["sd-hybrid", "ep-hybrid", "sd-analog-ideal-digital",
+                     "ep-analog-ideal-digital", "altmin1", "altmin1-q",
                      "altmin2-q", "fully-digital"],
             n_trials=trials, sweep_parameter="total_power_dbm",
             sweep_values=power_sweep, outputs=["sum_rate_avg", "mse", "runtime"],
-        ),
-        ExperimentSpec(
-            name="rate-vs-power-ideal-digital", base=base,
-            schemes=["sd-analog-ideal-digital", "ep-analog-ideal-digital",
-                     "altmin1", "fully-digital"],
-            n_trials=trials, sweep_parameter="total_power_dbm",
-            sweep_values=power_sweep, outputs=["sum_rate_avg", "mse"],
         ),
         ExperimentSpec(
             name="rate-vs-subcarriers", base=small,

@@ -69,9 +69,15 @@ class TestExperimentSpec:
         ({"outputs": ["mse", "mse"]}, "repeated output 'mse'"),
         ({"sweep_parameter": "total_power_dbm", "sweep_values": [30, 20, 30.0]},
          "repeated sweep value 30.0"),
+        # every scheme but the fully-digital target fits m_rf chains to K*S target columns
+        ({"base": SystemConfig(n_tx=16, m_rf=8, n_users=2, n_subcarriers=2),
+          "schemes": ["sd-hybrid", "altmin1", "fully-digital"]},
+         r"m_rf=8 exceeds K\*S=n_users\*n_subcarriers=4"),
+        ({"schemes": ["fully-digital", "ep-hybrid"], "sweep_parameter": "n_subcarriers",
+          "sweep_values": [2, 1]}, r"m_rf=3 exceeds K\*S=n_users\*n_subcarriers=2"),
     ], ids=["metric", "no-output", "n_trials", "sweep-values", "n_trials-float", "seed-float",
             "seed-bool", "seed-negative", "sweep-seed", "sweep-unknown", "repeated-scheme", "repeated-output",
-            "repeated-sweep-value"])
+            "repeated-sweep-value", "m_rf-above-columns", "sweep-m_rf-above-columns"])
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(SpecError, match=message):
             ExperimentSpec(**{"name": "x", "base": SystemConfig(**TINY_BASE),
@@ -87,6 +93,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE), schemes=["fully-digital"],
                            sweep_parameter=parameter, sweep_values=values)
+
+    def test_fully_digital_alone_takes_more_chains_than_columns(self):
+        """The fully-digital target has no RF chains to fit, so m_rf > K*S is
+        a spec error only with another scheme."""
+        spec = ExperimentSpec(name="x", base=SystemConfig(n_tx=16, m_rf=8, n_users=2,
+                                                          n_subcarriers=2),
+                              schemes=["fully-digital"], n_trials=1)
+        rows = run_experiment(spec, record_timing=False)
+        assert rows and all(r.metric != "error" for r in rows)
 
     def test_numpy_integer_counts_accepted(self):
         spec = ExperimentSpec(name="x", base=SystemConfig(**TINY_BASE), schemes=["fully-digital"],
@@ -384,9 +399,21 @@ class TestSpecFiles:
             "d2a62fae289cd73c67963d2a3c196fec1a56416d8dc2e987eee3ff9fe8888ea6")
 
     def test_presets_valid(self):
+        """Specs that share a base, sweep, trial count and seed would draw each
+        cell's channel and target twice and design their common schemes twice,
+        so a preset holds one spec per such key; the one power sweep holds the
+        limited- and the ideal-digital-resolution schemes."""
         for preset in ("desk", "paper"):
             specs = harness.preset_specs(preset)
             assert {s.name for s in specs} >= {"convergence", "rate-vs-power"}
+            keys = [(s.base, s.sweep_parameter, s.sweep_values, s.n_trials, s.seed)
+                    for s in specs]
+            assert all(key not in keys[:i] for i, key in enumerate(keys)), preset
+            power = next(s for s in specs if s.name == "rate-vs-power")
+            assert set(power.schemes) >= {
+                "sd-hybrid", "ep-hybrid", "sd-analog-ideal-digital", "ep-analog-ideal-digital",
+                "altmin1", "altmin1-q", "altmin2-q", "fully-digital"}
+            assert power.outputs == ["sum_rate_avg", "mse", "runtime"]
         with pytest.raises(SpecError, match="unknown preset 'huge'"):
             harness.preset_specs("huge")
 
@@ -615,6 +642,19 @@ class TestOracleCheckAndCli:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
         assert "spec error" in capsys.readouterr().err
         assert not cells and not out.exists()
+
+    def test_cli_more_chains_than_columns_exit_code(self, tmp_path, capsys):
+        """A spec whose m_rf exceeds n_users * n_subcarriers is a spec error
+        before --out is made, not a run of error rows that exits 0."""
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(json.dumps({
+            "schema_version": 1, "name": "bad", "n_trials": 1,
+            "base": {"n_tx": 16, "m_rf": 8, "n_users": 2, "n_subcarriers": 2},
+            "schemes": ["sd-hybrid", "altmin1", "fully-digital"]}))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_SPEC_ERROR
+        assert ("spec error: m_rf=8 exceeds K*S=n_users*n_subcarriers=4"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_cli_unusable_out_exit_code(self, out, tmp_path, capsys, monkeypatch):

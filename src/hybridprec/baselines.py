@@ -8,7 +8,6 @@ gradient descent on the product of unit circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -20,8 +19,8 @@ from .alphabets import (  # noqa: F401
 )
 from .channel import SystemConfig, per_subcarrier_power_mw
 from .hybrid import (
-    FULLY_CONNECTED, OUTER_MAX_ITER, OUTER_TOL, HybridPrecoder, init_analog_svd,
-    nearest_quantize_digital, phase_projection, rescale_to_budget,
+    FULLY_CONNECTED, OUTER_MAX_ITER, OUTER_TOL, AlternateTrace, HybridPrecoder, SolverStats,
+    init_analog_svd, nearest_quantize_digital, phase_projection, rescale_to_budget,
 )
 from .wmmse import FullyDigitalPrecoder, as_matrix, mse_to_target
 
@@ -30,46 +29,40 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 
 
-@dataclass
-class AltminTrace:
-    objective_per_iter: list = field(default_factory=list)
-    line_search_failures: int = 0
-    n_outer: int = 0
-
-
 def _altmin(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig,
-            analog_step) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
+            analog_step) -> tuple[np.ndarray, np.ndarray, AlternateTrace]:
     """Alternating minimization from the SVD initialization: least-squares
-    digital updates and ``analog_step(target, f_rf, f_bb, trace)`` analog
-    updates until the objective settles. The digital precoder is refit and
-    rescaled to the budget at exit."""
+    digital updates and ``analog_step(target, f_rf, f_bb, stats)`` analog
+    updates until the objective settles (``trace.stop`` is "tolerance") or
+    ``OUTER_MAX_ITER`` iterations ran ("max-iter"). The digital precoder is
+    refit and rescaled to the budget at exit."""
     target = as_matrix(f_fd)
     p_s = per_subcarrier_power_mw(config)
     f_rf = init_analog_svd(target, config.m_rf)
-    trace = AltminTrace()
+    trace = AlternateTrace()
     prev = None
     for _ in range(OUTER_MAX_ITER):
         f_bb = np.linalg.lstsq(f_rf, target, rcond=None)[0]
-        f_rf = analog_step(target, f_rf, f_bb, trace)
+        f_rf = analog_step(target, f_rf, f_bb, trace.solver_stats)
         obj = mse_to_target(target, f_rf, f_bb)
-        trace.objective_per_iter.append(obj)
+        trace.objective_per_outer_iter.append(obj)
         if prev is not None and abs(prev - obj) <= OUTER_TOL * max(prev, 1e-30):
+            trace.stop = "tolerance"
             break
         prev = obj
-    trace.n_outer = len(trace.objective_per_iter)
     f_bb = np.linalg.lstsq(f_rf, target, rcond=None)[0]
     f_bb = rescale_to_budget(f_rf, f_bb, p_s, config.n_users)
     return f_rf, f_bb, trace
 
 
 def altmin2(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
-            ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
+            ) -> tuple[np.ndarray, np.ndarray, AlternateTrace]:
     """Alternating least squares with phase projection for the analog step.
 
     The phase projection breaks monotonicity, so the trace is recorded but
     not asserted anywhere.
     """
-    return _altmin(f_fd, config, lambda target, f_rf, f_bb, trace: phase_projection(target, f_bb))
+    return _altmin(f_fd, config, lambda target, f_rf, f_bb, stats: phase_projection(target, f_bb))
 
 
 def unit_modulus_gradient(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
@@ -90,8 +83,9 @@ def retract(point: np.ndarray) -> np.ndarray:
 
 
 def _manifold_descent(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
-                      trace: AltminTrace) -> np.ndarray:
-    """Riemannian gradient descent with Armijo backtracking on the analog entries."""
+                      stats: SolverStats) -> np.ndarray:
+    """Riemannian gradient descent with Armijo backtracking on the analog entries;
+    a search that gives up ends the update and counts in ``stats.line_search_failures``."""
     def cost(x):
         return mse_to_target(target, x, f_bb)
 
@@ -113,7 +107,7 @@ def _manifold_descent(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
                 break
             tau *= ARMIJO_SHRINK
         if not accepted:
-            trace.line_search_failures += 1
+            stats.line_search_failures += 1
             break
         f_rf = trial
         current = trial_cost
@@ -122,7 +116,7 @@ def _manifold_descent(target: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray,
 
 
 def altmin1(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfig
-            ) -> tuple[np.ndarray, np.ndarray, AltminTrace]:
+            ) -> tuple[np.ndarray, np.ndarray, AlternateTrace]:
     """Alternating minimization with a manifold-optimized analog precoder."""
     return _altmin(f_fd, config, _manifold_descent)
 

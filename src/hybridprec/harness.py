@@ -222,15 +222,16 @@ def _run_cell(spec: ExperimentSpec, sweep_value, trial: int,
 def run_experiment(spec: ExperimentSpec, parallelism: int = 1,
                    record_timing: bool = True) -> list:
     """Monte Carlo sweep; rows are canonically sorted and independent of
-    worker count. ``record_timing=False`` zeroes wall times so repeated runs
-    are byte-identical."""
+    worker count; at most one worker per cell is started. ``record_timing=False``
+    zeroes wall times so repeated runs are byte-identical."""
     cells = [(value, trial) for value in spec.sweep_values or [None] for trial in range(spec.n_trials)]
     rows = []
-    if parallelism <= 1:
+    workers = min(parallelism, len(cells))
+    if workers <= 1:
         for value, trial in cells:
             rows.extend(_run_cell(spec, value, trial, record_timing))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, spec, value, trial, record_timing)
                        for value, trial in cells]
             for fut in futures:

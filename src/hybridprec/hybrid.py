@@ -10,7 +10,7 @@ per-antenna phase diagonal and a binary switch matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -67,9 +67,11 @@ class SolverStats:
     truncated: int = 0  # EP targets stopped at max_iter
     ridged: int = 0  # SD systems built on a ridge-loaded Gram factor
     shrinks: int = 0  # digital step halvings
+    line_search_failures: int = 0  # AltMin manifold updates whose Armijo search gave up
     peak_frontier: int = 0  # most children one SD block expansion kept; a maximum, not a sum
 
     def absorb(self, result: SolveResult) -> None:
+        """Add one solver call's counts; the only merge rule of a design's account."""
         self.solves += len(result.z)
         self.nodes += result.nodes_visited
         self.iterations += result.iterations
@@ -78,19 +80,19 @@ class SolverStats:
         self.found += int(np.sum(diagnostics.get("found", 0)))
         self.peak_frontier = max(self.peak_frontier, diagnostics.get("peak_frontier", 0))
 
-    def add(self, other: "SolverStats") -> None:
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name, max(mine, theirs) if f.name == "peak_frontier" else mine + theirs)
-
 
 @dataclass
 class AlternateTrace:
+    """One design's account, from ``alternate`` and the AltMin baselines alike."""
+
     objective_per_outer_iter: list = field(default_factory=list)
     solver_stats: SolverStats = field(default_factory=SolverStats)
     stop: str = "max-iter"  # or "tolerance", or "fixed-point": an iterate repeated its input
-    n_outer: int = 0
     iterates: Optional[list] = None
+
+    @property
+    def n_outer(self) -> int:
+        return len(self.objective_per_outer_iter)
 
     @property
     def truncated(self) -> bool:
@@ -157,20 +159,19 @@ def phase_projection(target: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
 
 
 def optimize_analog(target: np.ndarray, f_bb: np.ndarray, solver: str, alphabet: Alphabet,
-                    warm: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverStats]:
-    """Best analog matrix for a fixed digital precoder.
+                    stats: SolverStats, warm: Optional[np.ndarray] = None) -> np.ndarray:
+    """Best analog matrix for a fixed digital precoder; the solver counts go to ``stats``.
 
     The Frobenius objective decouples into one finite-alphabet least-squares
     problem per transmit antenna, all sharing the digital Gram factor.
     """
-    stats = SolverStats()
     if solver == "np":
         stats.solves += target.shape[0]
-        return nearest_labels(phase_projection(target, f_bb), alphabet), stats
+        return nearest_labels(phase_projection(target, f_bb), alphabet)
 
     solve = _fals(f_bb.T, target.T, solver, alphabet, stats)  # (K*S, M_T), (K*S, N_T)
     try:
-        return solve(slice(None), warm=warm), stats
+        return solve(slice(None), warm=warm)
     except Exception as exc:
         where = f" at antenna {exc.index}" if isinstance(exc, EPNumericalError) else ""
         raise AnalogSolveError(f"analog subproblem failed{where}: {type(exc).__name__}: {exc}") from exc
@@ -215,8 +216,8 @@ def nearest_quantize_digital(f_cont: np.ndarray, f_rf: np.ndarray, p_s: float,
 
 
 def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: str,
-                     levels: int, n_users: int
-                     ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, SolverStats]:
+                     levels: int, n_users: int, stats: SolverStats
+                     ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Best quantized digital precoder for a fixed analog matrix.
 
     Per sub-carrier, a non-negative multiplier scales the Gram factor so the
@@ -227,12 +228,11 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
     (immediately, when the unconstrained solution already fits). ``_fit_step``
     halves the step, with a new FALS kernel each time, while some sub-carrier
     cannot meet the budget at any multiplier (``solver="np"``: until the
-    quantized entries meet it), and ``stats.shrinks`` counts the halvings.
-    Returns (f_bb, delta, mu, bisection_iters, stats).
+    quantized entries meet it). The solver counts and the halvings go to ``stats``.
+    Returns (f_bb, delta, mu, bisection_iters).
     """
     ks = target.shape[1]
     s_count = ks // n_users
-    stats = SolverStats()
 
     # min-norm least squares keeps the reference entries bounded even when the
     # quantized analog matrix is rank deficient
@@ -240,12 +240,13 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
 
     if solver in ("ls", "np"):
         # "ls" keeps the digital entries unquantized: the ideal-resolution reference case
-        f_bb, delta, stats.shrinks = (
+        f_bb, delta, halvings = (
             (rescale_to_budget(f_rf, ls_digital, p_s, n_users), float("nan"), 0)
             if solver == "ls" else
             nearest_quantize_digital(ls_digital, f_rf, p_s, levels, n_users))
         stats.solves += ks
-        return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int), stats
+        stats.shrinks += halvings
+        return f_bb, delta, np.zeros(s_count), np.zeros(s_count, dtype=int)
 
     target_r, f_rf_r = realify(target, f_rf)  # (2N_T, K*S), (2N_T, 2M_T)
 
@@ -253,8 +254,9 @@ def optimize_digital(target: np.ndarray, f_rf: np.ndarray, p_s: float, solver: s
         solve = _fals(f_rf_r, target_r, solver, alphabet, stats)
         return _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users)
 
-    (f_bb, mu, iters), delta, stats.shrinks = _fit_step(quantize, ls_digital, levels)
-    return f_bb, delta, mu, iters, stats
+    (f_bb, mu, iters), delta, halvings = _fit_step(quantize, ls_digital, levels)
+    stats.shrinks += halvings
+    return f_bb, delta, mu, iters
 
 
 def _columns(sols: np.ndarray, m_rf: int) -> np.ndarray:
@@ -307,22 +309,22 @@ def _solve_all_subcarriers(solve, f_rf, p_s, s_count, n_users
     return f_bb, mu_out, iters_out
 
 
-def optimize_switch(target: np.ndarray, phase_diag: np.ndarray,
-                    f_bb: np.ndarray) -> tuple[np.ndarray, SolverStats]:
+def optimize_switch(target: np.ndarray, phase_diag: np.ndarray, f_bb: np.ndarray,
+                    stats: SolverStats) -> np.ndarray:
     """Best binary RF-chain/antenna switch matrix for fixed phases and digital precoder.
 
     Rotating the target by the conjugate phases decouples the problem per
     antenna over {0,1}^M, always solved exactly by the sphere decoder (for
     ``dynamic-ep`` too). The result is repaired, if necessary, so columns
-    are distinct and nonzero (entry flips with least residual increase).
+    are distinct and nonzero (entry flips with least residual increase). The
+    solver counts go to ``stats``.
     """
     if not np.allclose(np.abs(phase_diag), 1.0, atol=1e-9):
         raise ValueError("phase_diag entries must be unit modulus")
     rotated = (np.conj(phase_diag)[:, None] * target)  # diag(phase)^H F_FD
     b = f_bb.T
-    stats = SolverStats()
     z = _fals(b, rotated.T, "sesd", make_switch_alphabet(), stats)(slice(None))
-    return _repair_switch(z, rotated.T, b), stats
+    return _repair_switch(z, rotated.T, b)
 
 
 def _repair_switch(switch: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,21 +424,20 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
 
     best = best_obj = None
     prev_obj = prev_state = None
+    stats = trace.solver_stats
     for it in range(1, OUTER_MAX_ITER + 1):
-        f_bb, delta, _, _, dstats = optimize_digital(
-            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users)
+        f_bb, delta, _, _ = optimize_digital(
+            target, f_rf, p_s, digital_method, config.quant_levels, config.n_users, stats)
         if dynamic:
-            switch, astats = optimize_switch(target, phase_diag, f_bb)
+            switch = optimize_switch(target, phase_diag, f_bb, stats)
             phase_diag = optimize_phase_diag(target, switch, f_bb, analog_alphabet)
             f_rf = phase_diag[:, None] * switch
         else:
-            f_rf, astats = optimize_analog(target, f_bb, analog_method, analog_alphabet,
-                                           warm=f_rf if analog_method == "sesd" and it > 1 else None)
+            f_rf = optimize_analog(target, f_bb, analog_method, analog_alphabet, stats,
+                                   warm=f_rf if analog_method == "sesd" and it > 1 else None)
 
         obj = mse_to_target(target, f_rf, f_bb)
         trace.objective_per_outer_iter.append(obj)
-        trace.solver_stats.add(dstats)
-        trace.solver_stats.add(astats)
         # every step returns new arrays, so the record holds them without copies
         snapshot = {"f_rf": f_rf, "f_bb": f_bb, "delta": delta, "switch": switch,
                     "phase_diag": phase_diag}
@@ -454,5 +455,4 @@ def alternate(f_fd: Union[FullyDigitalPrecoder, np.ndarray], config: SystemConfi
             break
         prev_obj, prev_state = obj, state
 
-    trace.n_outer = len(trace.objective_per_outer_iter)
     return HybridPrecoder(**best, mode=mode), trace

@@ -38,11 +38,10 @@ class RateReport:
 
 @dataclass
 class WmmseTrace:
-    """Per-sub-carrier utility (sum rate) after each alternation step, and
-    alternation steps."""
+    """Per-sub-carrier utility (sum rate) after each alternation step; a
+    sub-carrier's step count is the length of its array."""
 
     utilities: list
-    iterations: list
     truncated: bool
 
 
@@ -191,5 +190,4 @@ def wmmse_fully_digital(h: ChannelSet, p_s: float, n0: float, tol: float = Syste
             break
     f = ft.transpose(2, 1, 0).reshape(n_t, k_count * s_count)
     return FullyDigitalPrecoder(f_fd=f), WmmseTrace(
-        utilities=[np.array(v) for v in utilities],
-        iterations=[len(v) for v in utilities], truncated=bool(run.size))
+        utilities=[np.array(v) for v in utilities], truncated=bool(run.size))

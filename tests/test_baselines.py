@@ -8,12 +8,12 @@ from hybridprec.alphabets import (
     choose_delta, make_analog_alphabet, make_digital_alphabet, nearest_labels,
 )
 from hybridprec.baselines import (
-    AltminTrace, altmin1, altmin2, quantize_baseline, retract, tangent_project,
-    unit_modulus_gradient,
+    altmin1, altmin2, quantize_baseline, retract, tangent_project, unit_modulus_gradient,
 )
 from hybridprec.channel import SystemConfig, draw_channel, noise_power_mw, per_subcarrier_power_mw
 from hybridprec.hybrid import (
-    MAX_STEP_HALVINGS, InfeasiblePowerError, _power_per_subcarrier, nearest_quantize_digital,
+    MAX_STEP_HALVINGS, OUTER_MAX_ITER, OUTER_TOL, InfeasiblePowerError, SolverStats,
+    _power_per_subcarrier, nearest_quantize_digital,
 )
 from hybridprec.wmmse import mse_to_target, sum_rate, wmmse_fully_digital
 
@@ -35,7 +35,7 @@ class TestAltmin2:
         f_bb_true = 0.1 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
         target = f_rf_true @ f_bb_true
         f_rf, f_bb, trace = altmin2(target, small_config)
-        assert trace.objective_per_iter[-1] < 5e-3 * np.linalg.norm(target) ** 2
+        assert trace.objective_per_outer_iter[-1] < 5e-3 * np.linalg.norm(target) ** 2
 
     def test_unit_modulus_analog(self, small_config):
         rng = np.random.default_rng(RNG_SEED)
@@ -86,9 +86,31 @@ class TestAltmin1:
         f_bb = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         f_rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 2)))
         monkeypatch.setattr(baselines, "retract", lambda point: f_rf)
-        trace = AltminTrace()
-        assert baselines._manifold_descent(target, f_rf, f_bb, trace) is f_rf
-        assert trace.line_search_failures == 1
+        stats = SolverStats()
+        assert baselines._manifold_descent(target, f_rf, f_bb, stats) is f_rf
+        assert stats.line_search_failures == 1
+
+    def test_converged_design_stops_on_tolerance(self, small_config):
+        """A design whose objective settles says so, and its outer count is the
+        length of its objective list."""
+        target, _ = wmmse_fully_digital(draw_channel(small_config, 0),
+                                        per_subcarrier_power_mw(small_config),
+                                        noise_power_mw(small_config))
+        _, _, trace = altmin1(target, small_config)
+        objectives = trace.objective_per_outer_iter
+        assert (trace.stop, trace.truncated) == ("tolerance", False)
+        assert trace.n_outer == len(objectives) < OUTER_MAX_ITER
+        assert abs(objectives[-2] - objectives[-1]) <= OUTER_TOL * objectives[-2]
+
+    def test_capped_design_stops_on_max_iter(self):
+        """Desk trial 0 (16x8, 8 sub-carriers) runs to the iteration cap."""
+        cfg = SystemConfig(n_tx=16, m_rf=8, n_users=2, n_subcarriers=8)
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg))
+        _, _, trace = altmin1(target, cfg)
+        assert (trace.stop, trace.truncated) == ("max-iter", True)
+        assert trace.n_outer == len(trace.objective_per_outer_iter) == OUTER_MAX_ITER
+        assert trace.solver_stats == SolverStats()  # no Armijo search gave up
 
     def test_tangent_has_no_radial_component(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -108,7 +130,7 @@ class TestAltmin1:
         target, _ = wmmse_fully_digital(
             ch, per_subcarrier_power_mw(small_config), noise_power_mw(small_config))
         _, _, trace = altmin1(target, small_config)
-        assert trace.objective_per_iter[-1] <= trace.objective_per_iter[0] + 1e-12
+        assert trace.objective_per_outer_iter[-1] <= trace.objective_per_outer_iter[0] + 1e-12
 
     def test_at_least_as_good_as_phase_projection_usually(self, small_config):
         """Manifold descent beats plain phase projection on most targets."""
@@ -120,7 +142,7 @@ class TestAltmin1:
                 ch, per_subcarrier_power_mw(small_config), noise_power_mw(small_config))
             _, _, t1 = altmin1(target, small_config)
             _, _, t2 = altmin2(target, small_config)
-            if t1.objective_per_iter[-1] <= t2.objective_per_iter[-1] * (1 + 1e-9):
+            if t1.objective_per_outer_iter[-1] <= t2.objective_per_outer_iter[-1] * (1 + 1e-9):
                 wins += 1
         assert wins >= 0.7 * n_trials
 
@@ -273,4 +295,4 @@ class TestAltminExitInvariant:
                 ch, per_subcarrier_power_mw(small_config), noise_power_mw(small_config))
             for fn in (altmin1, altmin2):
                 _, _, trace = fn(target, small_config)
-                assert trace.objective_per_iter[-1] <= trace.objective_per_iter[0] * (1 + 1e-9)
+                assert trace.objective_per_outer_iter[-1] <= trace.objective_per_outer_iter[0] * (1 + 1e-9)

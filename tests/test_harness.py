@@ -136,6 +136,36 @@ class TestRunExperiment:
         emit_csv(parallel, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_parallel_starts_at_most_one_worker_per_cell(self, tiny_spec, monkeypatch):
+        """A pool forks all its workers at the first submit, so the worker count
+        is capped by the cells, and one cell runs in this process. The fake pool
+        runs each cell here and starts no process."""
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = harness.concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        serial = run_experiment(tiny_spec, parallelism=1, record_timing=False)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        assert run_experiment(tiny_spec, parallelism=64, record_timing=False) == serial
+        assert built == [2]  # tiny_spec has 2 cells
+        one_cell = dataclasses.replace(tiny_spec, n_trials=1)
+        rows = run_experiment(one_cell, parallelism=8, record_timing=False)
+        assert built == [2]
+        assert rows == run_experiment(one_cell, parallelism=1, record_timing=False)
+
     def test_error_isolation(self, tiny_spec, monkeypatch):
         """A failing scheme yields an error row without disturbing others."""
         def boom(*args, **kwargs):

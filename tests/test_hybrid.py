@@ -116,7 +116,7 @@ class TestOptimizeAnalog:
         f_rf_true = rng.choice(alphabet.labels, size=(6, 2))
         f_bb = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
         target = f_rf_true @ f_bb
-        f_rf, _ = optimize_analog(target, f_bb, "sesd", alphabet)
+        f_rf = optimize_analog(target, f_bb, "sesd", alphabet, SolverStats())
         assert mse_to_target(target, f_rf, f_bb) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_brute_force_per_antenna(self):
@@ -124,7 +124,7 @@ class TestOptimizeAnalog:
         alphabet = make_analog_alphabet(1)
         target = random_target(rng, 8, 4)
         f_bb = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        f_rf, _ = optimize_analog(target, f_bb, "sesd", alphabet)
+        f_rf = optimize_analog(target, f_bb, "sesd", alphabet, SolverStats())
         b = f_bb.T
         for n in range(8):
             exact = brute_force_ml(target.T[:, n], b, alphabet)
@@ -137,7 +137,7 @@ class TestOptimizeAnalog:
         alphabet = make_analog_alphabet(1)
         target = random_target(rng, 5, 3)
         f_bb = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-        f_rf, _ = optimize_analog(target, f_bb, "sesd", alphabet)
+        f_rf = optimize_analog(target, f_bb, "sesd", alphabet, SolverStats())
         b = f_bb.T
         for n in range(5):
             exact = brute_force_ml(target.T[:, n], b, alphabet)
@@ -148,7 +148,7 @@ class TestOptimizeAnalog:
         target = np.full((3, 4), np.nan, dtype=complex)
         f_bb = np.eye(2, 4).astype(complex)
         with pytest.raises(RuntimeError, match="antenna 0"):
-            optimize_analog(target, f_bb, "ep", alphabet)
+            optimize_analog(target, f_bb, "ep", alphabet, SolverStats())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_error_names_the_first_failing_antenna(self):
@@ -160,12 +160,12 @@ class TestOptimizeAnalog:
         with pytest.raises(AnalogSolveError, match=re.escape(
                 "analog subproblem failed at antenna 2: EPNumericalError: EP produced "
                 "non-finite inputs at iteration 1 for target 2") + "$"):
-            optimize_analog(target, f_bb, "ep", make_analog_alphabet(1))
+            optimize_analog(target, f_bb, "ep", make_analog_alphabet(1), SolverStats())
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown FALS solver 'x'"):
             optimize_analog(np.ones((3, 2), dtype=complex), np.eye(2, dtype=complex), "x",
-                            make_analog_alphabet(1))
+                            make_analog_alphabet(1), SolverStats())
 
     def test_ep_rows_equal_per_antenna_solves(self):
         """One batched EP call gives each antenna the row a solve of that
@@ -174,7 +174,8 @@ class TestOptimizeAnalog:
         alphabet = make_analog_alphabet(2)
         target = random_target(rng, 6, 4)
         f_bb = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        f_rf, stats = optimize_analog(target, f_bb, "ep", alphabet)
+        stats = SolverStats()
+        f_rf = optimize_analog(target, f_bb, "ep", alphabet, stats)
         singles = [ep_solve(target[n], f_bb.T, alphabet) for n in range(6)]
         for n, single in enumerate(singles):
             np.testing.assert_array_equal(f_rf[n], single.z)
@@ -209,7 +210,7 @@ class TestRealFormSearch:
         rng, target, f_bb = self.tie_rich_case(seed, m_rf, extra, repeat, negate)
         alphabet = make_analog_alphabet(1)
         start = rng.choice(alphabet.labels, size=(7, m_rf)) if warm else None
-        f_rf, _ = optimize_analog(target, f_bb, "sesd", alphabet, warm=start)
+        f_rf = optimize_analog(target, f_bb, "sesd", alphabet, SolverStats(), warm=start)
         assert f_rf.dtype == np.complex128 and is_member(f_rf, alphabet)
         for n in range(7):
             exact = brute_force_ml(target[n], f_bb.T, alphabet)
@@ -227,7 +228,7 @@ class TestRealFormSearch:
         original = hybrid._repair_switch
         hybrid._repair_switch = lambda z, a, b: solved.append(z) or z
         try:
-            optimize_switch(target, phase, f_bb)
+            optimize_switch(target, phase, f_bb, SolverStats())
         finally:
             hybrid._repair_switch = original
         alphabet = make_switch_alphabet()
@@ -255,12 +256,13 @@ class TestRealFormSearch:
         rng, target, f_bb = self.tie_rich_case(RNG_SEED, 3, 2, False, False)
         alphabet = make_analog_alphabet(bits)
         if step == "analog":
-            optimize_analog(target, f_bb, "sesd", alphabet)
+            optimize_analog(target, f_bb, "sesd", alphabet, SolverStats())
         elif step == "switch":
-            optimize_switch(target, np.ones(7, dtype=complex), f_bb)
+            optimize_switch(target, np.ones(7, dtype=complex), f_bb, SolverStats())
         else:
             f_rf = rng.choice(alphabet.labels, size=(7, 3))
-            optimize_digital(target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=1)
+            optimize_digital(target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=1,
+                             stats=SolverStats())
         assert seen == [(dtype, dtype)]
 
 
@@ -271,8 +273,8 @@ class TestOptimizeDigital:
         alphabet = make_analog_alphabet(2)
         f_rf = rng.choice(alphabet.labels, size=(8, 3))
         target = random_target(rng, 8, 4, scale=0.5)
-        f_bb, delta, mu, iters, _ = optimize_digital(
-            target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=2)
+        f_bb, delta, mu, iters = optimize_digital(
+            target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=2, stats=SolverStats())
         np.testing.assert_array_equal(mu, 0.0)
         np.testing.assert_array_equal(iters, 1)
 
@@ -306,8 +308,8 @@ class TestOptimizeDigital:
         alphabet = make_analog_alphabet(2)
         f_rf = rng.choice(alphabet.labels, size=(8, 3))
         target = random_target(rng, 8, 4, scale=0.4)
-        f_bb, delta, mu, _, _ = optimize_digital(
-            target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=2)
+        f_bb, delta, mu, _ = optimize_digital(
+            target, f_rf, p_s=1e9, solver="sesd", levels=2, n_users=2, stats=SolverStats())
         real_alpha = make_digital_alphabet(2, delta)
         g_r = np.block([[f_rf.real, -f_rf.imag], [f_rf.imag, f_rf.real]])
         for col in range(4):
@@ -336,10 +338,11 @@ class TestOptimizeDigital:
         target = random_target(rng, n_tx, n_users * s_count)
         target[:, 0] *= 8.0  # its unconstrained solution lies outside the label box
         free, *_ = optimize_digital(target, f_rf, p_s=1e9, solver="sesd",
-                                    levels=levels, n_users=n_users)
+                                    levels=levels, n_users=n_users, stats=SolverStats())
         p_s = fraction * float(_power_per_subcarrier(f_rf, free, n_users).max())
-        f_bb, delta, mu, _, _ = optimize_digital(
-            target, f_rf, p_s=p_s, solver="sesd", levels=levels, n_users=n_users)
+        f_bb, delta, mu, _ = optimize_digital(
+            target, f_rf, p_s=p_s, solver="sesd", levels=levels, n_users=n_users,
+            stats=SolverStats())
         assume(np.any(mu > 0))  # else only step halvings met the budget
         labels = make_digital_alphabet(levels, delta)
         c_r, g_r = realify(target, f_rf)
@@ -357,8 +360,8 @@ class TestOptimizeDigital:
         f_rf = rng.choice(alphabet.labels, size=(8, 3))
         target = random_target(rng, 8, 4, scale=3.0)
         p_s = 5.0
-        f_bb, delta, mu, _, _ = optimize_digital(
-            target, f_rf, p_s=p_s, solver="sesd", levels=2, n_users=2)
+        f_bb, delta, mu, _ = optimize_digital(
+            target, f_rf, p_s=p_s, solver="sesd", levels=2, n_users=2, stats=SolverStats())
         eff = f_rf @ f_bb
         for s in range(2):
             power = sum(np.linalg.norm(eff[:, k * 2 + s]) ** 2 for k in range(2))
@@ -377,8 +380,9 @@ class TestOptimizeDigital:
         the halvings are counted."""
         f_rf, target = self._binding_setup()
         p_s = 1e-3
-        f_bb, delta, mu, iters, stats = optimize_digital(
-            target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2)
+        stats = SolverStats()
+        f_bb, delta, mu, iters = optimize_digital(
+            target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, stats=stats)
         fitted = choose_delta(np.linalg.lstsq(f_rf, target, rcond=None)[0], 2)
         assert delta < fitted
         assert stats.shrinks > 0 and delta == fitted / 2 ** stats.shrinks
@@ -401,8 +405,9 @@ class TestOptimizeDigital:
         quarter = (nearest_labels(ls_digital.real, labels)
                    + 1j * nearest_labels(ls_digital.imag, labels))
         p_s = float(_power_per_subcarrier(f_rf, quarter, 2).max())
-        f_bb, delta, mu, iters, stats = optimize_digital(
-            target, f_rf, p_s=p_s, solver="np", levels=2, n_users=2)
+        stats = SolverStats()
+        f_bb, delta, mu, iters = optimize_digital(
+            target, f_rf, p_s=p_s, solver="np", levels=2, n_users=2, stats=stats)
         assert delta == fitted / 4 and stats.shrinks == 2
         np.testing.assert_array_equal(f_bb, quarter)
         assert np.all(mu == 0) and np.all(iters == 0)
@@ -421,8 +426,9 @@ class TestOptimizeDigital:
         b = zero[:3] + 1j * zero[3:]
         assert 2 * np.linalg.norm(f_rf @ b) ** 2 > p_s * (1 + 1e-2)  # EP's smallest power
         for solver in ("ep", "sesd"):
-            f_bb, delta, _, _, stats = optimize_digital(
-                target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2)
+            stats = SolverStats()
+            f_bb, delta, _, _ = optimize_digital(
+                target, f_rf, p_s=p_s, solver=solver, levels=2, n_users=2, stats=stats)
             assert delta == fitted and stats.shrinks == 0
             eff = f_rf @ f_bb
             for s in range(2):
@@ -447,7 +453,8 @@ class TestOptimizeDigital:
         """Every quantized digital step halves the one way and says so when it gives up."""
         f_rf, target = self._binding_setup()
         with pytest.raises(InfeasiblePowerError, match="after 8 step shrinks$"):
-            optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2)
+            optimize_digital(target, f_rf, p_s=1e-9, solver=solver, levels=2, n_users=2,
+                             stats=SolverStats())
 
 
 class TestSubcarrierPower:
@@ -595,7 +602,7 @@ class TestTargetUnwrapping:
             if design.startswith("altmin"):
                 f_rf, f_bb, trace = getattr(baselines, design)(f_fd, small_config)
                 return [f_rf.tobytes(), f_bb.tobytes(),
-                        np.array(trace.objective_per_iter).tobytes()]
+                        np.array(trace.objective_per_outer_iter).tobytes()]
             mode = DYNAMIC_CONNECTED if design.startswith("dynamic") else FULLY_CONNECTED
             precoder, trace = alternate(f_fd, small_config, design.removeprefix("dynamic-"),
                                         mode=mode)
@@ -638,23 +645,24 @@ class TestFixedPointStop:
                                             digital_method=digital, record_iterates=True)
                 stops.append(trace.stop)
                 assert trace.truncated == (trace.stop == "max-iter")
-                assert len(trace.iterates) == trace.n_outer
+                assert len(trace.iterates) == trace.n_outer == len(trace.objective_per_outer_iter)
                 if trace.stop != "fixed-point":
                     continue
                 last, before = trace.iterates[-1], trace.iterates[-2]
                 state = ("switch", "phase_diag") if mode == DYNAMIC_CONNECTED else ("f_rf",)
                 assert all(last[k].tobytes() == before[k].tobytes() for k in state)
+                stats = SolverStats()
                 f_bb, delta, *_ = optimize_digital(
-                    target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users)
+                    target, last["f_rf"], p_s, digital or solver, levels, cfg.n_users, stats)
                 switch = phase_diag = None
                 if mode == DYNAMIC_CONNECTED:
-                    switch, _ = optimize_switch(target, last["phase_diag"], f_bb)
+                    switch = optimize_switch(target, last["phase_diag"], f_bb, stats)
                     phase_diag = optimize_phase_diag(target, switch, f_bb, alphabet)
                     f_rf = phase_diag[:, None] * switch
                 else:
                     method = analog or solver
-                    f_rf, _ = optimize_analog(target, f_bb, method, alphabet,
-                                              warm=last["f_rf"] if method == "sesd" else None)
+                    f_rf = optimize_analog(target, f_bb, method, alphabet, stats,
+                                           warm=last["f_rf"] if method == "sesd" else None)
                 assert _iterate_bytes(f_rf, f_bb, delta, switch, phase_diag) == _iterate_bytes(
                     last["f_rf"], last["f_bb"], last["delta"], last["switch"],
                     last["phase_diag"])
@@ -718,7 +726,7 @@ class TestSolverStats:
 
     def test_peak_frontier_is_a_maximum(self, monkeypatch):
         """`peak_frontier` is the largest SD block of any call, not a sum, and
-        `add` keeps the maximum while it sums every other count."""
+        `absorb` keeps the maximum while it sums every other count."""
         seen = []
 
         def spy(*args, **kwargs):
@@ -734,12 +742,48 @@ class TestSolverStats:
         assert len(seen) > 1 and sum(seen) > max(seen) > 0
         assert trace.solver_stats.peak_frontier == max(seen)
 
-        total = SolverStats(solves=2, peak_frontier=7)
-        total.add(SolverStats(solves=3, nodes=4, peak_frontier=5))
-        assert (total.solves, total.nodes, total.peak_frontier) == (5, 4, 7)
+        total = SolverStats(solves=2, nodes=1, peak_frontier=7)
+        total.absorb(SolveResult(z=np.zeros((3, 2)), objective=0.0, nodes_visited=4,
+                                 diagnostics={"peak_frontier": 5}))
+        assert (total.solves, total.nodes, total.peak_frontier) == (5, 5, 7)
+        total.absorb(SolveResult(z=np.zeros((1, 2)), objective=0.0, nodes_visited=2,
+                                 diagnostics={"peak_frontier": 9}))
+        assert (total.solves, total.nodes, total.peak_frontier) == (6, 7, 9)
         total.absorb(SolveResult(z=np.zeros((1, 2)), objective=0.0,
                                  diagnostics={"iterations": np.ones(1)}))
-        assert total.peak_frontier == 7
+        assert total.peak_frontier == 9
+
+    @pytest.mark.parametrize("scheme", ["sd-hybrid", "ep-hybrid", "dynamic-ep"])
+    def test_counts_sum_over_solver_calls(self, scheme, monkeypatch):
+        """Every step adds to the design's one account: each count a solver call
+        returns sums over all of the design's SD and EP calls (``dynamic-ep``
+        makes both), and ``peak_frontier`` is their maximum."""
+        results = []
+
+        def recording(solve):
+            def spy(*args, **kwargs):
+                results.append(solve(*args, **kwargs))
+                return results[-1]
+            return spy
+        monkeypatch.setattr(hybridprec.hybrid, "sesd_solve", recording(sesd_solve))
+        monkeypatch.setattr(hybridprec.hybrid, "ep_solve", recording(ep_solve))
+        cfg = SystemConfig(**DESK_SMALL_CONFIG).with_updates(seed=1)
+        target, _ = wmmse_fully_digital(draw_channel(cfg, 0), per_subcarrier_power_mw(cfg),
+                                        noise_power_mw(cfg), tol=cfg.wmmse_tol,
+                                        max_iter=cfg.wmmse_max_iter)
+        solver, mode, analog, digital = ALTERNATE_SCHEMES[scheme]
+        _, trace = alternate(target, cfg, solver, mode=mode, analog_method=analog,
+                             digital_method=digital)
+        stats = trace.solver_stats
+        diagnostics = [r.diagnostics or {} for r in results]
+        assert len(results) > trace.n_outer > 0
+        assert (stats.solves, stats.nodes, stats.iterations, stats.found, stats.truncated) == (
+            sum(len(r.z) for r in results), sum(r.nodes_visited for r in results),
+            sum(r.iterations for r in results),
+            sum(int(np.sum(d.get("found", 0))) for d in diagnostics),
+            sum(r.truncated for r in results))
+        assert stats.peak_frontier == max(d.get("peak_frontier", 0) for d in diagnostics)
+        assert stats.nodes > 0 if solver == "sesd" else stats.iterations > 0
 
     def test_reference_trial_zero_ridged(self):
         """Reference trial 0 drops the analog Gram below full rank, so some SD
@@ -759,7 +803,7 @@ class TestSwitchNetwork:
         target = random_target(rng, 5, 3)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         f_bb = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-        switch, _ = optimize_switch(target, phase, f_bb)
+        switch = optimize_switch(target, phase, f_bb, SolverStats())
         rotated = np.conj(phase)[:, None] * target
         for n in range(5):
             r_off = np.linalg.norm(rotated[n]) ** 2
@@ -779,7 +823,7 @@ class TestSwitchNetwork:
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         f_bb = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         target = (phase[:, None] * true_switch) @ f_bb
-        switch, _ = optimize_switch(target, phase, f_bb)
+        switch = optimize_switch(target, phase, f_bb, SolverStats())
         np.testing.assert_array_equal(switch, true_switch)
         rotated = (np.conj(phase)[:, None] * target).T
         for n in range(6):
@@ -793,7 +837,7 @@ class TestSwitchNetwork:
         target = random_target(rng, 5, 3)
         phase = np.ones(5, dtype=complex)
         f_bb = np.zeros((2, 3), dtype=complex)
-        switch, _ = optimize_switch(target, phase, f_bb)
+        switch = optimize_switch(target, phase, f_bb, SolverStats())
         assert switch.shape == (5, 2)
         assert all(switch[:, m].any() for m in range(2))
         assert not np.array_equal(switch[:, 0], switch[:, 1])
@@ -817,12 +861,12 @@ class TestSwitchNetwork:
         single flip leaves one chain offending, so the repair raises."""
         with pytest.raises(RuntimeError, match=r"switch repair failed; offending RF chains: \[1\]"):
             optimize_switch(np.ones((1, 2), dtype=complex), np.ones(1, dtype=complex),
-                            np.eye(2, dtype=complex))
+                            np.eye(2, dtype=complex), SolverStats())
 
     def test_rejects_non_unit_phases(self):
         with pytest.raises(ValueError):
             optimize_switch(np.ones((3, 2), dtype=complex), np.full(3, 2.0 + 0j),
-                            np.ones((2, 2), dtype=complex))
+                            np.ones((2, 2), dtype=complex), SolverStats())
 
 
 class TestPhaseDiag:
